@@ -4,18 +4,24 @@ Every entry freezes an explicit event word.  Where an ``expected``
 record is present, the selftest recomputes tb, rot, and the normal
 ruling count from scratch and demands an exact match; entries without
 expectations are still round-tripped through the text format.
+
+The entries are built once, on first use, and shared by every caller;
+entries and their diagrams are immutable.
 """
 
-from .diagrams import Event, FrontDiagram, L, R, X, from_text, to_text
+from dataclasses import dataclass
+from functools import cache
+
+from .diagrams import Event, FrontDiagram, from_text, to_text
 from .rulings import count_rulings
 
 
+@dataclass(frozen=True, repr=False)
 class CatalogEntry:
-    def __init__(self, name, diagram, expected=None, source_note=""):
-        self.name = name
-        self.diagram = diagram
-        self.expected = expected     # (tb, rot, ruling count) or None
-        self.source_note = source_note
+    name: str
+    diagram: FrontDiagram
+    expected: tuple = None   # (tb, rot, ruling count) or None
+    source_note: str = ""
 
     def __repr__(self):
         return f"CatalogEntry({self.name!r})"
@@ -41,6 +47,7 @@ M946_WORD = "L1 L3 L5 X2 X4 X3 X3 X2 X4 X3 X3 X2 X4 R1 R1 R1"
 BUDGET_DEMO_WORD = "L1 L3 L5 X2 X1 X3 X4 X3 X2 X2 X3 X3 X4 R1 R1 R1"
 
 
+@cache
 def _entries():
     unknot = FrontDiagram(_w("L1 R1"))
     trefoil = FrontDiagram(_w("L1 L3 X2 X2 X2 R1 R1"))
@@ -79,11 +86,16 @@ def _entries():
             "six-strand weave braid; smooth type certified by Kauffman "
             "bracket against the (3,3,-3) pretzel"),
     ]
-    return out
+    return tuple(out)
+
+
+@cache
+def _by_name():
+    return {e.name: e for e in _entries()}
 
 
 def entries():
-    return _entries()
+    return list(_entries())
 
 
 def names():
@@ -91,10 +103,10 @@ def names():
 
 
 def get(name):
-    for e in _entries():
-        if e.name == name:
-            return e
-    raise KeyError(f"no catalog entry named {name!r}")
+    try:
+        return _by_name()[name]
+    except KeyError:
+        raise KeyError(f"no catalog entry named {name!r}") from None
 
 
 def selftest():

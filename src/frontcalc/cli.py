@@ -35,6 +35,19 @@ def _read(path):
         raise CliParseError(f"cannot read {path}: {exc.strerror}")
 
 
+def _parse(source, parser, *args):
+    """Run a parser on outside input; any rejection is a parse error.
+
+    Every text the CLI reads (diagram, trace and pattern files, builtin
+    pattern specs) goes through here, so malformed input exits 2.
+    DiagramError is a ValueError.
+    """
+    try:
+        return parser(*args)
+    except ValueError as exc:
+        raise CliParseError(f"{source}: {exc}")
+
+
 def load_diagram(ref):
     if ref.startswith("catalog:"):
         from . import catalog
@@ -44,11 +57,7 @@ def load_diagram(ref):
         except KeyError:
             raise CliParseError(f"no catalog entry named {name!r}")
         return entry.diagram
-    text = _read(ref)
-    try:
-        return from_text(text)
-    except DiagramError as exc:
-        raise CliParseError(f"{ref}: {exc}")
+    return _parse(ref, from_text, _read(ref))
 
 
 def _emit(pairs, fmt):
@@ -143,12 +152,9 @@ def cmd_ruling_fillable(args, out):
 
 def _load_pattern(spec):
     if os.path.exists(spec):
-        return pattern_from_text(_read(spec))
+        return _parse(spec, pattern_from_text, _read(spec))
     name, _, param = spec.partition(":")
-    try:
-        return builtin_pattern(name, param if param else None)
-    except DiagramError as exc:
-        raise CliParseError(str(exc))
+    return _parse(spec, builtin_pattern, name, param if param else None)
 
 
 def cmd_satellite(args, out):
@@ -159,7 +165,7 @@ def cmd_satellite(args, out):
 
 
 def cmd_check_trace(args, out):
-    trace = cob.trace_from_text(_read(args.trace))
+    trace = _parse(args.trace, cob.trace_from_text, _read(args.trace))
     ok, detail = cob.check_trace_report(trace)
     rows = [("ok", str(ok).lower()), ("detail", detail),
             ("chi", trace.chi), ("pinches", trace.count("pinch")),
@@ -175,7 +181,8 @@ def cmd_render(args, out):
     if not args.diagram.startswith("catalog:") and os.path.exists(args.diagram):
         text = _read(args.diagram)
     if text is not None and text.startswith(cob.TRACE_HEADER):
-        svg = render_trace_svg(cob.trace_from_text(text))
+        svg = render_trace_svg(_parse(args.diagram, cob.trace_from_text,
+                                      text))
     else:
         d = load_diagram(args.diagram)
         ruling = _parse_ruling(args.ruling) if args.ruling is not None else None

@@ -26,8 +26,7 @@ from dataclasses import dataclass, field
 from . import moves as _moves
 from .diagrams import (CROSSING, LEFT_CUSP, RIGHT_CUSP, DiagramError, Event,
                        FrontDiagram, L, R, from_text, to_text)
-from .moves import (InapplicableRewrite, Rewrite, apply_rewrite, inverse,
-                    rewritten, transfer_by_map)
+from .moves import InapplicableRewrite, Rewrite, apply_rewrite, inverse
 from .rulings import count_rulings
 
 
@@ -80,18 +79,20 @@ def pinch(diagram, index, level, orientable_only=True):
         raise NotAdjacent(index, level)
     if not 1 <= level <= counts[index] - 1:
         raise NotAdjacent(index, level)
-    if orientable_only:
-        if (diagram.direction_at(index, level)
-                == diagram.direction_at(index, level + 1)):
-            raise OrientationClash(index, level)
-    events = list(diagram.events)
-    new = events[:index] + [R(level), L(level)] + events[index:]
-    return rewritten(diagram, new, index, 0, 2)
+    up = diagram.direction_at(index, level)
+    down = diagram.direction_at(index, level + 1)
+    if orientable_only and up == down:
+        raise OrientationClash(index, level)
+    d = diagram._edited(index, index, [R(level), L(level)],
+                        ((up, down), (up, down)))
+    # A band between strands running the same way reverses part of the
+    # merged component; it keeps the direction at its first event.
+    return d._reoriented() if up == down else d
 
 
 def surgery(diagram, index, level=None):
     """Remove the adjacent ")(" pair at ``index``, ``index + 1``."""
-    events = list(diagram.events)
+    events = diagram.events
     if not 0 <= index < len(events) - 1:
         raise NotCuspPair(index)
     a, b = events[index], events[index + 1]
@@ -100,8 +101,10 @@ def surgery(diagram, index, level=None):
         raise NotCuspPair(index)
     if level is not None and level != a.level:
         raise NotCuspPair(index)
-    new = events[:index] + events[index + 2:]
-    return rewritten(diagram, new, index, 2, 0)
+    d = diagram._edited(index, index + 2, (), ())
+    # the right cusp's top strand continues as the left cusp's top strand
+    same_way = diagram.directions[index][0] == diagram.directions[index + 1][0]
+    return d if same_way else d._reoriented()
 
 
 def birth(diagram, index, level, orient="+"):
@@ -111,15 +114,11 @@ def birth(diagram, index, level, orient="+"):
         raise CobordismError(f"birth index {index} out of range")
     if not 1 <= level <= counts[index] + 1:
         raise CobordismError(f"birth level {level} out of range at {index}")
-    events = list(diagram.events)
-    new = events[:index] + [L(level), R(level)] + events[index:]
-    d = rewritten(diagram, new, index, 0, 2)
-    c = d.component_at(index + 1, level)
-    if d.orientations[c] != orient:
-        symbols = list(d.orientations)
-        symbols[c] = orient
-        d = FrontDiagram(new, symbols)
-    return d
+    if orient not in ("+", "-"):
+        raise DiagramError(f"bad orientation symbol {orient!r}")
+    o = 1 if orient == "+" else -1
+    return diagram._edited(index, index, [L(level), R(level)],
+                           ((o, -o), (o, -o)))
 
 
 def death(diagram, component):
@@ -137,8 +136,7 @@ def death(diagram, component):
     if ev_l.kind != LEFT_CUSP or ev_r.kind != RIGHT_CUSP:
         raise NotIsolatedUnknot(component, "events are not a cusp pair")
     k = ev_l.level  # the pair occupies positions k, k+1 from here on
-    new_events = list(diagram.events[:j_left])
-    index_map = {i: i for i in range(j_left)}
+    window = []
     for idx in range(j_left + 1, j_right):
         ev = diagram.events[idx]
         l = ev.level
@@ -160,12 +158,10 @@ def death(diagram, component):
             else:
                 raise NotIsolatedUnknot(component,
                                         f"event {idx} touches the eye")
-        index_map[len(new_events)] = idx
-        new_events.append(Event(ev.kind, new_l))
-    for idx in range(j_right + 1, len(diagram.events)):
-        index_map[len(new_events)] = idx
-        new_events.append(diagram.events[idx])
-    return transfer_by_map(diagram, new_events, index_map)
+        window.append(Event(ev.kind, new_l))
+    # the events in between keep their strands, only their levels move
+    return diagram._edited(j_left, j_right + 1, window,
+                           diagram.directions[j_left + 1:j_right])
 
 
 # -- traces ----------------------------------------------------------------
@@ -192,17 +188,20 @@ class Move:
     @staticmethod
     def parse(line):
         parts = line.split()
-        kind = parts[0]
-        if kind == "isotopy":
-            rkind, ridx, rlvl = parts[1], int(parts[2]), int(parts[3])
-            variant = parts[4] if len(parts) > 4 else ""
-            return Move(kind, rewrite=Rewrite(rkind, ridx, rlvl, variant))
-        if kind == "death":
-            return Move(kind, int(parts[1]))
-        if kind in ("birth", "pinch", "surgery"):
-            idx, lvl = parts[1].split("@")
-            orient = parts[2] if len(parts) > 2 else "+"
-            return Move(kind, int(idx), int(lvl), orient)
+        kind = parts[0] if parts else ""
+        try:
+            if kind == "isotopy":
+                rkind, ridx, rlvl = parts[1], int(parts[2]), int(parts[3])
+                variant = parts[4] if len(parts) > 4 else ""
+                return Move(kind, rewrite=Rewrite(rkind, ridx, rlvl, variant))
+            if kind == "death":
+                return Move(kind, int(parts[1]))
+            if kind in ("birth", "pinch", "surgery"):
+                idx, lvl = parts[1].split("@")
+                orient = parts[2] if len(parts) > 2 else "+"
+                return Move(kind, int(idx), int(lvl), orient)
+        except (IndexError, ValueError):
+            pass
         raise CobordismError(f"bad move line {line!r}")
 
 
@@ -469,11 +468,11 @@ def _downward_cleanup(diagram):
 
 
 def _pinch_sites(diagram, orientable_only=True):
-    counts = diagram.strand_counts
+    seg_dir = diagram.segment_direction
     for j in range(len(diagram.events) + 1):
-        for i in range(1, counts[j]):
-            if orientable_only and (diagram.direction_at(j, i)
-                                    == diagram.direction_at(j, i + 1)):
+        gap = diagram.segments_at_gap(j)
+        for i in range(1, len(gap)):
+            if orientable_only and seg_dir[gap[i - 1]] == seg_dir[gap[i]]:
                 continue
             yield j, i
 

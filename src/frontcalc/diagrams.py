@@ -7,8 +7,23 @@ at positions i, i+1; a crossing at level i transposes them.
 
 Crossings carry no over/under data: in a front the descending strand
 (upper-left to lower-right, i.e. the one with lesser slope) is always in
-front.  Orientations are mandatory, one symbol per component; the '+'
-symbol directs the top strand of the component's first left cusp rightward.
+front.
+
+Orientation is stored on the word.  Beside its events a diagram keeps one
+direction entry per event: the directions (+1 rightward, -1 leftward) of
+the two strands the event touches, top first, taken after a left cusp and
+before a right cusp or a crossing.  The two strands of a cusp run opposite
+ways, so a cusp's entry is fixed by its top strand; a crossing's entry
+gives both of its strands.  A local rewrite therefore edits the entries of
+its window only, and the direction of any strand can be read off the
+nearest event touching it.  The segment scan, the component numbering and
+the per-component orientation symbols are derived on first use; the
+symbol '+' directs the top strand of a component's first left cusp
+rightward.
+
+``FrontDiagram(events, orientations)`` is the validating constructor, for
+input from outside the package (text files, the catalog, the CLI): it takes
+one orientation symbol per component, all '+' by default.
 """
 
 from __future__ import annotations
@@ -86,22 +101,7 @@ def strand_counts(events):
 
     Raises on any level-bound violation or a nonzero final count.
     """
-    counts = [0]
-    m = 0
-    for idx, ev in enumerate(events):
-        if ev.kind == LEFT_CUSP:
-            if not 1 <= ev.level <= m + 1:
-                raise LevelOutOfBounds(idx, ev.level, m)
-            m += 2
-        else:
-            if not 1 <= ev.level <= m - 1:
-                raise LevelOutOfBounds(idx, ev.level, m)
-            if ev.kind == RIGHT_CUSP:
-                m -= 2
-        counts.append(m)
-    if m != 0:
-        raise NonzeroFinalStrands(m)
-    return counts
+    return [len(gap) for gap in _Scan(events).gaps]
 
 
 class _Scan:
@@ -145,85 +145,180 @@ class _Scan:
         self.n_segments = next_id
 
 
-class FrontDiagram:
-    """A validated front diagram: immutable after construction.
+def _components(scan):
+    """Component index of every segment, numbered by first segment.
 
-    Use :func:`validate` (or ``FrontDiagram(events, orientations)``) to
-    build one; construction performs the full scan, component decomposition
-    and orientation propagation.
+    A union-find over segments in which each cusp joins its two segments.
+    """
+    parent = list(range(scan.n_segments))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in scan.cusp_pair.values():
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+    roots = {}
+    return tuple(roots.setdefault(find(seg), len(roots))
+                 for seg in range(scan.n_segments))
+
+
+def _propagate(scan, component_of_segment, orientations):
+    """Segment directions, +1 rightward and -1 leftward.
+
+    The two segments meeting at any cusp point in opposite x-directions;
+    each component's first segment is directed by its orientation symbol.
+    """
+    dirs = [0] * scan.n_segments
+    adj = [[] for _ in range(scan.n_segments)]
+    for a, b in scan.cusp_pair.values():
+        adj[a].append(b)
+        adj[b].append(a)
+    for first in range(scan.n_segments):
+        if dirs[first]:
+            continue
+        c = component_of_segment[first]
+        dirs[first] = 1 if orientations[c] == "+" else -1
+        stack = [first]
+        while stack:
+            s = stack.pop()
+            for t in adj[s]:
+                if dirs[t] == 0:
+                    dirs[t] = -dirs[s]
+                    stack.append(t)
+    return tuple(dirs)
+
+
+class FrontDiagram:
+    """A front diagram: immutable after construction.
+
+    ``FrontDiagram(events, orientations)`` validates its input with a full
+    scan.  Moves build their results with :meth:`_edited` instead, which
+    splices a window into the parent's tuples without looking at the rest
+    of the word.  Either way ``events``, ``directions`` (one entry per
+    event, see the module docstring) and ``strand_counts`` are set at
+    once; everything else is computed on first use.
     """
 
     def __init__(self, events, orientations=None):
-        self.events = tuple(events)
-        self.orientations = (None if orientations is None
-                             else tuple(orientations))
-        for s in self.orientations or ():
-            if s not in ("+", "-"):
-                raise DiagramError(f"bad orientation symbol {s!r}")
-        scan = _Scan(self.events)
-        self._scan = scan
+        events = tuple(events)
+        if orientations is not None:
+            orientations = tuple(orientations)
+            for s in orientations:
+                if s not in ("+", "-"):
+                    raise DiagramError(f"bad orientation symbol {s!r}")
+        scan = _Scan(events)
+        comps = _components(scan)
+        n_components = max(comps, default=-1) + 1
+        if orientations is None:
+            orientations = ("+",) * n_components
+        if len(orientations) != n_components:
+            raise OrientationMissing(n_components, len(orientations))
+        self._orient(events, scan, comps, orientations)
 
-        # Union-find over segments; cusps join their two segments.
-        parent = list(range(scan.n_segments))
+    def _orient(self, events, scan, comps, orientations):
+        seg_dirs = _propagate(scan, comps, orientations)
+        directions = []
+        for idx, ev in enumerate(events):
+            if ev.kind == CROSSING:
+                a, b = scan.crossing_pair[idx]
+            else:
+                a, b = scan.cusp_pair[idx]
+            directions.append((seg_dirs[a], seg_dirs[b]))
+        self.events = events
+        self.directions = tuple(directions)
+        self.strand_counts = tuple(len(g) for g in scan.gaps)
+        self.__dict__.update(_scan=scan, component_of_segment=comps,
+                             segment_direction=seg_dirs,
+                             orientations=orientations)
 
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
+    def _edited(self, start, stop, events, directions):
+        """This diagram with ``self.events[start:stop]`` replaced by
+        ``events``, whose direction entries are ``directions``.
 
-        for a, b in scan.cusp_pair.values():
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
+        Nothing is validated: the caller guarantees a valid word whose
+        strand count after the window is unchanged.  Entries outside the
+        window are kept, so a move that reverses strands outside it must
+        call :meth:`_reoriented` on the result.
+        """
+        counts = self.strand_counts
+        m = counts[start]
+        window_counts = [m]
+        for ev in events:
+            if ev.kind == LEFT_CUSP:
+                m += 2
+            elif ev.kind == RIGHT_CUSP:
+                m -= 2
+            window_counts.append(m)
+        new = FrontDiagram.__new__(FrontDiagram)
+        new.events = self.events[:start] + tuple(events) + self.events[stop:]
+        new.directions = (self.directions[:start] + tuple(directions)
+                          + self.directions[stop:])
+        new.strand_counts = (counts[:start] + tuple(window_counts)
+                             + counts[stop + 1:])
+        return new
 
-        roots = {}
-        comp_of_seg = []
-        for seg in range(scan.n_segments):
-            r = find(seg)
-            if r not in roots:
-                roots[r] = len(roots)
-            comp_of_seg.append(roots[r])
-        self.component_of_segment = tuple(comp_of_seg)
-        self.n_components = len(roots)
-        if self.orientations is None:
-            self.orientations = ("+",) * self.n_components
-        if len(self.orientations) != self.n_components:
-            raise OrientationMissing(self.n_components, len(self.orientations))
+    def _with_orientations(self, orientations):
+        """The same word with every component directed by its symbol."""
+        new = FrontDiagram.__new__(FrontDiagram)
+        new._orient(self.events, self._scan, self.component_of_segment,
+                    tuple(orientations))
+        return new
 
-        # Direction of each segment: +1 rightward, -1 leftward.  The two
-        # segments meeting at any cusp point in opposite x-directions; the
-        # component's first segment is directed by its orientation symbol.
-        dirs = [0] * scan.n_segments
-        first_seg_of_comp = {}
-        for seg in range(scan.n_segments):
-            c = comp_of_seg[seg]
-            if c not in first_seg_of_comp:
-                first_seg_of_comp[c] = seg
-        adj = {s: [] for s in range(scan.n_segments)}
-        for a, b in scan.cusp_pair.values():
-            adj[a].append(b)
-            adj[b].append(a)
-        for c, seg in first_seg_of_comp.items():
-            dirs[seg] = 1 if self.orientations[c] == "+" else -1
-            stack = [seg]
-            while stack:
-                s = stack.pop()
-                for t in adj[s]:
-                    if dirs[t] == 0:
-                        dirs[t] = -dirs[s]
-                        stack.append(t)
-        self.segment_direction = tuple(dirs)
+    def _reoriented(self):
+        """Make the entries consistent along every component.
+
+        Each component keeps the direction of its first left cusp's top
+        strand; the rest of the component follows from it.
+        """
+        return self._with_orientations(self.orientations)
+
+    # -- derived data, computed on first use ------------------------------
+
+    @cached_property
+    def _scan(self):
+        return _Scan(self.events)
+
+    @cached_property
+    def component_of_segment(self):
+        return _components(self._scan)
+
+    @cached_property
+    def n_components(self):
+        return max(self.component_of_segment, default=-1) + 1
+
+    @cached_property
+    def segment_direction(self):
+        """Direction of every segment, read off the left cusp creating it."""
+        dirs = [0] * self._scan.n_segments
+        for idx, (top, bot) in self._scan.cusp_pair.items():
+            if self.events[idx].kind == LEFT_CUSP:
+                dirs[top], dirs[bot] = self.directions[idx]
+        return tuple(dirs)
+
+    @cached_property
+    def orientations(self):
+        """One symbol per component: the direction of its first segment."""
+        seg_dir = self.segment_direction
+        out = []
+        for seg, c in enumerate(self.component_of_segment):
+            if c == len(out):
+                out.append("+" if seg_dir[seg] == 1 else "-")
+        return tuple(out)
 
     # -- basic queries ----------------------------------------------------
 
     def __eq__(self, other):
         return (isinstance(other, FrontDiagram)
                 and self.events == other.events
-                and self.orientations == other.orientations)
+                and self.directions == other.directions)
 
     def __hash__(self):
-        return hash((self.events, self.orientations))
+        return hash((self.events, self.directions))
 
     def __repr__(self):
         word = " ".join(str(e) for e in self.events)
@@ -232,10 +327,6 @@ class FrontDiagram:
     @property
     def n_events(self):
         return len(self.events)
-
-    @cached_property
-    def strand_counts(self):
-        return tuple(len(g) for g in self._scan.gaps)
 
     def segments_at_gap(self, gap):
         """Segment ids top-to-bottom at the gap before event ``gap``."""
@@ -246,8 +337,44 @@ class FrontDiagram:
         return self.component_of_segment[self._scan.gaps[gap][level - 1]]
 
     def direction_at(self, gap, level):
-        """+1 if the strand at ``level`` runs rightward, -1 leftward."""
-        return self.segment_direction[self._scan.gaps[gap][level - 1]]
+        """+1 if the strand at ``level`` runs rightward, -1 leftward.
+
+        Walks outward from the gap, one event to each side in turn, to
+        the nearest event touching the strand and reads its entry.
+        """
+        if not (0 <= gap < len(self.strand_counts)
+                and 1 <= level <= self.strand_counts[gap]):
+            raise IndexError(f"no strand at level {level} at gap {gap}")
+        events, dirs = self.events, self.directions
+        right, p_right = gap, level    # next event, strand position before it
+        left, p_left = gap - 1, level  # next event, strand position after it
+        while True:
+            if right < len(events):
+                ev = events[right]
+                if ev.kind == LEFT_CUSP:
+                    if ev.level <= p_right:
+                        p_right += 2
+                elif p_right == ev.level:
+                    return dirs[right][0]
+                elif p_right == ev.level + 1:
+                    return dirs[right][1]
+                elif ev.kind == RIGHT_CUSP and p_right > ev.level:
+                    p_right -= 2
+                right += 1
+            if left >= 0:
+                ev = events[left]
+                # after a crossing its two strands have swapped positions
+                swap = ev.kind == CROSSING
+                if ev.kind == RIGHT_CUSP:
+                    if ev.level <= p_left:
+                        p_left += 2
+                elif p_left == ev.level:
+                    return dirs[left][swap]
+                elif p_left == ev.level + 1:
+                    return dirs[left][not swap]
+                elif ev.kind == LEFT_CUSP and p_left > ev.level:
+                    p_left -= 2
+                left -= 1
 
     def cusp_segments(self, index):
         """(top, bottom) segment ids of the cusp event at ``index``."""
@@ -260,13 +387,10 @@ class FrontDiagram:
 
         The descending strand is the overstrand; the sign is the
         determinant of (over tangent, under tangent) with the component
-        orientations.
+        orientations: over tangent (do, -do), under tangent (du, du).
         """
-        over, under = self._scan.crossing_pair[index]
-        do = self.segment_direction[over]
-        du = self.segment_direction[under]
-        # over tangent (do, -do), under tangent (du, du)
-        return 1 if do * du > 0 else -1
+        do, du = self.directions[index]
+        return do * du
 
     def cusp_is_down(self, index):
         """True if the traversal moves downward through the cusp at ``index``.
@@ -274,15 +398,16 @@ class FrontDiagram:
         At either cusp kind the incoming strand is the top one exactly for
         a down cusp: leftward into a left cusp, rightward into a right cusp.
         """
-        top, _bot = self._scan.cusp_pair[index]
-        d = self.segment_direction[top]
+        d = self.directions[index][0]
         if self.events[index].kind == LEFT_CUSP:
             return d == -1
         return d == 1
 
     @cached_property
     def writhe(self):
-        return sum(self.crossing_sign(i) for i in self._scan.crossing_pair)
+        return sum(do * du
+                   for ev, (do, du) in zip(self.events, self.directions)
+                   if ev.kind == CROSSING)
 
     @cached_property
     def right_cusp_count(self):
@@ -294,8 +419,9 @@ class FrontDiagram:
 
     @cached_property
     def rot(self):
-        down = sum(1 for i in self._scan.cusp_pair if self.cusp_is_down(i))
-        up = len(self._scan.cusp_pair) - down
+        cusps = [i for i, e in enumerate(self.events) if e.kind != CROSSING]
+        down = sum(1 for i in cusps if self.cusp_is_down(i))
+        up = len(cusps) - down
         assert (down - up) % 2 == 0
         return (down - up) // 2
 
@@ -330,7 +456,7 @@ class FrontDiagram:
         return total // 2
 
     def crossing_indices(self):
-        return sorted(self._scan.crossing_pair)
+        return [i for i, e in enumerate(self.events) if e.kind == CROSSING]
 
     def component_events(self, c):
         """Sorted event indices whose strands all belong to component c."""

@@ -19,10 +19,10 @@ only appear and disappear next to cusps.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .diagrams import (CROSSING, LEFT_CUSP, RIGHT_CUSP, DiagramError, Event,
-                       FrontDiagram, L, R, X)
+                       L, R, X)
 
 
 class InapplicableRewrite(DiagramError):
@@ -164,114 +164,79 @@ def _commute_pair(a, b):
     return (Event(b.kind, nb), Event(a.kind, na))
 
 
-# -- orientation transfer --------------------------------------------------
-
-def _event_ref_components(diagram, idx):
-    """Component ids that the event at idx can witness, with a reference
-    (segment, component) pair per entry."""
-    ev = diagram.events[idx]
-    out = []
-    if ev.kind == CROSSING:
-        gap = diagram.segments_at_gap(idx)
-        for seg in (gap[ev.level - 1], gap[ev.level]):
-            out.append((seg, diagram.component_of_segment[seg]))
-    else:
-        top, bot = diagram.cusp_segments(idx)
-        out.append((top, diagram.component_of_segment[top]))
-        out.append((bot, diagram.component_of_segment[bot]))
-    return out
-
-
-def transfer_by_map(old, new_events, index_map):
-    """Build the rewritten diagram, carrying component orientations over.
-
-    ``index_map`` sends new event indices to the old indices they
-    correspond to; each new component takes the orientation that
-    reproduces the old direction at its first mapped event.  Components
-    with no mapped event default to '+'.
-    """
-    trial = FrontDiagram(new_events, None)
-    symbols = [None] * trial.n_components
-    remaining = trial.n_components
-    for new_idx in sorted(index_map):
-        old_idx = index_map[new_idx]
-        old_refs = _event_ref_components(old, old_idx)
-        new_refs = _event_ref_components(trial, new_idx)
-        for (oseg, _oc), (nseg, nc) in zip(old_refs, new_refs):
-            if symbols[nc] is None:
-                same = (old.segment_direction[oseg]
-                        == trial.segment_direction[nseg])
-                symbols[nc] = "+" if same else "-"
-                remaining -= 1
-        if remaining == 0:
-            break
-    symbols = [s if s is not None else "+" for s in symbols]
-    if all(s == "+" for s in symbols):
-        return trial
-    return FrontDiagram(new_events, symbols)
-
-
-def rewritten(old, new_events, old_start, old_len, new_len):
-    """Transfer orientations across a contiguous rewrite window."""
-    new_events = list(new_events)
-    shift = new_len - old_len
-    index_map = {}
-    for new_idx in range(len(new_events)):
-        if new_idx < old_start:
-            index_map[new_idx] = new_idx
-        elif new_idx >= old_start + new_len:
-            index_map[new_idx] = new_idx - shift
-    return transfer_by_map(old, new_events, index_map)
-
-
 # -- public operations -----------------------------------------------------
+
+def _push_directions(diagram, j, variant):
+    """Direction entries of the three events replacing the cusp at j.
+
+    The cusp's two strands keep their directions; s is the direction of
+    the strand the cusp is pushed through, found by a local walk.
+    """
+    ev = diagram.events[j]
+    t = diagram.directions[j][0]
+    if ev.kind == LEFT_CUSP:
+        if variant == "down":
+            s = diagram.direction_at(j, ev.level - 1)
+            return ((t, -t), (-t, s), (t, s))
+        s = diagram.direction_at(j, ev.level)
+        return ((t, -t), (s, t), (s, -t))
+    if variant == "down":
+        s = diagram.direction_at(j, ev.level - 1)
+        return ((s, t), (s, -t), (t, -t))
+    s = diagram.direction_at(j, ev.level + 2)
+    return ((-t, s), (t, s), (t, -t))
+
 
 def apply_rewrite(diagram, rw):
     """Apply a rewrite, preserving component orientations.
 
-    Raises InapplicableRewrite when the local pattern does not match.
+    Only the rewrite's window of the word is touched.  Raises
+    InapplicableRewrite when the local pattern does not match.
     """
-    events = list(diagram.events)
+    events = diagram.events
+    dirs = diagram.directions
     counts = diagram.strand_counts
     j = rw.index
+    if not 0 <= j <= len(events):
+        raise InapplicableRewrite(rw, "index out of range")
     if rw.kind == "commute":
-        if not 0 <= j < len(events) - 1:
+        if j >= len(events) - 1:
             raise InapplicableRewrite(rw, "index out of range")
         pair = _commute_pair(events[j], events[j + 1])
         if pair is None:
             raise InapplicableRewrite(rw, "events interact")
-        new = events[:j] + list(pair) + events[j + 2:]
-        return rewritten(diagram, new, j, 2, 2)
+        return diagram._edited(j, j + 2, pair, (dirs[j + 1], dirs[j]))
     if rw.kind == "r1_insert":
-        if not 0 <= j <= len(events) or not 1 <= rw.level <= counts[j]:
+        if not 1 <= rw.level <= counts[j]:
             raise InapplicableRewrite(rw, "no strand at site")
+        d = diagram.direction_at(j, rw.level)
         below, above = _fish_words(rw.level)
-        gadget = below if rw.variant == "below" else above
-        new = events[:j] + gadget + events[j:]
-        return rewritten(diagram, new, j, 0, 3)
+        if rw.variant == "below":
+            return diagram._edited(j, j, below, ((d, -d), (d, d), (d, -d)))
+        return diagram._edited(j, j, above, ((-d, d), (d, d), (-d, d)))
     if rw.kind == "r1_remove":
         if _match_fish(events, j) is None:
             raise InapplicableRewrite(rw, "no fish pattern")
-        new = events[:j] + events[j + 3:]
-        return rewritten(diagram, new, j, 3, 0)
+        return diagram._edited(j, j + 3, (), ())
     if rw.kind == "r2_push":
         rep = _push_replacement(events, counts, j, rw.variant)
         if rep is None:
             raise InapplicableRewrite(rw, "cusp cannot pass")
-        new = events[:j] + rep + events[j + 1:]
-        return rewritten(diagram, new, j, 1, 3)
+        return diagram._edited(j, j + 1, rep,
+                               _push_directions(diagram, j, rw.variant))
     if rw.kind == "r2_pull":
         rep = _match_pull(events, j)
         if rep is None:
             raise InapplicableRewrite(rw, "no pushed-cusp pattern")
-        new = events[:j] + rep + events[j + 3:]
-        return rewritten(diagram, new, j, 3, 1)
+        # the surviving cusp keeps its two strands
+        cusp = j if events[j].kind == LEFT_CUSP else j + 2
+        return diagram._edited(j, j + 3, rep, (dirs[cusp],))
     if rw.kind == "r3_triple":
         rep = _match_r3(events, j)
         if rep is None:
             raise InapplicableRewrite(rw, "no triple pattern")
-        new = events[:j] + rep + events[j + 3:]
-        return rewritten(diagram, new, j, 3, 3)
+        # the three strands cross pairwise in the opposite order
+        return diagram._edited(j, j + 3, rep, dirs[j:j + 3][::-1])
     raise InapplicableRewrite(rw, f"unknown kind {rw.kind}")
 
 
@@ -374,13 +339,11 @@ def stabilize(diagram, sign):
             break
     else:
         raise DiagramError("cannot stabilize an empty diagram")
-    direction = diagram.direction_at(gap, level)
+    # the zigzag sits on the cusp's top strand
+    d = diagram.directions[gap - 1][0]
     # rightward strand: below-zigzag adds two down cusps (S+)
-    below = (direction == 1) == (sign == 1)
-    if below:
-        gadget = [L(level + 1), R(level)]
-    else:
-        gadget = [L(level), R(level + 1)]
-    events = list(diagram.events)
-    new = events[:gap] + gadget + events[gap:]
-    return rewritten(diagram, new, gap, 0, 2)
+    if (d == 1) == (sign == 1):
+        return diagram._edited(gap, gap, [L(level + 1), R(level)],
+                               ((-d, d), (d, -d)))
+    return diagram._edited(gap, gap, [L(level), R(level + 1)],
+                           ((d, -d), (-d, d)))

@@ -31,10 +31,6 @@ class CrossingStrandsPaired(RulingError):
             f"strands {level}, {level + 1} are paired; no switch possible")
 
 
-class NoExtension(RulingError):
-    pass
-
-
 def _interleaved(lo1, hi1, lo2, hi2):
     """True if the closed intervals overlap without nesting."""
     if hi1 < lo2 or hi2 < lo1:
@@ -160,23 +156,3 @@ def is_ruling(diagram, switches):
 def has_ruling(diagram):
     return count_rulings(diagram) > 0
 
-
-def extend_ruling_through_move(diagram, switches, kind, index, new_diagram):
-    """Carry a ruling upward through a birth or surgery.
-
-    ``diagram`` carries the ruling; ``new_diagram`` is the move's result.
-    A birth at word ``index`` inserts two events there (the new unknot is
-    paired with itself); a surgery at ``index`` removes the cusp pair at
-    ``index``, ``index + 1``.  Either way the states away from the site
-    are untouched, so the extension is the switch set reindexed; it is
-    unique, and a failure to revalidate signals a contract violation.
-    """
-    if kind == "birth":
-        new_switches = tuple(s if s < index else s + 2 for s in switches)
-    elif kind == "surgery":
-        new_switches = tuple(s if s < index else s - 2 for s in switches)
-    else:
-        raise NoExtension(f"no ruling extension through {kind!r}")
-    if not is_ruling(new_diagram, new_switches):
-        raise NoExtension(f"reindexed switch set invalid after {kind}")
-    return new_switches

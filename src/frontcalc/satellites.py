@@ -97,6 +97,13 @@ class PatternFront:
         return len({find(t) for t in parent})
 
 
+def _count_param(name, param):
+    try:
+        return 1 if param is None else int(param)
+    except ValueError:
+        raise UnknownPattern(f"{name}({param!r})") from None
+
+
 def builtin_pattern(name, param=None):
     """Built-in patterns: identity(k), half_twist(m), stab_core(sign),
     whitehead.
@@ -105,10 +112,9 @@ def builtin_pattern(name, param=None):
     pair; it follows the common literature convention.
     """
     if name == "identity":
-        k = 1 if param is None else int(param)
-        return PatternFront(k, [])
+        return PatternFront(_count_param(name, param), [])
     if name == "half_twist":
-        m = 1 if param is None else int(param)
+        m = _count_param(name, param)
         if m < 0:
             raise UnknownPattern(f"half_twist({m})")
         return PatternFront(2, [X(1)] * m)
@@ -163,25 +169,26 @@ def _k_copy_events(diagram, k):
 
 
 def _inherit_orientations(diagram, events, origins):
-    """Give every copied component the direction of its source strands."""
-    trial = FrontDiagram(events, None)
-    symbols = [None] * trial.n_components
-    for new_idx, ev in enumerate(trial.events):
+    """Give every copied component the direction of its source strands.
+
+    A component takes the direction of its first cusp copied from a cusp
+    of ``diagram``; components with no such cusp are directed '+'.
+    """
+    d = FrontDiagram(events)
+    symbols = [None] * d.n_components
+    for new_idx, ev in enumerate(d.events):
         if ev.kind == CROSSING:
             continue
         src = origins[new_idx]
         if src is None or diagram.events[src].kind == CROSSING:
             continue
-        top, _ = trial.cusp_segments(new_idx)
-        c = trial.component_of_segment[top]
-        if symbols[c] is not None:
-            continue
-        src_top, _ = diagram.cusp_segments(src)
-        same = (diagram.segment_direction[src_top]
-                == trial.segment_direction[top])
-        symbols[c] = "+" if same else "-"
-    symbols = [s if s is not None else "+" for s in symbols]
-    return FrontDiagram(events, symbols)
+        c = d.component_of_segment[d.cusp_segments(new_idx)[0]]
+        if symbols[c] is None:
+            same = d.directions[new_idx][0] == diagram.directions[src][0]
+            symbols[c] = "+" if same else "-"
+    if "-" not in symbols:
+        return d
+    return d._with_orientations(s or "+" for s in symbols)
 
 
 def k_copy(diagram, k):
@@ -221,8 +228,7 @@ def satellite(companion, pattern):
                     for e in companion.events[:first_cusp]) + gadget_len
     # the upper block runs rightward for a '+' companion; otherwise use
     # the lower block, which runs the other way
-    upper_rightward = (companion.segment_direction[
-        companion.cusp_segments(first_cusp)[0]] == 1)
+    upper_rightward = companion.directions[first_cusp][0] == 1
     row = a if upper_rightward else a + k
     spliced = [Event(ev.kind, ev.level + row - 1) for ev in pattern.events]
     events[splice_at:splice_at] = spliced

@@ -1,4 +1,4 @@
-"""Independent oracles used by the test suite.
+"""Independent oracles and reference implementations for the test suite.
 
 Two Kauffman bracket implementations that share no code with the package
 or with each other beyond sympy: one resolves crossings directly in the
@@ -12,6 +12,13 @@ are mirror-safe): crossing ends are listed counterclockwise a0..a3 with
 the over-strand joining a0-a2; the A-smoothing joins a0-a1 and a2-a3;
 a crossing is positive when the under-strand runs a1 -> a3 while the
 over-strand runs a0 -> a2.
+
+The last section is a reference for orientation transfer across moves:
+every move rebuilds the whole result with the validating constructor
+and gives each new component the direction its first event outside the
+move's window had before.  It reads directions off the full segment
+scan only, never off the per-event entries that the package's moves
+edit, so the fast moves can be compared against it.
 """
 
 import sympy
@@ -254,3 +261,232 @@ def jones_trefoil_check():
     """Self-test value: the positive-crossing trefoil front in this
     convention has f = A^4 + A^12 - A^16."""
     return sympy.expand(A ** 4 + A ** 12 - A ** 16)
+
+
+# -- reference orientation transfer ------------------------------------------
+
+import random  # noqa: E402
+
+from frontcalc.diagrams import (CROSSING, LEFT_CUSP, RIGHT_CUSP,  # noqa: E402
+                                DiagramError, Event, FrontDiagram, L, R)
+from frontcalc import moves as _moves  # noqa: E402
+from frontcalc.moves import InapplicableRewrite, Rewrite  # noqa: E402
+from frontcalc.cobordism import (NotAdjacent, NotCuspPair,  # noqa: E402
+                                 NotIsolatedUnknot, OrientationClash,
+                                 CobordismError)
+
+
+def scan_direction(diagram, gap, level):
+    """Direction of the strand at ``level`` at ``gap``, from the full scan."""
+    return diagram.segment_direction[diagram.segments_at_gap(gap)[level - 1]]
+
+
+def _event_ref_components(diagram, idx):
+    """(segment, component) of each strand the event at idx touches."""
+    ev = diagram.events[idx]
+    if ev.kind == CROSSING:
+        gap = diagram.segments_at_gap(idx)
+        segs = (gap[ev.level - 1], gap[ev.level])
+    else:
+        segs = diagram.cusp_segments(idx)
+    return [(seg, diagram.component_of_segment[seg]) for seg in segs]
+
+
+def transfer_by_map(old, new_events, index_map):
+    """Build the rewritten diagram, carrying component orientations over.
+
+    ``index_map`` sends new event indices to the old indices they
+    correspond to; each new component takes the orientation that
+    reproduces the old direction at its first mapped event.  Components
+    with no mapped event default to '+'.
+    """
+    trial = FrontDiagram(new_events, None)
+    symbols = [None] * trial.n_components
+    for new_idx in sorted(index_map):
+        old_refs = _event_ref_components(old, index_map[new_idx])
+        new_refs = _event_ref_components(trial, new_idx)
+        for (oseg, _oc), (nseg, nc) in zip(old_refs, new_refs):
+            if symbols[nc] is None:
+                same = (old.segment_direction[oseg]
+                        == trial.segment_direction[nseg])
+                symbols[nc] = "+" if same else "-"
+    return FrontDiagram(new_events, [s or "+" for s in symbols])
+
+
+def rewritten(old, new_events, old_start, old_len, new_len):
+    """Transfer orientations across a contiguous rewrite window."""
+    new_events = list(new_events)
+    shift = new_len - old_len
+    index_map = {}
+    for new_idx in range(len(new_events)):
+        if new_idx < old_start:
+            index_map[new_idx] = new_idx
+        elif new_idx >= old_start + new_len:
+            index_map[new_idx] = new_idx - shift
+    return transfer_by_map(old, new_events, index_map)
+
+
+def reference_rewrite(diagram, rw):
+    events = list(diagram.events)
+    counts = diagram.strand_counts
+    j = rw.index
+    if rw.kind == "commute":
+        if not 0 <= j < len(events) - 1:
+            raise InapplicableRewrite(rw, "index out of range")
+        pair = _moves._commute_pair(events[j], events[j + 1])
+        if pair is None:
+            raise InapplicableRewrite(rw, "events interact")
+        return rewritten(diagram, events[:j] + list(pair) + events[j + 2:],
+                         j, 2, 2)
+    if rw.kind == "r1_insert":
+        if not 0 <= j <= len(events) or not 1 <= rw.level <= counts[j]:
+            raise InapplicableRewrite(rw, "no strand at site")
+        below, above = _moves._fish_words(rw.level)
+        gadget = below if rw.variant == "below" else above
+        return rewritten(diagram, events[:j] + gadget + events[j:], j, 0, 3)
+    if rw.kind == "r1_remove":
+        if _moves._match_fish(events, j) is None:
+            raise InapplicableRewrite(rw, "no fish pattern")
+        return rewritten(diagram, events[:j] + events[j + 3:], j, 3, 0)
+    if rw.kind == "r2_push":
+        rep = _moves._push_replacement(events, counts, j, rw.variant)
+        if rep is None:
+            raise InapplicableRewrite(rw, "cusp cannot pass")
+        return rewritten(diagram, events[:j] + rep + events[j + 1:], j, 1, 3)
+    if rw.kind == "r2_pull":
+        rep = _moves._match_pull(events, j)
+        if rep is None:
+            raise InapplicableRewrite(rw, "no pushed-cusp pattern")
+        return rewritten(diagram, events[:j] + rep + events[j + 3:], j, 3, 1)
+    if rw.kind == "r3_triple":
+        rep = _moves._match_r3(events, j)
+        if rep is None:
+            raise InapplicableRewrite(rw, "no triple pattern")
+        return rewritten(diagram, events[:j] + rep + events[j + 3:], j, 3, 3)
+    raise InapplicableRewrite(rw, f"unknown kind {rw.kind}")
+
+
+def reference_shuffle(diagram, steps, seed):
+    """``moves.random_shuffle``'s random walk over ``reference_rewrite``."""
+    rng = random.Random(seed)
+    d = diagram
+    for _ in range(steps):
+        n = len(d.events)
+        kind = rng.choice(_moves.KINDS)
+        if kind == "r1_insert":
+            j = rng.randint(0, n)
+            m = d.strand_counts[j]
+            if m == 0:
+                continue
+            rw = Rewrite(kind, j, rng.randint(1, m),
+                         rng.choice(("below", "above")))
+        elif kind == "r2_push":
+            if n == 0:
+                continue
+            rw = Rewrite(kind, rng.randint(0, n - 1),
+                         variant=rng.choice(("down", "up")))
+        else:
+            if n == 0:
+                continue
+            rw = Rewrite(kind, rng.randint(0, n - 1))
+        try:
+            d = reference_rewrite(d, rw)
+        except InapplicableRewrite:
+            continue
+    return d
+
+
+def reference_pinch(diagram, index, level, orientable_only=True):
+    counts = diagram.strand_counts
+    if not 0 <= index <= len(diagram.events):
+        raise NotAdjacent(index, level)
+    if not 1 <= level <= counts[index] - 1:
+        raise NotAdjacent(index, level)
+    if orientable_only and (scan_direction(diagram, index, level)
+                            == scan_direction(diagram, index, level + 1)):
+        raise OrientationClash(index, level)
+    events = list(diagram.events)
+    return rewritten(diagram, events[:index] + [R(level), L(level)]
+                     + events[index:], index, 0, 2)
+
+
+def reference_surgery(diagram, index):
+    events = list(diagram.events)
+    if not 0 <= index < len(events) - 1:
+        raise NotCuspPair(index)
+    a, b = events[index], events[index + 1]
+    if not (a.kind == RIGHT_CUSP and b.kind == LEFT_CUSP
+            and a.level == b.level):
+        raise NotCuspPair(index)
+    return rewritten(diagram, events[:index] + events[index + 2:],
+                     index, 2, 0)
+
+
+def reference_birth(diagram, index, level, orient="+"):
+    counts = diagram.strand_counts
+    if not 0 <= index <= len(diagram.events):
+        raise CobordismError(f"birth index {index} out of range")
+    if not 1 <= level <= counts[index] + 1:
+        raise CobordismError(f"birth level {level} out of range at {index}")
+    events = list(diagram.events)
+    new = events[:index] + [L(level), R(level)] + events[index:]
+    d = rewritten(diagram, new, index, 0, 2)
+    c = d.component_at(index + 1, level)
+    if d.orientations[c] != orient:
+        symbols = list(d.orientations)
+        symbols[c] = orient
+        d = FrontDiagram(new, symbols)
+    return d
+
+
+def reference_death(diagram, component):
+    own = diagram.component_events(component)
+    if len(own) != 2:
+        raise NotIsolatedUnknot(component, f"{len(own)} events, wanted 2")
+    j_left, j_right = own
+    ev_l, ev_r = diagram.events[j_left], diagram.events[j_right]
+    if ev_l.kind != LEFT_CUSP or ev_r.kind != RIGHT_CUSP:
+        raise NotIsolatedUnknot(component, "events are not a cusp pair")
+    k = ev_l.level
+    new_events = list(diagram.events[:j_left])
+    index_map = {i: i for i in range(j_left)}
+    for idx in range(j_left + 1, j_right):
+        ev = diagram.events[idx]
+        l = ev.level
+        if ev.kind == LEFT_CUSP:
+            if l <= k:
+                new_l, k = l, k + 2
+            elif l >= k + 2:
+                new_l = l - 2
+            else:
+                raise NotIsolatedUnknot(component, "opens inside the eye")
+        else:
+            if l + 1 <= k - 1:
+                new_l = l
+                if ev.kind == RIGHT_CUSP:
+                    k -= 2
+            elif l >= k + 2:
+                new_l = l - 2
+            else:
+                raise NotIsolatedUnknot(component, "touches the eye")
+        index_map[len(new_events)] = idx
+        new_events.append(Event(ev.kind, new_l))
+    for idx in range(j_right + 1, len(diagram.events)):
+        index_map[len(new_events)] = idx
+        new_events.append(diagram.events[idx])
+    return transfer_by_map(diagram, new_events, index_map)
+
+
+def reference_stabilize(diagram, sign):
+    if sign not in (1, -1):
+        raise DiagramError("sign must be +1 or -1")
+    if not diagram.events:
+        raise DiagramError("cannot stabilize an empty diagram")
+    level = diagram.events[0].level
+    direction = scan_direction(diagram, 1, level)
+    if (direction == 1) == (sign == 1):
+        gadget = [L(level + 1), R(level)]
+    else:
+        gadget = [L(level), R(level + 1)]
+    events = list(diagram.events)
+    return rewritten(diagram, events[:1] + gadget + events[1:], 1, 0, 2)

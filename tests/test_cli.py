@@ -253,3 +253,31 @@ def test_catalog_selftest(capsys):
     code, out, _ = run(capsys, "catalog", "selftest")
     assert code == 0
     assert "0 failures" in out
+
+
+def test_trace_with_bad_birth_site_is_parse_error(capsys, tmp_path):
+    code, out, _ = run(capsys, "search-filling", "catalog:unknot")
+    assert code == 0
+    path = tmp_path / "bad.trace"
+    path.write_text(out.replace("birth 0@1", "birth x@1"), encoding="utf-8")
+    assert "birth x@1" in path.read_text(encoding="utf-8")
+    code, _, err = run(capsys, "check-trace", str(path))
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_satellite_bad_pattern_parameter_is_parse_error(capsys):
+    code, _, err = run(capsys, "satellite", "--pattern", "half_twist:x",
+                       "catalog:unknot")
+    assert code == 2
+    assert err.startswith("error: ") and "half_twist" in err
+
+
+def test_trace_without_header_is_parse_error(capsys, tmp_path):
+    code, out, _ = run(capsys, "search-filling", "catalog:unknot")
+    assert code == 0
+    path = tmp_path / "headless.trace"
+    path.write_text(out.split("\n", 1)[1], encoding="utf-8")
+    code, _, err = run(capsys, "check-trace", str(path))
+    assert code == 2
+    assert err.startswith("error: ") and "trace v1" in err
