@@ -68,19 +68,26 @@ class ArcSiteInvalid(CobordismError):
 
 # -- elementary moves ------------------------------------------------------
 
+def _pinch_directions(diagram, index, level):
+    """Directions of the two strands a pinch at ``index``@``level`` joins.
+
+    Raises NotAdjacent unless strands level, level+1 exist at that gap.
+    """
+    if not 0 <= index <= len(diagram.events):
+        raise NotAdjacent(index, level)
+    if not 1 <= level <= diagram.strand_counts[index] - 1:
+        raise NotAdjacent(index, level)
+    return (diagram.direction_at(index, level),
+            diagram.direction_at(index, level + 1))
+
+
 def pinch(diagram, index, level, orientable_only=True):
     """Insert a ")(" cusp pair between strands level, level+1 at ``index``.
 
     tb drops by exactly 1, the cusp count rises by 2, the writhe is
     unchanged, and the component count changes by one either way.
     """
-    counts = diagram.strand_counts
-    if not 0 <= index <= len(diagram.events):
-        raise NotAdjacent(index, level)
-    if not 1 <= level <= counts[index] - 1:
-        raise NotAdjacent(index, level)
-    up = diagram.direction_at(index, level)
-    down = diagram.direction_at(index, level + 1)
+    up, down = _pinch_directions(diagram, index, level)
     if orientable_only and up == down:
         raise OrientationClash(index, level)
     d = diagram._edited(index, index, [R(level), L(level)],
@@ -254,8 +261,8 @@ class CobordismTrace:
         d = self.bottom
         for m in self.moves:
             if m.kind == "pinch":
-                if (d.direction_at(m.index, m.level)
-                        == d.direction_at(m.index, m.level + 1)):
+                up, down = _pinch_directions(d, m.index, m.level)
+                if up == down:
                     return False
             d = apply_move(d, m)
         return True
@@ -356,11 +363,13 @@ def _find_reducing_commutes(events, depth):
     return None
 
 
-def reduce_diagram(diagram, commute_depth=3):
+def reduce_diagram(diagram, commute_depth=3, inverses=None):
     """Shrink a diagram by removals, using commutes only to enable them.
 
     Returns (reduced diagram, list of applied rewrites).  Deterministic;
     the word length strictly drops with every round, so this terminates.
+    When ``inverses`` is a list, the rewrite undoing each applied one is
+    appended to it as that rewrite is applied.
     """
     applied = []
     d = diagram
@@ -369,13 +378,16 @@ def reduce_diagram(diagram, commute_depth=3):
         rw = next((c for j in range(len(events))
                    if (c := _contraction_at(events, j)) is not None), None)
         if rw is not None:
-            d = apply_rewrite(d, rw)
-            applied.append(rw)
-            continue
-        found = _find_reducing_commutes(events, commute_depth)
-        if found is None:
-            return d, applied
-        for rw in found[0] + [found[1]]:
+            steps = [rw]
+        else:
+            found = _find_reducing_commutes(events, commute_depth)
+            if found is None:
+                return d, applied
+            commutes, contraction = found
+            steps = commutes + [contraction]
+        for rw in steps:
+            if inverses is not None:
+                inverses.append(inverse(d, rw))
             d = apply_rewrite(d, rw)
             applied.append(rw)
 
@@ -441,24 +453,17 @@ def _downward_cleanup(diagram):
     """
     record = []
     d = diagram
-
-    def note_rewrites(before, rewrites):
-        b = before
-        for rw in rewrites:
-            record.append(Move("isotopy", rewrite=inverse(b, rw)))
-            b = apply_rewrite(b, rw)
-        return b
-
     while True:
-        d2, rewrites = reduce_diagram(d)
-        note_rewrites(d, rewrites)
-        d = d2
+        inverses = []
+        d, _applied = reduce_diagram(d, inverses=inverses)
+        record += [Move("isotopy", rewrite=rw) for rw in inverses]
         for c in range(d.n_components):
             iso = _isolate_eye(d, c)
             if iso is None:
                 continue
             d_adj, commutes, idx, level, c_adj = iso
-            note_rewrites(d, commutes)
+            # a commute is its own inverse
+            record += [Move("isotopy", rewrite=rw) for rw in commutes]
             record.append(Move("birth", idx, level,
                                d_adj.orientations[c_adj]))
             d = death(d_adj, c_adj)

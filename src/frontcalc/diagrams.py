@@ -422,7 +422,9 @@ class FrontDiagram:
         cusps = [i for i, e in enumerate(self.events) if e.kind != CROSSING]
         down = sum(1 for i in cusps if self.cusp_is_down(i))
         up = len(cusps) - down
-        assert (down - up) % 2 == 0
+        if (down - up) % 2:
+            raise DiagramError(f"odd cusp difference {down - up}; "
+                               f"rot is not an integer")
         return (down - up) // 2
 
     @cached_property
@@ -452,7 +454,9 @@ class FrontDiagram:
         for i, (a, b) in self._scan.crossing_pair.items():
             if {comp[a], comp[b]} == {c1, c2}:
                 total += self.crossing_sign(i)
-        assert total % 2 == 0
+        if total % 2:
+            raise DiagramError(f"odd signed crossing count {total} between "
+                               f"components {c1}, {c2}")
         return total // 2
 
     def crossing_indices(self):

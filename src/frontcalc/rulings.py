@@ -11,14 +11,34 @@ two crossing strands, the vertical intervals [a, i] and [b, i+1] must be
 disjoint or nested, never interleaved.
 
 A ruling is recorded by its switch set, a subset of crossing event indices;
-the per-gap pairings are reconstructed on demand.  Counting uses dynamic
-programming over pairing states, which merges parallel branches and stays
-fast on wide diagrams; enumeration walks the same branching tree.
+``ruling_pairings`` reconstructs its per-gap pairings as tuples of 0-based
+partner indices.
+
+Counting and enumeration share one forward pass over pairing states, gap
+by gap, with the number of ruling prefixes reaching each state, so
+parallel branches merge.  ``count_rulings`` reads the count at the empty
+pairing after the last event.  ``enumerate_rulings`` keeps every gap's
+states, prunes them backward to the live ones (those from which the
+empty pairing at the end is reachable), and then emits switch sets
+forward with an explicit stack, visiting live states only: no branch
+that dies at a later right cusp is followed, and the depth of the word
+costs no recursion.
+
+All three go through one step kernel, ``_step``, the successors of a
+pairing at one event.  Inside the DP a pairing is a ``bytes`` object (its
+hash is cached, and a cusp's shift of the partner indices is one
+``bytes.translate``), so at most 256 strands are supported.
 """
 
 from __future__ import annotations
 
-from .diagrams import CROSSING, LEFT_CUSP, RIGHT_CUSP, DiagramError
+from functools import cache
+
+from .diagrams import CROSSING, LEFT_CUSP, DiagramError
+
+MAX_STRANDS = 256
+_EMPTY = b""
+_DEAD = (None, False)
 
 
 class RulingError(DiagramError):
@@ -31,15 +51,55 @@ class CrossingStrandsPaired(RulingError):
             f"strands {level}, {level + 1} are paired; no switch possible")
 
 
-def _interleaved(lo1, hi1, lo2, hi2):
-    """True if the closed intervals overlap without nesting."""
-    if hi1 < lo2 or hi2 < lo1:
-        return False
-    if lo1 <= lo2 and hi2 <= hi1:
-        return False
-    if lo2 <= lo1 and hi1 <= hi2:
-        return False
-    return True
+@cache
+def _cusp_tables(i):
+    """Partner translations for a cusp at 0-based level i.
+
+    Returns (up, down, born): ``up`` moves partners at or above i up two
+    (a left cusp), ``down`` moves partners above i + 1 down two (a right
+    cusp), and ``born`` is the paired strands a left cusp inserts.
+    Entries no valid pairing reaches are zero.
+    """
+    up = bytes(range(i)) + bytes(range(i + 2, MAX_STRANDS)) + bytes(2)
+    down = bytes(range(i)) + bytes(2) + bytes(range(i, MAX_STRANDS - 2))
+    return up, down, bytes((i + 1, i))
+
+
+def _step(pairing, kind, i):
+    """Successors of ``pairing`` at an event of ``kind`` at 0-based level i.
+
+    Returns (follow, switch): ``follow`` is the pairing after the event
+    without a switch, or None when the ruling dies there; ``switch`` says
+    whether a normal switch is admitted, which keeps ``pairing``.
+    """
+    if kind == CROSSING:
+        a = pairing[i]
+        if a == i + 1:
+            return _DEAD
+        b = pairing[i + 1]
+        new = bytearray(pairing)
+        new[i] = b
+        new[i + 1] = a
+        new[a] = i + 1
+        new[b] = i
+        # Neither partner is i or i + 1.  Below i, b must nest around a
+        # or lie above i + 1; above i + 1, b must nest inside a.
+        if a < i:
+            return bytes(new), b < a or b > i
+        return bytes(new), i < b < a
+    if kind == LEFT_CUSP:
+        up, _down, born = _cusp_tables(i)
+        shifted = pairing.translate(up)
+        return shifted[:i] + born + shifted[i:], False
+    if pairing[i] != i + 1:
+        return _DEAD
+    return (pairing[:i] + pairing[i + 2:]).translate(_cusp_tables(i)[1]), False
+
+
+def _check_width(diagram):
+    if max(diagram.strand_counts) > MAX_STRANDS:
+        raise RulingError(
+            f"normal rulings are computed on at most {MAX_STRANDS} strands")
 
 
 def is_normal_switch(pairing, level):
@@ -49,82 +109,84 @@ def is_normal_switch(pairing, level):
     The companion intervals of the two crossing strands must be disjoint
     or nested; interleaving rules the switch out.
     """
-    i = level
-    a = pairing[i - 1]
-    b = pairing[i]
-    if a == i:
+    if pairing[level - 1] == level:
         raise CrossingStrandsPaired(level)
-    lo1, hi1 = min(a, i - 1), max(a, i - 1)
-    lo2, hi2 = min(b, i), max(b, i)
-    return not _interleaved(lo1, hi1, lo2, hi2)
+    return _step(pairing, CROSSING, level - 1)[1]
 
 
-def _step_outcomes(pairing, ev):
-    """Successor pairings for one event.
+def _forward(diagram):
+    """Yield each gap's {pairing: number of ruling prefixes reaching it}.
 
-    Returns a list of (switched, new_pairing) branches; empty when the
-    ruling dies at this event.  Pairings are tuples of 0-based partner
-    indices.
+    Starts at gap 0 with the empty pairing and stops after the last gap
+    or after the first gap with no states.
     """
-    i = ev.level - 1
-    if ev.kind == LEFT_CUSP:
-        new = [p if p < i else p + 2 for p in pairing]
-        new[i:i] = [i + 1, i]
-        return [(False, tuple(new))]
-    if ev.kind == RIGHT_CUSP:
-        if pairing[i] != i + 1:
-            return []
-        new = [p if p < i else p - 2 for p in pairing]
-        del new[i:i + 2]
-        return [(False, tuple(new))]
-    # crossing
-    if pairing[i] == i + 1:
-        return []
-    out = []
-    a, b = pairing[i], pairing[i + 1]
-    new = list(pairing)
-    new[i], new[i + 1] = b, a
-    new[a], new[b] = i + 1, i
-    out.append((False, tuple(new)))
-    if is_normal_switch(pairing, ev.level):
-        out.append((True, tuple(pairing)))
-    return out
+    _check_width(diagram)
+    states = {_EMPTY: 1}
+    yield states
+    for ev in diagram.events:
+        kind, i = ev.kind, ev.level - 1
+        nxt = {}
+        get = nxt.get
+        for pairing, n in states.items():
+            follow, switch = _step(pairing, kind, i)
+            if follow is not None:
+                nxt[follow] = get(follow, 0) + n
+            if switch:
+                nxt[pairing] = get(pairing, 0) + n
+        yield nxt
+        if not nxt:
+            return
+        states = nxt
 
 
 def count_rulings(diagram):
     """Number of normal rulings, by DP over pairing states."""
-    states = {(): 1}
-    for ev in diagram.events:
-        nxt = {}
-        for pairing, n in states.items():
-            for _switched, new in _step_outcomes(pairing, ev):
-                nxt[new] = nxt.get(new, 0) + n
-        states = nxt
-        if not states:
-            return 0
-    return states.get((), 0)
+    for states in _forward(diagram):
+        pass
+    return states.get(_EMPTY, 0)
 
 
 def enumerate_rulings(diagram):
     """All normal rulings, each as a sorted tuple of switched crossing
-    event indices."""
-    results = []
+    event indices; the list is sorted."""
     events = diagram.events
-
-    def walk(idx, pairing, switches):
-        if idx == len(events):
-            results.append(tuple(switches))
-            return
-        ev = events[idx]
-        for switched, new in _step_outcomes(pairing, ev):
-            if switched:
-                switches.append(idx)
-            walk(idx + 1, new, switches)
-            if switched:
-                switches.pop()
-
-    walk(0, (), [])
-    return sorted(results)
+    n = len(events)
+    # Each gap keeps its states only: a tuple takes less memory than the
+    # dict of counts.
+    gaps = []
+    for states in _forward(diagram):
+        gaps.append(tuple(states))
+    if len(gaps) <= n or _EMPTY not in states:
+        return []
+    # Backward: keep the states with a successor that is live.  A dead
+    # follow is None, which no live set holds.
+    live = gaps[n] = {_EMPTY}
+    for k in range(n - 1, -1, -1):
+        ev = events[k]
+        kind, i = ev.kind, ev.level - 1
+        after, live = live, set()
+        for pairing in gaps[k]:
+            follow, switch = _step(pairing, kind, i)
+            if follow in after or (switch and pairing in after):
+                live.add(pairing)
+        gaps[k] = live
+    # Forward: every state on the stack extends to at least one ruling.
+    rulings = []
+    stack = [(0, _EMPTY, ())]
+    while stack:
+        k, pairing, switches = stack.pop()
+        if k == n:
+            rulings.append(switches)
+            continue
+        ev = events[k]
+        follow, switch = _step(pairing, ev.kind, ev.level - 1)
+        after = gaps[k + 1]
+        if follow in after:
+            stack.append((k + 1, follow, switches))
+        if switch and pairing in after:
+            stack.append((k + 1, pairing, switches + (k,)))
+    rulings.sort()
+    return rulings
 
 
 def ruling_pairings(diagram, switches):
@@ -132,16 +194,18 @@ def ruling_pairings(diagram, switches):
 
     Raises RulingError if the switch set is not a normal ruling.
     """
+    _check_width(diagram)
     switches = set(switches)
-    pairing = ()
-    gaps = [pairing]
+    pairing = _EMPTY
+    gaps = [()]
     for idx, ev in enumerate(diagram.events):
-        want = idx in switches
-        branch = [new for sw, new in _step_outcomes(pairing, ev) if sw == want]
-        if not branch:
+        follow, switch = _step(pairing, ev.kind, ev.level - 1)
+        if idx in switches:
+            follow = pairing if switch else None
+        if follow is None:
             raise RulingError(f"switch set fails at event {idx}")
-        pairing = branch[0]
-        gaps.append(pairing)
+        pairing = follow
+        gaps.append(tuple(pairing))
     return gaps
 
 
@@ -155,4 +219,3 @@ def is_ruling(diagram, switches):
 
 def has_ruling(diagram):
     return count_rulings(diagram) > 0
-

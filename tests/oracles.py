@@ -13,12 +13,17 @@ the over-strand joining a0-a2; the A-smoothing joins a0-a1 and a2-a3;
 a crossing is positive when the under-strand runs a1 -> a3 while the
 over-strand runs a0 -> a2.
 
-The last section is a reference for orientation transfer across moves:
-every move rebuilds the whole result with the validating constructor
-and gives each new component the direction its first event outside the
-move's window had before.  It reads directions off the full segment
-scan only, never off the per-event entries that the package's moves
-edit, so the fast moves can be compared against it.
+The next-to-last section is a reference for orientation transfer across
+moves: every move rebuilds the whole result with the validating
+constructor and gives each new component the direction its first event
+outside the move's window had before.  It reads directions off the full
+segment scan only, never off the per-event entries that the package's
+moves edit, so the fast moves can be compared against it.
+
+The reference ruling enumerator at the end is the recursive walk that
+the ruling DP replaced: it follows every branch of the pairing tree,
+including those that die at a later right cusp, and tests normality by
+comparing intervals.
 """
 
 import sympy
@@ -490,3 +495,63 @@ def reference_stabilize(diagram, sign):
         gadget = [L(level), R(level + 1)]
     events = list(diagram.events)
     return rewritten(diagram, events[:1] + gadget + events[1:], 1, 0, 2)
+
+
+# -- reference ruling enumeration --------------------------------------------
+
+def _interleaved(lo1, hi1, lo2, hi2):
+    """True if the closed intervals overlap without nesting."""
+    if hi1 < lo2 or hi2 < lo1:
+        return False
+    if lo1 <= lo2 and hi2 <= hi1:
+        return False
+    if lo2 <= lo1 and hi1 <= hi2:
+        return False
+    return True
+
+
+def _reference_step_outcomes(pairing, ev):
+    """(switched, new_pairing) branches for one event; empty when the
+    ruling dies there.  Pairings are tuples of 0-based partner indices."""
+    i = ev.level - 1
+    if ev.kind == LEFT_CUSP:
+        new = [p if p < i else p + 2 for p in pairing]
+        new[i:i] = [i + 1, i]
+        return [(False, tuple(new))]
+    if ev.kind == RIGHT_CUSP:
+        if pairing[i] != i + 1:
+            return []
+        new = [p if p < i else p - 2 for p in pairing]
+        del new[i:i + 2]
+        return [(False, tuple(new))]
+    if pairing[i] == i + 1:
+        return []
+    a, b = pairing[i], pairing[i + 1]
+    new = list(pairing)
+    new[i], new[i + 1] = b, a
+    new[a], new[b] = i + 1, i
+    out = [(False, tuple(new))]
+    if not _interleaved(min(a, i), max(a, i), min(b, i + 1), max(b, i + 1)):
+        out.append((True, tuple(pairing)))
+    return out
+
+
+def reference_enumerate_rulings(diagram):
+    """All normal rulings as sorted switch-index tuples, by a recursive
+    walk of every branch, dead ones included (one frame per event)."""
+    results = []
+    events = diagram.events
+
+    def walk(idx, pairing, switches):
+        if idx == len(events):
+            results.append(tuple(switches))
+            return
+        for switched, new in _reference_step_outcomes(pairing, events[idx]):
+            if switched:
+                switches.append(idx)
+            walk(idx + 1, new, switches)
+            if switched:
+                switches.pop()
+
+    walk(0, (), [])
+    return sorted(results)

@@ -10,6 +10,7 @@ import pytest
 from frontcalc import catalog, cli
 from frontcalc.cobordism import check_trace, trace_from_text, _pinch_sites
 from frontcalc.diagrams import from_text, to_text
+from frontcalc.moves import random_shuffle
 from frontcalc.rulings import count_rulings
 
 
@@ -281,3 +282,13 @@ def test_trace_without_header_is_parse_error(capsys, tmp_path):
     code, _, err = run(capsys, "check-trace", str(path))
     assert code == 2
     assert err.startswith("error: ") and "trace v1" in err
+
+
+def test_rulings_list_on_long_word(capsys, tmp_path):
+    long_word = random_shuffle(catalog.get("m9_46").diagram, 2000, seed=2)
+    assert len(long_word.events) == 1270
+    path = write_diagram(tmp_path, "long.front", long_word)
+    code, out, err = run(capsys, "rulings", "--list", path)
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert lines[-1] == "count: 2" and len(lines) == 3

@@ -203,3 +203,33 @@ def test_tree_presentations_pinch_back():
         assert d.events == base.events
         # the leaf order is a reordering of the same arcs
         assert sorted(leaf_pinch_order(p)) == sorted(sites)
+
+
+def test_search_applies_each_cleanup_rewrite_once(monkeypatch):
+    from frontcalc import catalog, cobordism
+    calls = []
+    recorded = []
+    apply_rewrite, cleanup = cobordism.apply_rewrite, cobordism._downward_cleanup
+
+    def counting_apply(diagram, rw):
+        calls.append(rw)
+        return apply_rewrite(diagram, rw)
+
+    def noting_cleanup(diagram):
+        d, record = cleanup(diagram)
+        recorded.extend(m for m in record if m.kind == "isotopy")
+        return d, record
+
+    monkeypatch.setattr(cobordism, "apply_rewrite", counting_apply)
+    monkeypatch.setattr(cobordism, "_downward_cleanup", noting_cleanup)
+    d = catalog.get("m9_46").diagram
+    trace = search_decomposable_filling(d, max_pinches=3, isotopy_budget=0)
+    assert recorded and len(calls) == len(recorded)
+    assert trace is not None and check_trace(trace)
+
+
+def test_orientable_rejects_a_pinch_off_the_diagram():
+    trace = CobordismTrace(UNKNOT, [Move("pinch", 9, 1)], UNKNOT)
+    assert not check_trace(trace)
+    with pytest.raises(NotAdjacent):
+        trace.orientable

@@ -154,3 +154,21 @@ def test_equality_and_hash():
     b = FrontDiagram(list(UNKNOT))
     assert a == b and hash(a) == hash(b)
     assert a != FrontDiagram(UNKNOT, ("-",))
+
+
+def test_parity_checks_raise_diagram_error(monkeypatch):
+    """The parity checks of rot and linking number are raises, not
+    asserts, so they hold under ``python -O`` too."""
+    # Both counts are even on any valid word; break the word to see it.
+    broken = FrontDiagram(UNKNOT)
+    broken.events += (R(1),)
+    monkeypatch.setattr(FrontDiagram, "cusp_is_down",
+                        lambda self, index: True)
+    with pytest.raises(DiagramError, match="rot"):
+        broken.rot
+    hopf = FrontDiagram([L(1), L(3), X(2), X(2), R(1), R(1)])
+    assert hopf.n_components == 2
+    monkeypatch.setattr(FrontDiagram, "crossing_sign",
+                        lambda self, index: int(index == 2))
+    with pytest.raises(DiagramError, match="odd"):
+        hopf.linking_number(0, 1)
