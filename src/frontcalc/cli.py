@@ -12,9 +12,9 @@ import argparse
 import os
 import sys
 
-from .diagrams import DiagramError, FrontDiagram, from_text, to_text
+from .diagrams import DiagramError, from_text, to_text
 from .moves import random_shuffle
-from .rulings import RulingError, count_rulings, enumerate_rulings
+from .rulings import count_rulings, enumerate_rulings
 from . import cobordism as cob
 from .render import render_svg, render_trace_svg
 from .satellites import builtin_pattern, pattern_from_text, satellite
@@ -70,7 +70,10 @@ def _seed(args):
     if args.seed is not None:
         return args.seed
     env = os.environ.get("FRONTCALC_SEED")
-    return int(env) if env else 0
+    try:
+        return int(env) if env else 0
+    except ValueError:
+        raise CliParseError(f"FRONTCALC_SEED must be an integer, got {env!r}")
 
 
 def cmd_invariants(args, out):
@@ -184,11 +187,15 @@ def cmd_render(args, out):
         svg = render_trace_svg(_parse(args.diagram, cob.trace_from_text,
                                       text))
     else:
-        d = load_diagram(args.diagram)
+        d = (load_diagram(args.diagram) if text is None
+             else _parse(args.diagram, from_text, text))
         ruling = _parse_ruling(args.ruling) if args.ruling is not None else None
         svg = render_svg(d, ruling=ruling)
-    with open(args.svg, "w", encoding="utf-8") as fh:
-        fh.write(svg)
+    try:
+        with open(args.svg, "w", encoding="utf-8") as fh:
+            fh.write(svg)
+    except OSError as exc:
+        raise CliParseError(f"cannot write {args.svg}: {exc.strerror}")
     print(f"wrote {args.svg}", file=out)
     return 0
 

@@ -21,12 +21,12 @@ of everything; reaching the empty diagram yields a filling trace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import moves as _moves
-from .diagrams import (CROSSING, LEFT_CUSP, RIGHT_CUSP, DiagramError, Event,
-                       FrontDiagram, L, R, from_text, to_text)
-from .moves import InapplicableRewrite, Rewrite, apply_rewrite, inverse
+from .diagrams import (LEFT_CUSP, RIGHT_CUSP, DiagramError, Event,
+                       FrontDiagram, L, R, connected_components)
+from .moves import Rewrite, apply_rewrite, inverse
 from .rulings import count_rulings
 
 
@@ -309,7 +309,9 @@ def trace_from_text(text):
 
     def block(word_line, orient_line):
         word = word_line.split(": ", 1)[1] if ": " in word_line else ""
-        orient = orient_line.split(":", 1)[1].split()
+        if not orient_line.startswith("orient:"):
+            raise CobordismError("missing 'orient:' line")
+        orient = orient_line[len("orient:"):].split()
         return FrontDiagram([Event.parse(t) for t in word.split()], orient)
 
     bottom = block(lines[1], lines[2])
@@ -331,16 +333,21 @@ def _contraction_at(events, j):
     return None
 
 
-def _find_reducing_commutes(events, depth):
+# How many commutes the reduction may chain to expose one contraction.
+_COMMUTE_DEPTH = 3
+
+
+def _find_reducing_commutes(events):
     """Breadth-first hunt for a commute sequence exposing a contraction.
 
-    Returns (commute rewrites, contraction rewrite) or None.  Depth is
-    small; words are compared structurally to avoid revisits.
+    Returns (commute rewrites, contraction rewrite) or None.  At most
+    _COMMUTE_DEPTH commutes; words are compared structurally to avoid
+    revisits.
     """
     start = tuple(events)
     frontier = [(start, [])]
     seen = {start}
-    for _ in range(depth):
+    for _ in range(_COMMUTE_DEPTH):
         nxt = []
         for word, path in frontier:
             lst = list(word)
@@ -363,7 +370,7 @@ def _find_reducing_commutes(events, depth):
     return None
 
 
-def reduce_diagram(diagram, commute_depth=3, inverses=None):
+def reduce_diagram(diagram, inverses=None):
     """Shrink a diagram by removals, using commutes only to enable them.
 
     Returns (reduced diagram, list of applied rewrites).  Deterministic;
@@ -380,7 +387,7 @@ def reduce_diagram(diagram, commute_depth=3, inverses=None):
         if rw is not None:
             steps = [rw]
         else:
-            found = _find_reducing_commutes(events, commute_depth)
+            found = _find_reducing_commutes(events)
             if found is None:
                 return d, applied
             commutes, contraction = found
@@ -390,20 +397,6 @@ def reduce_diagram(diagram, commute_depth=3, inverses=None):
                 inverses.append(inverse(d, rw))
             d = apply_rewrite(d, rw)
             applied.append(rw)
-
-
-def _adjacent_eyes(diagram):
-    """(index, level, component) for every adjacent [L, R] unknot eye."""
-    out = []
-    events = diagram.events
-    for j in range(len(events) - 1):
-        a, b = events[j], events[j + 1]
-        if (a.kind == LEFT_CUSP and b.kind == RIGHT_CUSP
-                and a.level == b.level):
-            c = diagram.component_at(j + 1, a.level)
-            if len(diagram.component_events(c)) == 2:
-                out.append((j, a.level, c))
-    return out
 
 
 def _isolate_eye(diagram, component):
@@ -472,14 +465,14 @@ def _downward_cleanup(diagram):
             return d, record
 
 
-def _pinch_sites(diagram, orientable_only=True):
+def _pinch_sites(diagram):
+    """Every (index, level) where an orientable pinch applies."""
     seg_dir = diagram.segment_direction
     for j in range(len(diagram.events) + 1):
         gap = diagram.segments_at_gap(j)
         for i in range(1, len(gap)):
-            if orientable_only and seg_dir[gap[i - 1]] == seg_dir[gap[i]]:
-                continue
-            yield j, i
+            if seg_dir[gap[i - 1]] != seg_dir[gap[i]]:
+                yield j, i
 
 
 _EXPLORE_KINDS = ("r3_triple", "r2_push")
@@ -645,20 +638,8 @@ def is_tree(p):
     n = len(g["vertices"])
     if g["self_arcs"] or len(g["edges"]) != n - 1:
         return False
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in g["edges"]:
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            return False
-        parent[ra] = rb
-    return True
+    # n - 1 edges on n vertices make a tree exactly when they connect
+    return not any(connected_components(n, g["edges"]))
 
 
 def apply_presentation(p):

@@ -108,17 +108,20 @@ class _Scan:
     """Single left-to-right pass assigning segment ids and cusp data.
 
     A segment is a maximal strand piece between two cusps; segments persist
-    through crossings.  Ids are assigned in creation order (top strand of a
-    left cusp first), which fixes the component numbering.
+    through crossings.  The scan starts from ``strands`` strands (segments
+    0 .. strands-1, top to bottom; none for a diagram, k for an annular
+    pattern) and must end with as many.  Later ids are assigned in creation
+    order (top strand of a left cusp first), which fixes the component
+    numbering.
     """
 
-    def __init__(self, events):
+    def __init__(self, events, strands=0):
         self.events = tuple(events)
         self.gaps = []           # segment ids at each gap, top to bottom
         self.cusp_pair = {}      # event index -> (top_seg, bottom_seg)
         self.crossing_pair = {}  # event index -> (upper_seg, lower_seg) before
-        current = []
-        next_id = 0
+        current = list(range(strands))
+        next_id = strands
         self.gaps.append(tuple(current))
         for idx, ev in enumerate(events):
             i = ev.level - 1
@@ -140,17 +143,18 @@ class _Scan:
                     current[i], current[i + 1] = b, a
                     self.crossing_pair[idx] = (a, b)
             self.gaps.append(tuple(current))
-        if current:
+        if len(current) != strands:
             raise NonzeroFinalStrands(len(current))
         self.n_segments = next_id
 
 
-def _components(scan):
-    """Component index of every segment, numbered by first segment.
+def connected_components(n, pairs):
+    """Component label of every node 0 .. n-1, joined by ``pairs``.
 
-    A union-find over segments in which each cusp joins its two segments.
+    Components are numbered in order of their first node.  A union-find
+    whose roots are always the least node of their set.
     """
-    parent = list(range(scan.n_segments))
+    parent = list(range(n))
 
     def find(x):
         while parent[x] != x:
@@ -158,13 +162,17 @@ def _components(scan):
             x = parent[x]
         return x
 
-    for a, b in scan.cusp_pair.values():
+    for a, b in pairs:
         ra, rb = find(a), find(b)
         if ra != rb:
             parent[max(ra, rb)] = min(ra, rb)
     roots = {}
-    return tuple(roots.setdefault(find(seg), len(roots))
-                 for seg in range(scan.n_segments))
+    return tuple(roots.setdefault(find(x), len(roots)) for x in range(n))
+
+
+def _components(scan):
+    """Component index of every segment: each cusp joins its two segments."""
+    return connected_components(scan.n_segments, scan.cusp_pair.values())
 
 
 def _propagate(scan, component_of_segment, orientations):

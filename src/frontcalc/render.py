@@ -8,7 +8,7 @@ output depends only on the input diagram, so files are byte-stable.
 
 from __future__ import annotations
 
-from .diagrams import CROSSING, LEFT_CUSP, RIGHT_CUSP
+from .diagrams import CROSSING
 from .rulings import ruling_pairings
 
 X0 = 30.0
@@ -30,37 +30,25 @@ def _y(level):
 
 
 class _Layout:
-    """Geometry of one front: strand polylines, cusp tips, crossings."""
+    """Geometry of one front: strand polylines, cusp tips, crossings.
+
+    Segment ids and positions come from the diagram's scan.
+    """
 
     def __init__(self, diagram):
-        self.diagram = diagram
+        comp = diagram.component_of_segment
         self.points = {}        # segment id -> [(x, y), ...]
-        self.component = {}     # segment id -> component index
         self.crossings = []     # (center x, level, over component)
-        current = []            # segment id per strand, replaying the scan
-        fresh = 0
         for idx, ev in enumerate(diagram.events):
-            i = ev.level - 1
             x = X0 + (idx + 1) * DX
-            if ev.kind == LEFT_CUSP:
-                a, b = fresh, fresh + 1
-                fresh += 2
-                tip = (x - DX / 2, _y(ev.level) + DY / 2)
-                self.points[a] = [tip]
-                self.points[b] = [tip]
-                self.component[a] = diagram.component_of_segment[a]
-                self.component[b] = diagram.component_of_segment[b]
-                current[i:i] = [a, b]
-            elif ev.kind == RIGHT_CUSP:
-                tip = (x - DX / 2, _y(ev.level) + DY / 2)
-                self.points[current[i]].append(tip)
-                self.points[current[i + 1]].append(tip)
-                del current[i:i + 2]
-            else:
-                over = self.component[current[i]]
+            if ev.kind == CROSSING:
+                over = comp[diagram.segments_at_gap(idx)[ev.level - 1]]
                 self.crossings.append((x - DX / 2, ev.level, over))
-                current[i], current[i + 1] = current[i + 1], current[i]
-            for pos, s in enumerate(current):
+            else:
+                tip = (x - DX / 2, _y(ev.level) + DY / 2)
+                for s in diagram.cusp_segments(idx):
+                    self.points.setdefault(s, []).append(tip)
+            for pos, s in enumerate(diagram.segments_at_gap(idx + 1)):
                 self.points[s].append((x, _y(pos + 1)))
         self.width = X0 + (len(diagram.events) + 1) * DX
         maxlev = max([1] + [m for m in diagram.strand_counts])
@@ -95,8 +83,9 @@ def _front_group(diagram, ruling=None):
             y = _y(ev.level) + DY / 2
             out.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="4" '
                        f'fill="#222222"/>')
+    comp = diagram.component_of_segment
     for s in sorted(lay.points):
-        color = PALETTE[lay.component[s] % len(PALETTE)]
+        color = PALETTE[comp[s] % len(PALETTE)]
         out.append(_polyline(lay.points[s], color))
     for x, level, over in lay.crossings:
         y = _y(level) + DY / 2

@@ -15,10 +15,12 @@ instead, so the splice rows always point rightward.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, field
 
 from .diagrams import (CROSSING, LEFT_CUSP, RIGHT_CUSP, DiagramError, Event,
-                       FrontDiagram, L, R, X)
+                       FrontDiagram, L, LevelOutOfBounds, NonzeroFinalStrands,
+                       R, X, _Scan, connected_components)
 
 
 class PatternError(DiagramError):
@@ -47,54 +49,29 @@ class PatternFront:
     strands: int
     events: tuple
 
+    _scan: _Scan = field(init=False, repr=False, compare=False)
+
     def __post_init__(self):
         if self.strands < 1:
             raise PatternError("pattern needs at least one strand")
         object.__setattr__(self, "events", tuple(self.events))
-        m = self.strands
-        for idx, ev in enumerate(self.events):
-            if ev.kind == LEFT_CUSP:
-                if not 1 <= ev.level <= m + 1:
-                    raise PatternError(f"pattern event {idx} out of bounds")
-                m += 2
-            else:
-                if not 1 <= ev.level <= m - 1:
-                    raise PatternError(f"pattern event {idx} out of bounds")
-                if ev.kind == RIGHT_CUSP:
-                    m -= 2
-        if m != self.strands:
+        try:
+            scan = _Scan(self.events, self.strands)
+        except LevelOutOfBounds as exc:
             raise PatternError(
-                f"pattern ends with {m} strands, started with {self.strands}")
+                f"pattern event {exc.index} out of bounds") from None
+        except NonzeroFinalStrands as exc:
+            raise PatternError(f"pattern ends with {exc.strands} strands, "
+                               f"started with {self.strands}") from None
+        object.__setattr__(self, "_scan", scan)
 
     def closure_cycles(self):
         """Number of closed curves after gluing the seam by position."""
-        parent = {}
-
-        def find(x):
-            while parent.setdefault(x, x) != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(a, b):
-            parent[find(a)] = find(b)
-
-        fresh = iter(range(10 ** 9))
-        current = [("start", i) for i in range(self.strands)]
-        for ev in self.events:
-            i = ev.level - 1
-            if ev.kind == LEFT_CUSP:
-                a, b = ("new", next(fresh)), ("new", next(fresh))
-                union(a, b)
-                current[i:i] = [a, b]
-            elif ev.kind == RIGHT_CUSP:
-                union(current[i], current[i + 1])
-                del current[i:i + 2]
-            else:
-                current[i], current[i + 1] = current[i + 1], current[i]
-        for i in range(self.strands):
-            union(current[i], ("start", i))
-        return len({find(t) for t in parent})
+        scan = self._scan
+        seam = zip(scan.gaps[0], scan.gaps[-1])
+        comps = connected_components(
+            scan.n_segments, [*scan.cusp_pair.values(), *seam])
+        return max(comps) + 1
 
 
 def _count_param(name, param):
@@ -221,11 +198,8 @@ def satellite(companion, pattern):
     first_cusp = next(i for i, ev in enumerate(companion.events)
                       if ev.kind == LEFT_CUSP)
     a = k * (companion.events[first_cusp].level - 1) + 1
-    gadget_len = len(_left_gadget(a, k))
-    splice_at = sum(len(_left_gadget(0, k)) if e.kind == LEFT_CUSP else
-                    len(_crossing_gadget(0, k)) if e.kind == CROSSING else
-                    len(_right_gadget(0, k))
-                    for e in companion.events[:first_cusp]) + gadget_len
+    # origins is sorted: splice just past the first cusp's gadget
+    splice_at = bisect_right(origins, first_cusp)
     # the upper block runs rightward for a '+' companion; otherwise use
     # the lower block, which runs the other way
     upper_rightward = companion.directions[first_cusp][0] == 1

@@ -292,3 +292,30 @@ def test_rulings_list_on_long_word(capsys, tmp_path):
     assert code == 0 and err == ""
     lines = out.splitlines()
     assert lines[-1] == "count: 2" and len(lines) == 3
+
+
+def _orient_without_colon(tmp_path):
+    path = tmp_path / "orient.trace"
+    path.write_text("trace v1\nbottom: L1 R1\norientation\n"
+                    "top: L1 R1\norient: +\n", encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("argv, env", [
+    (lambda p: ["check-trace", _orient_without_colon(p)], None),
+    (lambda p: ["render", "--svg", str(p / "out.svg"),
+                _orient_without_colon(p)], None),
+    (lambda p: ["render", "--svg", str(p / "no" / "such" / "x.svg"),
+                "catalog:trefoil"], None),
+    (lambda p: ["shuffle", "catalog:unknot"], "abc"),
+], ids=["check-trace-orient", "render-orient", "render-unwritable-svg",
+        "shuffle-bad-env-seed"])
+def test_bad_input_is_one_error_line(capsys, monkeypatch, tmp_path,
+                                     argv, env):
+    if env is not None:
+        monkeypatch.setenv("FRONTCALC_SEED", env)
+    code, _, err = run(capsys, *argv(tmp_path))
+    assert code == 2
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "Traceback" not in err

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from frontcalc.diagrams import FrontDiagram, L, R, X
 from frontcalc.moves import stabilize
@@ -116,3 +117,49 @@ def test_satellite_orientation_reversal_safe():
     rev = FrontDiagram(list(TREFOIL.events), ("-",))
     res = satellite(rev, builtin_pattern("half_twist", 1))
     assert res.diagram.n_components == 1
+
+
+@st.composite
+def pattern_words(draw, max_strands=4, max_events=12):
+    """A valid pattern: k <= max_strands strands, returning to k."""
+    k = draw(st.integers(1, max_strands))
+    m = k
+    events = []
+    for _ in range(draw(st.integers(0, max_events))):
+        kinds = ((["L"] if m < 2 * max_strands else [])
+                 + (["X", "R"] if m >= 2 else []))
+        kind = draw(st.sampled_from(kinds))
+        if kind == "L":
+            events.append(L(draw(st.integers(1, m + 1))))
+            m += 2
+        elif kind == "X":
+            events.append(X(draw(st.integers(1, m - 1))))
+        else:
+            events.append(R(draw(st.integers(1, m - 1))))
+            m -= 2
+    events += [R(1)] * ((m - k) // 2) + [L(1)] * ((k - m) // 2)
+    return PatternFront(k, events)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(pattern_words())
+def test_satellite_components_match_closure_cycles(p):
+    # the pattern scan (closure_cycles) against the diagram scan of the
+    # spliced word; satellite() also checks this itself
+    assert satellite(UNKNOT, p).diagram.n_components == p.closure_cycles()
+
+
+@pytest.mark.parametrize("strands, word, message", [
+    (1, [X(1)], "pattern event 0 out of bounds"),
+    (1, [L(3)], "pattern event 0 out of bounds"),
+    (2, [L(1), X(4)], "pattern event 1 out of bounds"),
+    (2, [R(1), X(1)], "pattern event 1 out of bounds"),
+    (2, [R(2)], "pattern event 0 out of bounds"),
+    (2, [R(1)], "pattern ends with 0 strands, started with 2"),
+    (3, [L(1)], "pattern ends with 5 strands, started with 3"),
+    (1, [L(1), X(2), L(4)], "pattern ends with 5 strands, started with 1"),
+])
+def test_invalid_pattern_messages(strands, word, message):
+    with pytest.raises(PatternError) as err:
+        PatternFront(strands, word)
+    assert str(err.value) == message
