@@ -16,7 +16,10 @@ deaths.  The trace file format marks them with ``isotopy`` lines.
 The filling search runs top-down: it pinches, frees isolated unknot
 components with a deterministic reduction (pattern removals plus the
 commute moves that expose them), and kills them, recording the reverse
-of everything; reaching the empty diagram yields a filling trace.
+of everything; reaching the empty diagram yields a filling trace.  The
+reduction's breadth-first hunt for those commutes runs on words coded
+as tuples of small ints, and one search memoizes the cleanup of every
+diagram it meets, so each distinct diagram is cleaned once.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import moves as _moves
-from .diagrams import (LEFT_CUSP, RIGHT_CUSP, DiagramError, Event,
+from .diagrams import (CROSSING, LEFT_CUSP, RIGHT_CUSP, DiagramError, Event,
                        FrontDiagram, L, R, connected_components)
 from .moves import Rewrite, apply_rewrite, inverse
 from .rulings import count_rulings
@@ -184,12 +187,13 @@ class Move:
     def __str__(self):
         if self.kind == "isotopy":
             rw = self.rewrite
-            return f"isotopy {rw.kind} {rw.index} {rw.level} {rw.variant}"
+            text = f"isotopy {rw.kind} {rw.index} {rw.level}"
+            return f"{text} {rw.variant}" if rw.variant else text
         if self.kind == "death":
             return f"death {self.index}"
         base = f"{self.kind} {self.index}@{self.level}"
-        if self.kind == "birth" and self.orient == "-":
-            base += " -"
+        if self.kind == "birth" and self.orient != "+":
+            base += f" {self.orient}"
         return base
 
     @staticmethod
@@ -274,13 +278,18 @@ def check_trace(trace):
 
 
 def check_trace_report(trace):
-    """Replay with full precondition checks; (ok, first-failure report)."""
+    """Replay with full precondition checks; (ok, first-failure report).
+
+    A failure names the move's number, the move and the word it was
+    applied to.
+    """
     d = trace.bottom
     for n, m in enumerate(trace.moves):
         try:
             d = apply_move(d, m)
         except DiagramError as e:
-            return False, f"move {n} ({m}) failed: {e}"
+            word = " ".join(str(ev) for ev in d.events) or "the empty word"
+            return False, f"move {n} ({m}) failed on {word}: {e}"
     if d != trace.top:
         return False, "replayed top differs from recorded top"
     return True, "ok"
@@ -333,6 +342,54 @@ def _contraction_at(events, j):
     return None
 
 
+# The reduction works on words of small ints: an event's code is
+# 3 * level plus the index of its kind in _KINDS.  Both tables below are
+# filled on first lookup from the rules in ``moves``: the commute of a
+# code pair (the swapped pair, or None) and the contraction kind of a
+# code triple ("r1_remove", "r2_pull" or None).  An entry is a function
+# of its key alone, so every caller can share them.
+_KINDS = (LEFT_CUSP, RIGHT_CUSP, CROSSING)
+_KIND_INDEX = {kind: i for i, kind in enumerate(_KINDS)}
+_SWAPS = {}
+_CONTRACTIONS = {}
+_UNSEEN = object()
+
+
+def _codes(events):
+    return tuple(3 * ev.level + _KIND_INDEX[ev.kind] for ev in events)
+
+
+def _event(code):
+    return Event(_KINDS[code % 3], code // 3)
+
+
+def _swap(pair):
+    """The commute of a code pair, from ``_SWAPS`` or ``moves``."""
+    swapped = _SWAPS.get(pair, _UNSEEN)
+    if swapped is _UNSEEN:
+        events = _moves._commute_pair(*map(_event, pair))
+        swapped = _SWAPS[pair] = None if events is None else _codes(events)
+    return swapped
+
+
+def _contraction_kind(triple):
+    """The contraction kind of a code triple, from ``_CONTRACTIONS``."""
+    kind = _CONTRACTIONS.get(triple, _UNSEEN)
+    if kind is _UNSEEN:
+        rw = _contraction_at(list(map(_event, triple)), 0)
+        kind = _CONTRACTIONS[triple] = None if rw is None else rw.kind
+    return kind
+
+
+def _first_contraction(word):
+    """The leftmost length-reducing rewrite on a coded word, or None."""
+    for j in range(len(word) - 2):
+        kind = _contraction_kind(word[j:j + 3])
+        if kind is not None:
+            return Rewrite(kind, j)
+    return None
+
+
 # How many commutes the reduction may chain to expose one contraction.
 _COMMUTE_DEPTH = 3
 
@@ -341,31 +398,37 @@ def _find_reducing_commutes(events):
     """Breadth-first hunt for a commute sequence exposing a contraction.
 
     Returns (commute rewrites, contraction rewrite) or None.  At most
-    _COMMUTE_DEPTH commutes; words are compared structurally to avoid
-    revisits.
+    _COMMUTE_DEPTH commutes; words are compared as code tuples to avoid
+    revisits.  Only the window j-2 .. j+2 around the last commute at j
+    can hold a new contraction.
     """
-    start = tuple(events)
-    frontier = [(start, [])]
+    swaps, contractions = _SWAPS, _CONTRACTIONS
+    start = _codes(events)
+    n = len(start)
+    frontier = [(start, ())]
     seen = {start}
     for _ in range(_COMMUTE_DEPTH):
         nxt = []
         for word, path in frontier:
-            lst = list(word)
-            for j in range(len(lst) - 1):
-                pair = _moves._commute_pair(lst[j], lst[j + 1])
+            for j in range(n - 1):
+                pair = swaps.get(word[j:j + 2], _UNSEEN)
+                if pair is _UNSEEN:
+                    pair = _swap(word[j:j + 2])
                 if pair is None:
                     continue
-                new = lst[:j] + list(pair) + lst[j + 2:]
-                key = tuple(new)
-                if key in seen:
+                new = word[:j] + pair + word[j + 2:]
+                if new in seen:
                     continue
-                seen.add(key)
-                npath = path + [Rewrite("commute", j)]
-                for k in range(max(0, j - 2), min(len(new) - 2, j + 3)):
-                    c = _contraction_at(new, k)
-                    if c is not None:
-                        return npath, c
-                nxt.append((key, npath))
+                seen.add(new)
+                npath = path + (j,)
+                for k in range(max(0, j - 2), min(n - 2, j + 3)):
+                    kind = contractions.get(new[k:k + 3], _UNSEEN)
+                    if kind is _UNSEEN:
+                        kind = _contraction_kind(new[k:k + 3])
+                    if kind is not None:
+                        return ([Rewrite("commute", i) for i in npath],
+                                Rewrite(kind, k))
+                nxt.append((new, npath))
         frontier = nxt
     return None
 
@@ -381,13 +444,11 @@ def reduce_diagram(diagram, inverses=None):
     applied = []
     d = diagram
     while True:
-        events = list(d.events)
-        rw = next((c for j in range(len(events))
-                   if (c := _contraction_at(events, j)) is not None), None)
+        rw = _first_contraction(_codes(d.events))
         if rw is not None:
             steps = [rw]
         else:
-            found = _find_reducing_commutes(events)
+            found = _find_reducing_commutes(d.events)
             if found is None:
                 return d, applied
             commutes, contraction = found
@@ -498,9 +559,10 @@ def search_decomposable_filling(diagram, max_pinches=3, isotopy_budget=0):
     is the least pinch count at which this bounded search succeeds, not a
     proven minimum for the knot.
     """
+    cleaned = {}
     for pinches in range(max_pinches + 1):
         seen = set()
-        found = _search_down(diagram, pinches, isotopy_budget, seen)
+        found = _search_down(diagram, pinches, isotopy_budget, seen, cleaned)
         if found is not None:
             down_moves, bottom = found
             top = diagram
@@ -508,11 +570,24 @@ def search_decomposable_filling(diagram, max_pinches=3, isotopy_budget=0):
     return None
 
 
-def _search_down(diagram, pinches_left, budget, seen):
-    d, record = _downward_cleanup(diagram)
+def _search_down(diagram, pinches_left, budget, seen, cleaned):
+    """Depth-first step of the search from ``diagram``.
+
+    ``cleaned`` maps (events, directions) of a diagram to its cleanup
+    (cleaned diagram, downward record as a tuple, ruling-obstructed), so
+    each distinct diagram is cleaned once per search; ``seen`` holds the
+    states already expanded in this deepening round.
+    """
+    state = (diagram.events, diagram.directions)
+    hit = cleaned.get(state)
+    if hit is None:
+        d, record = _downward_cleanup(diagram)
+        hit = cleaned[state] = (d, tuple(record),
+                                bool(d.events) and _ruling_obstructed(d))
+    d, record, obstructed = hit
     if not d.events:
         return record, d
-    if _ruling_obstructed(d):
+    if obstructed:
         return None
     key = (d.events, d.orientations, pinches_left, budget)
     if key in seen:
@@ -521,18 +596,18 @@ def _search_down(diagram, pinches_left, budget, seen):
     if pinches_left > 0:
         for j, i in _pinch_sites(d):
             d2 = pinch(d, j, i)
-            sub = _search_down(d2, pinches_left - 1, budget, seen)
+            sub = _search_down(d2, pinches_left - 1, budget, seen, cleaned)
             if sub is not None:
                 deeper, bottom = sub
-                return record + [Move("surgery", j, i)] + deeper, bottom
+                return [*record, Move("surgery", j, i), *deeper], bottom
     if budget > 0:
         for rw in _exploratory_rewrites(d):
             d2 = apply_rewrite(d, rw)
-            sub = _search_down(d2, pinches_left, budget - 1, seen)
+            sub = _search_down(d2, pinches_left, budget - 1, seen, cleaned)
             if sub is not None:
                 deeper, bottom = sub
                 up = Move("isotopy", rewrite=inverse(d, rw))
-                return record + [up] + deeper, bottom
+                return [*record, up, *deeper], bottom
     return None
 
 

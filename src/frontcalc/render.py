@@ -110,10 +110,23 @@ def render_svg(diagram, ruling=None):
     return _document(lines, w, h)
 
 
+def _caption(move):
+    """A move's trace line, as the caption of its stage.
+
+    An isotopy caption keeps a blank after a rewrite without variant, as
+    trace lines had before they dropped it: SVG text collapses the blank,
+    and filmstrips keep the bytes they were rendered with.
+    """
+    text = str(move)
+    if move.kind == "isotopy" and not move.rewrite.variant:
+        text += " "
+    return text
+
+
 def render_trace_svg(trace):
     """Filmstrip of every stage of a cobordism trace, bottom to top."""
     stages = trace.replay()
-    labels = [""] + [str(m) for m in trace.moves]
+    labels = [""] + [_caption(m) for m in trace.moves]
     lines = []
     y_off = 0.0
     width = 0.0

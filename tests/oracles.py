@@ -555,3 +555,67 @@ def reference_enumerate_rulings(diagram):
 
     walk(0, (), [])
     return sorted(results)
+
+
+# -- reference reduction -------------------------------------------------------
+
+from frontcalc.cobordism import _COMMUTE_DEPTH, _contraction_at  # noqa: E402
+from frontcalc.moves import apply_rewrite, inverse  # noqa: E402
+
+
+def reference_find_reducing_commutes(events):
+    """The commute BFS of ``cobordism.reduce_diagram`` on Event words.
+
+    Breadth-first over commute sequences of at most _COMMUTE_DEPTH steps,
+    j ascending within each word, skipping words already seen; the first
+    word with a contraction in the window j-2 .. j+2 of its last commute
+    wins.  Returns (commute rewrites, contraction rewrite) or None.
+    """
+    start = tuple(events)
+    frontier = [(start, [])]
+    seen = {start}
+    for _ in range(_COMMUTE_DEPTH):
+        nxt = []
+        for word, path in frontier:
+            lst = list(word)
+            for j in range(len(lst) - 1):
+                pair = _moves._commute_pair(lst[j], lst[j + 1])
+                if pair is None:
+                    continue
+                new = lst[:j] + list(pair) + lst[j + 2:]
+                key = tuple(new)
+                if key in seen:
+                    continue
+                seen.add(key)
+                npath = path + [Rewrite("commute", j)]
+                for k in range(max(0, j - 2), min(len(new) - 2, j + 3)):
+                    c = _contraction_at(new, k)
+                    if c is not None:
+                        return npath, c
+                nxt.append((key, npath))
+        frontier = nxt
+    return None
+
+
+def reference_reduce_diagram(diagram):
+    """``cobordism.reduce_diagram`` on Event words: the leftmost
+    contraction, else the reference BFS, until neither finds one.
+    Returns (reduced diagram, applied rewrites, their inverses)."""
+    applied, inverses = [], []
+    d = diagram
+    while True:
+        events = list(d.events)
+        rw = next((c for j in range(len(events))
+                   if (c := _contraction_at(events, j)) is not None), None)
+        if rw is not None:
+            steps = [rw]
+        else:
+            found = reference_find_reducing_commutes(events)
+            if found is None:
+                return d, applied, inverses
+            commutes, contraction = found
+            steps = commutes + [contraction]
+        for rw in steps:
+            inverses.append(inverse(d, rw))
+            d = apply_rewrite(d, rw)
+            applied.append(rw)

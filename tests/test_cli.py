@@ -319,3 +319,27 @@ def test_bad_input_is_one_error_line(capsys, monkeypatch, tmp_path,
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert "Traceback" not in err
+
+
+def test_check_trace_names_the_failing_move_and_its_word(capsys, tmp_path):
+    path = tmp_path / "bad.trace"
+    path.write_text("trace v1\nbottom: L1 R1\norient: +\nsurgery 0@1\n"
+                    "top: L1 R1\norient: +\n", encoding="utf-8")
+    code, out, _ = run(capsys, "check-trace", str(path))
+    assert code == 1
+    assert "detail: move 0 (surgery 0@1) failed on L1 R1: " in out
+    path.write_text("trace v1\nbottom: \norient: \nbirth 0@1 x\n"
+                    "top: L1 R1\norient: +\n", encoding="utf-8")
+    code, out, _ = run(capsys, "check-trace", str(path))
+    assert code == 1
+    assert ("detail: move 0 (birth 0@1 x) failed on the empty word: "
+            "bad orientation symbol 'x'") in out
+
+
+def test_search_filling_lines_end_without_blanks(capsys):
+    code, out, _ = run(capsys, "search-filling", "--budget", "2",
+                       "catalog:m9_46")
+    assert code == 0
+    moves = out.splitlines()[3:-2]
+    assert any(m.startswith("isotopy commute") for m in moves)
+    assert all(m == m.rstrip() for m in moves)

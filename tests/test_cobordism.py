@@ -233,3 +233,51 @@ def test_orientable_rejects_a_pinch_off_the_diagram():
     assert not check_trace(trace)
     with pytest.raises(NotAdjacent):
         trace.orientable
+
+
+def test_search_cleans_each_diagram_once(monkeypatch):
+    # Distinct cleanups can reach one diagram after a death, so
+    # reduce_diagram may see an input twice; the cleanups themselves
+    # must not, across all deepening rounds.
+    from frontcalc import catalog, cobordism
+    cleaned, reduced = [], []
+    cleanup, reduce = cobordism._downward_cleanup, cobordism.reduce_diagram
+
+    def noting_cleanup(diagram):
+        cleaned.append(diagram)
+        return cleanup(diagram)
+
+    def noting_reduce(diagram, inverses=None):
+        reduced.append(diagram)
+        return reduce(diagram, inverses)
+
+    monkeypatch.setattr(cobordism, "_downward_cleanup", noting_cleanup)
+    monkeypatch.setattr(cobordism, "reduce_diagram", noting_reduce)
+    d = catalog.get("budget_demo").diagram
+    assert search_decomposable_filling(d, isotopy_budget=0) is None
+    assert cleaned and len(set(cleaned)) == len(cleaned)
+    assert set(cleaned) <= set(reduced)
+
+
+def test_move_text():
+    from frontcalc.moves import Rewrite
+    commute = Move("isotopy", rewrite=Rewrite("commute", 3))
+    assert str(commute) == "isotopy commute 3 0"
+    assert Move.parse(str(commute)) == commute
+    push = Move("isotopy", rewrite=Rewrite("r2_push", 2, variant="up"))
+    assert str(push) == "isotopy r2_push 2 0 up"
+    assert str(Move("birth", 0, 1, "-")) == "birth 0@1 -"
+    assert str(Move("birth", 0, 1)) == "birth 0@1"
+    assert str(Move.parse("birth 0@1 x")) == "birth 0@1 x"
+
+
+def test_check_trace_report_names_the_move_and_its_word():
+    tr = CobordismTrace(UNKNOT, [Move("surgery", 0, 1)], UNKNOT)
+    ok, detail = check_trace_report(tr)
+    assert not ok and detail.startswith("move 0 (surgery 0@1) failed on L1 R1: ")
+    empty = FrontDiagram([])
+    tr = CobordismTrace(empty, [Move.parse("birth 0@1 x")], UNKNOT)
+    ok, detail = check_trace_report(tr)
+    assert not ok
+    assert detail == ("move 0 (birth 0@1 x) failed on the empty word: "
+                      "bad orientation symbol 'x'")
