@@ -217,6 +217,18 @@ def cmd_catalog(args, out):
     return 0 if not failures else DOMAIN_ERROR
 
 
+def _count(text):
+    """An argparse type: a non-negative integer; anything else exits 2."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise argparse.ArgumentTypeError(
+            f"wanted a non-negative integer, got {text!r}")
+    return n
+
+
 def build_parser():
     p = argparse.ArgumentParser(
         prog="frontcalc",
@@ -238,7 +250,7 @@ def build_parser():
     sp.add_argument("diagram")
 
     sp = add("shuffle", cmd_shuffle, help="random isotopy shuffle")
-    sp.add_argument("--steps", type=int, default=100)
+    sp.add_argument("--steps", type=_count, default=100)
     sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("diagram")
 
@@ -248,15 +260,15 @@ def build_parser():
 
     sp = add("search-filling", cmd_search_filling,
              help="search a decomposable filling")
-    sp.add_argument("--max-pinches", type=int, default=3)
-    sp.add_argument("--budget", type=int, default=0)
+    sp.add_argument("--max-pinches", type=_count, default=3)
+    sp.add_argument("--budget", type=_count, default=0)
     sp.add_argument("diagram")
 
     sp = add("ruling-fillable", cmd_ruling_fillable,
              help="certify a ruling by paired pinches")
     sp.add_argument("--ruling", required=True,
                     help="switched crossing indices, comma separated; - for none")
-    sp.add_argument("--max-pinches", type=int, default=None)
+    sp.add_argument("--max-pinches", type=_count, default=None)
     sp.add_argument("diagram")
 
     sp = add("satellite", cmd_satellite, help="splice a pattern")

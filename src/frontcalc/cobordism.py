@@ -17,9 +17,15 @@ The filling search runs top-down: it pinches, frees isolated unknot
 components with a deterministic reduction (pattern removals plus the
 commute moves that expose them), and kills them, recording the reverse
 of everything; reaching the empty diagram yields a filling trace.  The
-reduction's breadth-first hunt for those commutes runs on words coded
-as tuples of small ints, and one search memoizes the cleanup of every
-diagram it meets, so each distinct diagram is cleaned once.
+ruling certificate pinches only where a normal ruling pairs two adjacent
+strands, until every component is a max-tb unknot.  Both run one
+iterative-deepening search on the pinch count, which reverses the
+downward moves into a trace in one place and keeps one failure table
+for the whole call: the most pinches left with which each state failed,
+so no state is expanded twice with as few.  The reduction's
+breadth-first hunt for commutes runs on words coded as tuples of small
+ints, and one filling search memoizes the cleanup of every diagram it
+meets, so each distinct diagram is cleaned once.
 """
 
 from __future__ import annotations
@@ -28,9 +34,9 @@ from dataclasses import dataclass
 
 from . import moves as _moves
 from .diagrams import (CROSSING, LEFT_CUSP, RIGHT_CUSP, DiagramError, Event,
-                       FrontDiagram, L, R, connected_components)
+                       FrontDiagram, L, R, connected_components, from_lines)
 from .moves import Rewrite, apply_rewrite, inverse
-from .rulings import count_rulings
+from .rulings import count_rulings, ruling_pairings
 
 
 class CobordismError(DiagramError):
@@ -313,20 +319,12 @@ def trace_from_text(text):
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != TRACE_HEADER:
         raise CobordismError("missing 'trace v1' header")
-    if len(lines) < 5 or not lines[1].startswith("bottom: "):
+    if len(lines) < 5 or not lines[1].startswith("bottom:"):
         raise CobordismError("missing bottom block")
-
-    def block(word_line, orient_line):
-        word = word_line.split(": ", 1)[1] if ": " in word_line else ""
-        if not orient_line.startswith("orient:"):
-            raise CobordismError("missing 'orient:' line")
-        orient = orient_line[len("orient:"):].split()
-        return FrontDiagram([Event.parse(t) for t in word.split()], orient)
-
-    bottom = block(lines[1], lines[2])
+    bottom = from_lines(lines[1][len("bottom:"):], lines[2])
     if not lines[-2].startswith("top:"):
         raise CobordismError("missing top block")
-    top = block(lines[-2], lines[-1])
+    top = from_lines(lines[-2][len("top:"):], lines[-1])
     mvs = [Move.parse(ln) for ln in lines[3:-2]]
     return CobordismTrace(bottom, mvs, top)
 
@@ -463,8 +461,10 @@ def reduce_diagram(diagram, inverses=None):
 def _isolate_eye(diagram, component):
     """Commute an isolated eye's two cusps until adjacent.
 
-    Returns (diagram, commute rewrites, index, level) or None.  The
-    left cusp bubbles rightward past the disjoint events in between.
+    Returns (diagram, commute rewrites, index, level, component) or
+    None: the index and level of the adjacent cusp pair, and the eye's
+    component in the returned diagram.  The left cusp bubbles rightward
+    past the disjoint events in between.
     """
     own = diagram.component_events(component)
     if len(own) != 2:
@@ -502,8 +502,8 @@ def _ruling_obstructed(diagram):
 def _downward_cleanup(diagram):
     """Reduce, then kill every eye that can be made adjacent; repeat.
 
-    Returns (diagram, downward record).  Record entries are pairs
-    (upward Move, None); isotopy steps store the upward rewrite.
+    Returns (diagram, downward record).  Record entries are upward
+    Moves; isotopy steps store the upward rewrite.
     """
     record = []
     d = diagram
@@ -536,13 +536,54 @@ def _pinch_sites(diagram):
                 yield j, i
 
 
-_EXPLORE_KINDS = ("r3_triple", "r2_push")
+def _pinch_search(diagram, extra, max_pinches, settle, is_goal, children):
+    """Iteratively deepen on the pinch count; a trace to ``diagram`` or None.
+
+    A search state is a diagram and an ``extra`` part of its key.
+    ``settle(d)`` normalises a reached diagram into (diagram, downward
+    record), or None when it is a dead end; ``is_goal(d)`` ends the search;
+    ``children(d, extra, left)`` yields (upward move, diagram, extra,
+    pinches left) for each step down, with no pinch once none is left.
+
+    One failure table serves every round: it maps a settled state's key
+    to the most pinches left with which it failed.  A state that fails
+    with p pinches left fails with fewer, since it then explores a subset
+    of the same steps, so a table hit prunes only failures and the first
+    trace found is the one an unpruned search finds.
+    """
+    search = ({}, settle, is_goal, children)
+    for pinches in range(max_pinches + 1):
+        found = _descend(search, diagram, extra, pinches)
+        if found is not None:
+            down_moves, bottom = found
+            return CobordismTrace(bottom, down_moves[::-1], diagram)
+    return None
 
 
-def _exploratory_rewrites(diagram):
-    for rw in _moves.applicable_rewrites(diagram):
-        if rw.kind in _EXPLORE_KINDS:
-            yield rw
+def _descend(search, d, extra, left):
+    """The DFS of ``_pinch_search`` from ``d``, with ``left`` pinches left.
+
+    Returns (downward moves, bottom diagram) or None.  A module-level
+    function rather than a closure, so that no reference cycle keeps a
+    finished search's tables alive until the garbage collector runs.
+    """
+    failed, settle, is_goal, children = search
+    settled = settle(d)
+    if settled is None:
+        return None
+    d, record = settled
+    key = (d.events, d.directions, extra)
+    if failed.get(key, -1) >= left:
+        return None
+    if is_goal(d):
+        return list(record), d
+    for move, child, child_extra, child_left in children(d, extra, left):
+        found = _descend(search, child, child_extra, child_left)
+        if found is not None:
+            deeper, bottom = found
+            return [*record, move, *deeper], bottom
+    failed[key] = left
+    return None
 
 
 def search_decomposable_filling(diagram, max_pinches=3, isotopy_budget=0):
@@ -559,56 +600,39 @@ def search_decomposable_filling(diagram, max_pinches=3, isotopy_budget=0):
     is the least pinch count at which this bounded search succeeds, not a
     proven minimum for the knot.
     """
+    # (events, directions) of a reached diagram -> its cleanup, (cleaned
+    # diagram, downward record), or None when the cleaned diagram is
+    # ruling-obstructed; so each distinct diagram is cleaned once.
     cleaned = {}
-    for pinches in range(max_pinches + 1):
-        seen = set()
-        found = _search_down(diagram, pinches, isotopy_budget, seen, cleaned)
-        if found is not None:
-            down_moves, bottom = found
-            top = diagram
-            return CobordismTrace(bottom, list(reversed(down_moves)), top)
-    return None
+
+    def settle(d):
+        state = (d.events, d.directions)
+        hit = cleaned.get(state, _UNSEEN)
+        if hit is _UNSEEN:
+            c, record = _downward_cleanup(d)
+            obstructed = bool(c.events) and _ruling_obstructed(c)
+            hit = cleaned[state] = None if obstructed else (c, tuple(record))
+        return hit
+
+    def children(d, budget, left):
+        if left > 0:
+            for j, i in _pinch_sites(d):
+                yield Move("surgery", j, i), pinch(d, j, i), budget, left - 1
+        if budget > 0:
+            for rw in _moves.applicable_rewrites(d):
+                if rw.kind in ("r3_triple", "r2_push"):
+                    yield (Move("isotopy", rewrite=inverse(d, rw)),
+                           apply_rewrite(d, rw), budget - 1, left)
+
+    return _pinch_search(diagram, isotopy_budget, max_pinches, settle,
+                         lambda d: not d.events, children)
 
 
-def _search_down(diagram, pinches_left, budget, seen, cleaned):
-    """Depth-first step of the search from ``diagram``.
-
-    ``cleaned`` maps (events, directions) of a diagram to its cleanup
-    (cleaned diagram, downward record as a tuple, ruling-obstructed), so
-    each distinct diagram is cleaned once per search; ``seen`` holds the
-    states already expanded in this deepening round.
-    """
-    state = (diagram.events, diagram.directions)
-    hit = cleaned.get(state)
-    if hit is None:
-        d, record = _downward_cleanup(diagram)
-        hit = cleaned[state] = (d, tuple(record),
-                                bool(d.events) and _ruling_obstructed(d))
-    d, record, obstructed = hit
-    if not d.events:
-        return record, d
-    if obstructed:
-        return None
-    key = (d.events, d.orientations, pinches_left, budget)
-    if key in seen:
-        return None
-    seen.add(key)
-    if pinches_left > 0:
-        for j, i in _pinch_sites(d):
-            d2 = pinch(d, j, i)
-            sub = _search_down(d2, pinches_left - 1, budget, seen, cleaned)
-            if sub is not None:
-                deeper, bottom = sub
-                return [*record, Move("surgery", j, i), *deeper], bottom
-    if budget > 0:
-        for rw in _exploratory_rewrites(d):
-            d2 = apply_rewrite(d, rw)
-            sub = _search_down(d2, pinches_left, budget - 1, seen, cleaned)
-            if sub is not None:
-                deeper, bottom = sub
-                up = Move("isotopy", rewrite=inverse(d, rw))
-                return [*record, up, *deeper], bottom
-    return None
+def _is_max_tb_unlink(d):
+    if any((tb, rot) != (-1, 0) for tb, rot in d.per_component):
+        return False
+    return all(len(reduce_diagram(d.component_subdiagram(c))[0].events) == 2
+               for c in range(d.n_components))
 
 
 def ruling_fillability(diagram, switches, max_pinches=None):
@@ -622,48 +646,27 @@ def ruling_fillability(diagram, switches, max_pinches=None):
     bottom is the reached unlink, or None (absence within the bound
     means unknown, not unfillable).
     """
-    from .rulings import ruling_pairings
+    switches = tuple(switches)
     ruling_pairings(diagram, switches)   # reject invalid switch sets early
     if max_pinches is None:
         max_pinches = len(diagram.crossing_indices()) + diagram.n_components
 
-    def is_max_tb_unlink(d):
-        if any((tb, rot) != (-1, 0) for tb, rot in d.per_component):
-            return False
-        for c in range(d.n_components):
-            reduced, _ = reduce_diagram(d.component_subdiagram(c))
-            if len(reduced.events) != 2:
-                return False
-        return True
-
-    def rec(d, sw, left):
-        if is_max_tb_unlink(d):
-            return [], d
+    def children(d, sw, left):
         if left == 0:
-            return None
-        gaps = ruling_pairings(d, sw)
-        for j, pairing in enumerate(gaps):
-            for i0 in range(len(pairing) - 1):
-                if pairing[i0] != i0 + 1:
+            return
+        for j, pairing in enumerate(ruling_pairings(d, sw)):
+            for i in range(1, len(pairing)):
+                if pairing[i - 1] != i:
                     continue
                 try:
-                    d2 = pinch(d, j, i0 + 1)
+                    d2 = pinch(d, j, i)
                 except CobordismError:
                     continue
-                sw2 = tuple(s if s < j else s + 2 for s in sw)
-                sub = rec(d2, sw2, left - 1)
-                if sub is not None:
-                    deeper, bottom = sub
-                    return [Move("surgery", j, i0 + 1)] + deeper, bottom
-        return None
+                shifted = tuple(s if s < j else s + 2 for s in sw)
+                yield Move("surgery", j, i), d2, shifted, left - 1
 
-    found = next((f for depth in range(max_pinches + 1)
-                  if (f := rec(diagram, tuple(switches), depth)) is not None),
-                 None)
-    if found is None:
-        return None
-    down_moves, bottom = found
-    return CobordismTrace(bottom, list(reversed(down_moves)), diagram)
+    return _pinch_search(diagram, switches, max_pinches,
+                         lambda d: (d, ()), _is_max_tb_unlink, children)
 
 
 # -- surgery presentations -------------------------------------------------

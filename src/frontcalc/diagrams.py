@@ -543,12 +543,16 @@ def to_text(diagram):
     return f"{FORMAT_HEADER}\n{word}\norient:{' ' + orient if orient else ''}\n"
 
 
+def from_lines(word_line, orient_line):
+    """The diagram of a word line and its ``orient:`` line."""
+    events = [Event.parse(tok) for tok in word_line.split()]
+    if not orient_line.startswith("orient:"):
+        raise DiagramError("missing 'orient:' line")
+    return FrontDiagram(events, orient_line[len("orient:"):].split())
+
+
 def from_text(text):
     lines = text.splitlines()
     if len(lines) < 3 or lines[0] != FORMAT_HEADER:
         raise DiagramError("missing 'frontdiagram v1' header")
-    events = [Event.parse(tok) for tok in lines[1].split()]
-    if not lines[2].startswith("orient:"):
-        raise DiagramError("missing 'orient:' line")
-    orientations = lines[2][len("orient:"):].split()
-    return FrontDiagram(events, orientations)
+    return from_lines(lines[1], lines[2])

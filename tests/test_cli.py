@@ -343,3 +343,33 @@ def test_search_filling_lines_end_without_blanks(capsys):
     moves = out.splitlines()[3:-2]
     assert any(m.startswith("isotopy commute") for m in moves)
     assert all(m == m.rstrip() for m in moves)
+
+
+def test_stripped_trace_is_read_back(capsys, tmp_path):
+    # an editor that strips trailing blanks turns "bottom: " into "bottom:"
+    code, out, _ = run(capsys, "search-filling", "catalog:unknot")
+    assert code == 0 and "bottom: \n" in out
+    path = tmp_path / "stripped.trace"
+    path.write_text("".join(line.rstrip() + "\n"
+                            for line in out.splitlines()), encoding="utf-8")
+    code, out, _ = run(capsys, "check-trace", str(path))
+    assert code == 0 and "ok: true" in out
+    svg = tmp_path / "stripped.svg"
+    code, out, _ = run(capsys, "render", "--svg", str(svg), str(path))
+    assert code == 0 and svg.read_text(encoding="utf-8").startswith("<svg")
+
+
+@pytest.mark.parametrize("argv", [
+    ["search-filling", "--max-pinches", "-1", "catalog:unknot"],
+    ["search-filling", "--budget", "-3", "catalog:unknot"],
+    ["ruling-fillable", "--ruling", "-", "--max-pinches", "-1",
+     "catalog:unknot"],
+    ["shuffle", "--steps", "-5", "catalog:unknot"],
+    ["shuffle", "--steps", "five", "catalog:unknot"],
+], ids=["max-pinches", "budget", "ruling-max-pinches", "steps", "steps-text"])
+def test_negative_counts_are_parse_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "wanted a non-negative integer" in err and "Traceback" not in err

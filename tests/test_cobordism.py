@@ -281,3 +281,29 @@ def test_check_trace_report_names_the_move_and_its_word():
     assert not ok
     assert detail == ("move 0 (birth 0@1 x) failed on the empty word: "
                       "bad orientation symbol 'x'")
+
+
+def test_ruling_search_expands_a_state_once_per_round(monkeypatch):
+    # Pinches at different sites commute, so one pinch set is reached in
+    # every order; the search must expand the state it reaches once.
+    from collections import Counter
+    from frontcalc import catalog, cobordism
+    from frontcalc.satellites import builtin_pattern, satellite
+    d = satellite(catalog.get("trefoil").diagram,
+                  builtin_pattern("identity", 2)).diagram
+    root = (d.events, d.directions, (2, 5, 18, 21))
+    rounds, expanded = [], Counter()
+    pairings = cobordism.ruling_pairings
+
+    def noting_pairings(diagram, switches):
+        state = (diagram.events, diagram.directions, tuple(switches))
+        if state == root:    # the switch-set check, then one per round
+            rounds.append(state)
+        expanded[len(rounds), state] += 1
+        return pairings(diagram, switches)
+
+    monkeypatch.setattr(cobordism, "ruling_pairings", noting_pairings)
+    assert ruling_fillability(d, (2, 5, 18, 21), max_pinches=3) is None
+    assert len(rounds) == 1 + 3
+    assert len(expanded) > 100
+    assert set(expanded.values()) == {1}

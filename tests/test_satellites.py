@@ -149,6 +149,12 @@ def test_satellite_components_match_closure_cycles(p):
     assert satellite(UNKNOT, p).diagram.n_components == p.closure_cycles()
 
 
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(pattern_words())
+def test_pattern_text_roundtrip_property(p):
+    assert pattern_from_text(pattern_to_text(p)) == p
+
+
 @pytest.mark.parametrize("strands, word, message", [
     (1, [X(1)], "pattern event 0 out of bounds"),
     (1, [L(3)], "pattern event 0 out of bounds"),
