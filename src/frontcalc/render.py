@@ -25,75 +25,77 @@ def _fmt(v):
     return s[:-2] if s.endswith(".0") else s
 
 
-def _y(level):
-    return Y0 + (level - 1) * DY
-
-
 class _Layout:
     """Geometry of one front: strand polylines, cusp tips, crossings.
 
-    Segment ids and positions come from the diagram's scan.
+    Every coordinate lies on a grid of half columns and half levels;
+    ``x[h]`` and ``y[h]`` are grid line h formatted, so each coordinate
+    is formatted once per front.  Points are "x y" strings.  Segment ids
+    and positions come from the diagram's scan.
     """
 
     def __init__(self, diagram):
+        n = len(diagram.events)
+        maxlev = max([1] + [m for m in diagram.strand_counts])
+        self.x = [_fmt(X0 + h * DX / 2) for h in range(2 * n + 3)]
+        self.y = [_fmt(Y0 + h * DY / 2) for h in range(2 * maxlev + 1)]
         comp = diagram.component_of_segment
-        self.points = {}        # segment id -> [(x, y), ...]
-        self.crossings = []     # (center x, level, over component)
+        self.points = {}        # segment id -> [point, ...]
+        self.crossings = []     # (event index, level, over component)
         for idx, ev in enumerate(diagram.events):
-            x = X0 + (idx + 1) * DX
             if ev.kind == CROSSING:
                 over = comp[diagram.segments_at_gap(idx)[ev.level - 1]]
-                self.crossings.append((x - DX / 2, ev.level, over))
+                self.crossings.append((idx, ev.level, over))
             else:
-                tip = (x - DX / 2, _y(ev.level) + DY / 2)
+                tip = self.point(2 * idx + 1, 2 * ev.level - 1)
                 for s in diagram.cusp_segments(idx):
                     self.points.setdefault(s, []).append(tip)
+            x = self.x[2 * idx + 2]
             for pos, s in enumerate(diagram.segments_at_gap(idx + 1)):
-                self.points[s].append((x, _y(pos + 1)))
-        self.width = X0 + (len(diagram.events) + 1) * DX
-        maxlev = max([1] + [m for m in diagram.strand_counts])
+                self.points[s].append(f"{x} {self.y[2 * pos]}")
+        self.width = X0 + (n + 1) * DX
         self.height = Y0 + maxlev * DY
 
+    def point(self, hx, hy):
+        return f"{self.x[hx]} {self.y[hy]}"
 
-def _polyline(pts, color, width=2.0, dash=None):
-    d = "M " + " L ".join(f"{_fmt(x)} {_fmt(y)}" for x, y in pts)
+
+def _polyline(pts, color, width="2", dash=None):
+    d = "M " + " L ".join(pts)
     extra = f' stroke-dasharray="{dash}"' if dash else ""
     return (f'<path d="{d}" fill="none" stroke="{color}" '
-            f'stroke-width="{_fmt(width)}" stroke-linejoin="round" '
+            f'stroke-width="{width}" stroke-linejoin="round" '
             f'stroke-linecap="round"{extra}/>')
 
 
 def _front_group(diagram, ruling=None):
     """SVG fragment for one front; returns (markup lines, w, h)."""
     lay = _Layout(diagram)
+    x, y, point = lay.x, lay.y, lay.point
     out = []
     if ruling is not None:
         gaps = ruling_pairings(diagram, ruling)
-        switches = set(ruling)
         for g, pairing in enumerate(gaps):
-            x = X0 + g * DX + DX / 2
             for i, p in enumerate(pairing):
                 if p <= i:
                     continue
-                out.append(_polyline([(x, _y(i + 1)), (x, _y(p + 1))],
-                                     "#bbbbbb", 1.0, "3 3"))
-        for idx in sorted(switches):
-            ev = diagram.events[idx]
-            x = X0 + (idx + 1) * DX - DX / 2
-            y = _y(ev.level) + DY / 2
-            out.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="4" '
-                       f'fill="#222222"/>')
+                out.append(_polyline([point(2 * g + 1, 2 * i),
+                                      point(2 * g + 1, 2 * p)],
+                                     "#bbbbbb", "1", "3 3"))
+        for idx in sorted(set(ruling)):
+            level = diagram.events[idx].level
+            out.append(f'<circle cx="{x[2 * idx + 1]}" '
+                       f'cy="{y[2 * level - 1]}" r="4" fill="#222222"/>')
     comp = diagram.component_of_segment
     for s in sorted(lay.points):
         color = PALETTE[comp[s] % len(PALETTE)]
         out.append(_polyline(lay.points[s], color))
-    for x, level, over in lay.crossings:
-        y = _y(level) + DY / 2
-        out.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="5" '
-                   f'fill="#ffffff"/>')
+    for idx, level, over in lay.crossings:
+        out.append(f'<circle cx="{x[2 * idx + 1]}" cy="{y[2 * level - 1]}" '
+                   f'r="5" fill="#ffffff"/>')
         color = PALETTE[over % len(PALETTE)]
-        out.append(_polyline([(x - DX / 2, _y(level)),
-                              (x + DX / 2, _y(level + 1))], color))
+        out.append(_polyline([point(2 * idx, 2 * level - 2),
+                              point(2 * idx + 2, 2 * level)], color))
     return out, lay.width, lay.height
 
 

@@ -14,31 +14,42 @@ A ruling is recorded by its switch set, a subset of crossing event indices;
 ``ruling_pairings`` reconstructs its per-gap pairings as tuples of 0-based
 partner indices.
 
-Counting and enumeration share one forward pass over pairing states, gap
-by gap, with the number of ruling prefixes reaching each state, so
-parallel branches merge.  ``count_rulings`` reads the count at the empty
-pairing after the last event.  ``enumerate_rulings`` keeps every gap's
-states, prunes them backward to the live ones (those from which the
-empty pairing at the end is reachable), and then emits switch sets
-forward with an explicit stack, visiting live states only: no branch
-that dies at a later right cusp is followed, and the depth of the word
-costs no recursion.
+Counting and enumeration share one two-sided pass, ``_meet``: prefix
+states grow from the left end, with the number of ruling prefixes
+reaching each, and suffix states from the right end, with the number of
+ruling suffixes leaving each, so parallel branches merge.  Each step
+grows the side whose frontier holds fewer states, until the two meet at
+one gap.  The right side is the mirror word (read right to left, left
+and right cusps swapped at the same level) run through the same step:
+reflecting a front in a vertical line keeps every ruling, since a
+switch keeps the pairing and normality reads only that pairing, so the
+suffixes of a ruling of the word are the prefixes of a ruling of its
+mirror.  ``count_rulings`` sums prefixes times suffixes over the
+pairings at the meeting gap.  ``enumerate_rulings`` keeps the states
+met from both sides there, prunes the prefix states backward to the
+ones with a live successor (every suffix state is live), and then emits
+switch sets forward with an explicit stack, visiting live states only:
+no branch that dies at a later right cusp is followed, and the depth of
+the word costs no recursion.
 
-All three go through one step kernel, ``_step``, the successors of a
-pairing at one event.  Inside the DP a pairing is a ``bytes`` object (its
-hash is cached, and a cusp's shift of the partner indices is one
-``bytes.translate``), so at most 256 strands are supported.
+The pass and ``_walk``, which follows one switch set for
+``ruling_pairings`` and ``is_ruling``, go through one step kernel,
+``_step``, the successors of a pairing at one event.  Inside the DP a
+pairing is a ``bytes`` object (its hash is cached, and a cusp's shift of
+the partner indices is one ``bytes.translate``), so at most 256 strands
+are supported.
 """
 
 from __future__ import annotations
 
 from functools import cache
 
-from .diagrams import CROSSING, LEFT_CUSP, DiagramError
+from .diagrams import CROSSING, LEFT_CUSP, RIGHT_CUSP, DiagramError
 
 MAX_STRANDS = 256
 _EMPTY = b""
 _DEAD = (None, False)
+_MIRROR = {LEFT_CUSP: RIGHT_CUSP, RIGHT_CUSP: LEFT_CUSP, CROSSING: CROSSING}
 
 
 class RulingError(DiagramError):
@@ -114,54 +125,82 @@ def is_normal_switch(pairing, level):
     return _step(pairing, CROSSING, level - 1)[1]
 
 
-def _forward(diagram):
-    """Yield each gap's {pairing: number of ruling prefixes reaching it}.
+def _meet(diagram):
+    """Yield (side, states) for the prefix side (0) and the suffix side
+    (1), first each side's end and then every frontier the pass grows.
 
-    Starts at gap 0 with the empty pairing and stops after the last gap
-    or after the first gap with no states.
+    ``states`` maps each pairing at one gap to the number of ruling
+    prefixes reaching it (side 0, gaps 0, 1, ...) or of ruling suffixes
+    leaving it for the empty pairing after the last event (side 1, gaps
+    n, n - 1, ...).  Each step grows the side whose frontier holds fewer
+    states, the left one on a tie, until both sides reach one gap or a
+    side's frontier is empty.
     """
     _check_width(diagram)
-    states = {_EMPTY: 1}
-    yield states
-    for ev in diagram.events:
-        kind, i = ev.kind, ev.level - 1
+    events = diagram.events
+    fronts = [{_EMPTY: 1}, {_EMPTY: 1}]
+    yield 0, fronts[0]
+    yield 1, fronts[1]
+    lo, hi = 0, len(events)
+    while lo < hi:
+        side = len(fronts[1]) < len(fronts[0])
+        if side:
+            hi -= 1
+            ev = events[hi]
+            kind = _MIRROR[ev.kind]
+        else:
+            ev = events[lo]
+            lo += 1
+            kind = ev.kind
+        i = ev.level - 1
         nxt = {}
         get = nxt.get
-        for pairing, n in states.items():
+        for pairing, n in fronts[side].items():
             follow, switch = _step(pairing, kind, i)
             if follow is not None:
                 nxt[follow] = get(follow, 0) + n
             if switch:
                 nxt[pairing] = get(pairing, 0) + n
-        yield nxt
+        fronts[side] = nxt
+        yield side, nxt
         if not nxt:
             return
-        states = nxt
 
 
 def count_rulings(diagram):
-    """Number of normal rulings, by DP over pairing states."""
-    for states in _forward(diagram):
-        pass
-    return states.get(_EMPTY, 0)
+    """Number of normal rulings: at the gap where prefixes and suffixes
+    meet, the sum over pairings of prefixes times suffixes."""
+    ends = [None, None]
+    for side, states in _meet(diagram):
+        ends[side] = states
+    front, back = ends
+    return sum(n * back.get(pairing, 0) for pairing, n in front.items())
 
 
 def enumerate_rulings(diagram):
     """All normal rulings, each as a sorted tuple of switched crossing
     event indices; the list is sorted."""
+    # Prefix gaps keep their pairings only, a tuple being smaller than
+    # the dict of counts; suffix gaps keep their dicts for lookups.
+    left, right = [], []
+    for side, states in _meet(diagram):
+        if side:
+            right.append(states)
+        else:
+            left.append(tuple(states))
+    right.reverse()
+    live = right[0].keys() & left[-1]
+    if not live:
+        return []
     events = diagram.events
     n = len(events)
-    # Each gap keeps its states only: a tuple takes less memory than the
-    # dict of counts.
-    gaps = []
-    for states in _forward(diagram):
-        gaps.append(tuple(states))
-    if len(gaps) <= n or _EMPTY not in states:
-        return []
-    # Backward: keep the states with a successor that is live.  A dead
-    # follow is None, which no live set holds.
-    live = gaps[n] = {_EMPTY}
-    for k in range(n - 1, -1, -1):
+    m = len(left) - 1
+    # Each gap's states from which some ruling goes on.  Right of m the
+    # suffix states are such by construction; left of m, keep the prefix
+    # states with a live successor.  A dead follow is None, which no
+    # live set holds.
+    gaps = left[:m] + [live] + right[1:]
+    for k in range(m - 1, -1, -1):
         ev = events[k]
         kind, i = ev.kind, ev.level - 1
         after, live = live, set()
@@ -170,7 +209,8 @@ def enumerate_rulings(diagram):
             if follow in after or (switch and pairing in after):
                 live.add(pairing)
         gaps[k] = live
-    # Forward: every state on the stack extends to at least one ruling.
+    # Forward from the empty pairing: every state on the stack is reached
+    # by a ruling prefix and extends to at least one ruling.
     rulings = []
     stack = [(0, _EMPTY, ())]
     while stack:
@@ -189,29 +229,45 @@ def enumerate_rulings(diagram):
     return rulings
 
 
-def ruling_pairings(diagram, switches):
-    """Per-gap partner tuples of the ruling with the given switch set.
+def _walk(diagram, switches):
+    """Yield the pairing at every gap of the ruling with the given switch
+    set, as ``bytes``.
 
-    Raises RulingError if the switch set is not a normal ruling.
+    Raises RulingError if a switch index is not an event of the word or
+    the switch set is not a normal ruling.
     """
     _check_width(diagram)
+    events = diagram.events
     switches = set(switches)
+    for idx in sorted(switches):
+        if not 0 <= idx < len(events):
+            raise RulingError(
+                f"switch index {idx} is out of range 0..{len(events) - 1}")
     pairing = _EMPTY
-    gaps = [()]
-    for idx, ev in enumerate(diagram.events):
+    yield pairing
+    for idx, ev in enumerate(events):
         follow, switch = _step(pairing, ev.kind, ev.level - 1)
         if idx in switches:
             follow = pairing if switch else None
         if follow is None:
             raise RulingError(f"switch set fails at event {idx}")
         pairing = follow
-        gaps.append(tuple(pairing))
-    return gaps
+        yield pairing
+
+
+def ruling_pairings(diagram, switches):
+    """Per-gap partner tuples of the ruling with the given switch set.
+
+    Raises RulingError if a switch index is not an event of the word or
+    the switch set is not a normal ruling.
+    """
+    return [tuple(pairing) for pairing in _walk(diagram, switches)]
 
 
 def is_ruling(diagram, switches):
     try:
-        ruling_pairings(diagram, switches)
+        for _pairing in _walk(diagram, switches):
+            pass
     except RulingError:
         return False
     return True

@@ -30,6 +30,14 @@ def random_diagram(rng, **kw):
     return FrontDiagram(random_word(rng, **kw))
 
 
+def mirror(diagram):
+    """The front reflected in a vertical line: its word read right to
+    left, with left and right cusps swapped at the same level."""
+    swap = {"L": R, "R": L, "X": X}
+    return FrontDiagram([swap[ev.kind](ev.level)
+                         for ev in reversed(diagram.events)])
+
+
 def tree_presentation(edges):
     """Realize a tree on nodes 0..n as an unlink-with-arcs word.
 

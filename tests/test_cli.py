@@ -178,6 +178,20 @@ def test_ruling_fillable_invalid_ruling(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("command", ["ruling-fillable", "render"])
+@pytest.mark.parametrize("ruling", ["2,3,4,999", "2,3,4,-1"])
+def test_out_of_range_switch_index_is_domain_error(capsys, tmp_path,
+                                                   command, ruling):
+    argv = [command, "--ruling", ruling, "catalog:trefoil"]
+    if command == "render":
+        argv[1:1] = ["--svg", str(tmp_path / "out.svg")]
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "out of range 0..6" in err
+
+
 def test_satellite_builtin(capsys):
     code, out, _ = run(capsys, "satellite", "--pattern", "identity:2",
                        "catalog:unknot")

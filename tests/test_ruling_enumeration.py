@@ -1,9 +1,11 @@
 """The ruling DP against the reference enumerator.
 
 ``enumerate_rulings`` emits switch sets from the live states of the
-forward pass that ``count_rulings`` runs.  ``oracles`` keeps the
+two-sided pass that ``count_rulings`` runs.  ``oracles`` keeps the
 recursive walk it replaced, which follows every branch of the pairing
-tree; both must list the same rulings.
+tree; both must list the same rulings.  The pass reads the suffixes of
+a word as prefixes of its mirror, so a mirrored front must have the
+reflected rulings.
 """
 
 import random
@@ -12,14 +14,14 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from frontcalc import catalog
+from frontcalc import catalog, rulings
 from frontcalc.diagrams import FrontDiagram, L, R
 from frontcalc.moves import random_shuffle
 from frontcalc.rulings import (MAX_STRANDS, RulingError, count_rulings,
                                enumerate_rulings, ruling_pairings)
 from frontcalc.satellites import builtin_pattern, satellite
 
-from helpers import random_word
+from helpers import mirror, random_word
 from oracles import reference_enumerate_rulings
 
 PROPERTY = settings(derandomize=True, max_examples=150, deadline=None)
@@ -54,6 +56,48 @@ def test_satellite_enumeration_matches_reference(companion, family, param):
     pattern = builtin_pattern(family, param)
     assert_matches_reference(
         satellite(catalog.get(companion).diagram, pattern).diagram)
+
+
+def assert_mirror_reflects_rulings(d):
+    n = len(d.events)
+    reflected = sorted(tuple(sorted(n - 1 - k for k in switches))
+                       for switches in enumerate_rulings(d))
+    m = mirror(d)
+    assert count_rulings(m) == count_rulings(d) == len(reflected)
+    assert enumerate_rulings(m) == reflected
+
+
+@PROPERTY
+@given(SEEDS)
+def test_mirror_reflects_rulings(seed):
+    rng = random.Random(seed)
+    assert_mirror_reflects_rulings(
+        FrontDiagram(random_word(rng, max_width=6)))
+
+
+@pytest.mark.parametrize("companion,family,param", SATELLITES)
+def test_satellite_mirror_reflects_rulings(companion, family, param):
+    pattern = builtin_pattern(family, param)
+    assert_mirror_reflects_rulings(
+        satellite(catalog.get(companion).diagram, pattern).diagram)
+
+
+def test_count_meets_in_the_middle(monkeypatch):
+    """Growing the thinner side keeps the steps well below the 13,635
+    of a left-to-right pass over the 3-copy of the trefoil."""
+    d = satellite(catalog.get("trefoil").diagram,
+                  builtin_pattern("identity", "3")).diagram
+    calls = 0
+    step = rulings._step
+
+    def counting_step(*args):
+        nonlocal calls
+        calls += 1
+        return step(*args)
+
+    monkeypatch.setattr(rulings, "_step", counting_step)
+    assert count_rulings(d) == 256
+    assert calls <= 4000
 
 
 @pytest.fixture

@@ -62,6 +62,15 @@ def test_invalid_switch_sets_rejected():
         ruling_pairings(TREFOIL, (3,))
 
 
+@pytest.mark.parametrize("bad", [7, 999, -1])
+def test_out_of_range_switch_indices_rejected(bad):
+    switches = (2, 3, 4, bad)
+    assert is_ruling(TREFOIL, (2, 3, 4))
+    assert not is_ruling(TREFOIL, switches)
+    with pytest.raises(RulingError, match=f"switch index {bad} is out of"):
+        ruling_pairings(TREFOIL, switches)
+
+
 def test_switch_on_paired_strands_raises():
     with pytest.raises(CrossingStrandsPaired):
         is_normal_switch((1, 0), 1)

@@ -4,12 +4,14 @@ The cleanup's commute BFS runs on int-coded words; ``oracles`` keeps the
 same BFS on Event words, and the two must agree on every word, as must
 the reductions built on them.  Every trace the search returns must replay,
 start from the empty diagram, have chi = -tb(top) (Chantraine 2010), and
-survive the trace text format.
+survive the trace text format.  A front with no normal ruling has no
+filling (a filling gives an augmentation, which gives a ruling), so the
+search must come back empty on one.
 """
 
 import random
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from frontcalc import catalog
 from frontcalc.cobordism import (_find_reducing_commutes, check_trace,
@@ -19,7 +21,9 @@ from frontcalc.diagrams import FrontDiagram
 from frontcalc.moves import random_shuffle
 
 from helpers import random_word
-from oracles import reference_find_reducing_commutes, reference_reduce_diagram
+from oracles import (reference_enumerate_rulings,
+                     reference_find_reducing_commutes,
+                     reference_reduce_diagram)
 
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
 SEEDS = st.integers(min_value=0, max_value=2 ** 32 - 1)
@@ -69,6 +73,14 @@ def assert_search_result_holds(d):
 def test_search_results_replay_and_meet_chantraine(seed):
     d = oriented_diagram(random.Random(seed), max_width=4, max_events=10)
     assert_search_result_holds(d)
+
+
+@PROPERTY
+@given(SEEDS)
+def test_no_ruling_means_no_filling(seed):
+    d = oriented_diagram(random.Random(seed), max_width=6, max_events=16)
+    assume(not reference_enumerate_rulings(d))
+    assert search_decomposable_filling(d) is None
 
 
 def test_search_result_with_a_minus_birth_survives_text():
