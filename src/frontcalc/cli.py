@@ -9,6 +9,7 @@ domain error (invalid move, no filling, failed check), 2 parse error.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -229,7 +230,10 @@ def _count(text):
     return n
 
 
+@functools.cache
 def build_parser():
+    """The CLI's parser, built once per process: parsing leaves it as it
+    was, since each ``parse_args`` fills a fresh namespace."""
     p = argparse.ArgumentParser(
         prog="frontcalc",
         description="Front diagram calculus: invariants, rulings, "

@@ -24,8 +24,9 @@ downward moves into a trace in one place and keeps one failure table
 for the whole call: the most pinches left with which each state failed,
 so no state is expanded twice with as few.  The reduction's
 breadth-first hunt for commutes runs on words coded as tuples of small
-ints, and one filling search memoizes the cleanup of every diagram it
-meets, so each distinct diagram is cleaned once.
+ints, and only on words where a table of short windows shows it will
+find a contraction; one filling search memoizes the cleanup of every
+diagram it meets, so each distinct diagram is cleaned once.
 """
 
 from __future__ import annotations
@@ -390,18 +391,24 @@ def _first_contraction(word):
 
 # How many commutes the reduction may chain to expose one contraction.
 _COMMUTE_DEPTH = 3
+# The widest window those commutes can act on: walking a hit's commutes
+# back from its contraction's three events, drop each commute disjoint
+# from the events collected so far (it cannot change them); each kept
+# one adds at most one event.  So whether a word's commutes can expose a
+# contraction is decided by its windows of this many events.
+_WINDOW = 3 + _COMMUTE_DEPTH
+# A window's code tuple -> whether a word within _COMMUTE_DEPTH commutes
+# inside it holds a contraction anywhere in it; filled on first lookup.
+_WINDOWS = {}
 
 
-def _find_reducing_commutes(events):
-    """Breadth-first hunt for a commute sequence exposing a contraction.
+def _commuted_words(start):
+    """Every word within _COMMUTE_DEPTH commutes of ``start``, once each.
 
-    Returns (commute rewrites, contraction rewrite) or None.  At most
-    _COMMUTE_DEPTH commutes; words are compared as code tuples to avoid
-    revisits.  Only the window j-2 .. j+2 around the last commute at j
-    can hold a new contraction.
+    Yields (word, commute positions) breadth-first, j ascending within
+    each word, skipping words already seen.
     """
-    swaps, contractions = _SWAPS, _CONTRACTIONS
-    start = _codes(events)
+    swaps = _SWAPS
     n = len(start)
     frontier = [(start, ())]
     seen = {start}
@@ -419,15 +426,60 @@ def _find_reducing_commutes(events):
                     continue
                 seen.add(new)
                 npath = path + (j,)
-                for k in range(max(0, j - 2), min(n - 2, j + 3)):
-                    kind = contractions.get(new[k:k + 3], _UNSEEN)
-                    if kind is _UNSEEN:
-                        kind = _contraction_kind(new[k:k + 3])
-                    if kind is not None:
-                        return ([Rewrite("commute", i) for i in npath],
-                                Rewrite(kind, k))
+                yield new, npath
                 nxt.append((new, npath))
         frontier = nxt
+
+
+def _window_exposes(window):
+    """Whether ``window``'s own commutes can expose a contraction in it."""
+    hit = _WINDOWS.get(window)
+    if hit is None:
+        hit = _WINDOWS[window] = (
+            _first_contraction(window) is not None
+            or any(_first_contraction(word) is not None
+                   for word, _path in _commuted_words(window)))
+    return hit
+
+
+def _find_reducing_commutes(events):
+    """Hunt for a commute sequence exposing a contraction.
+
+    Returns (commute rewrites, contraction rewrite) or None.  When no
+    window of _WINDOW events can expose one, this is None at once;
+    otherwise ``_commute_search`` runs on the whole word.
+    """
+    start = _codes(events)
+    windows = _WINDOWS
+    for a in range(max(1, len(start) - _WINDOW + 1)):
+        window = start[a:a + _WINDOW]
+        hit = windows.get(window)
+        if hit is None:
+            hit = _window_exposes(window)
+        if hit:
+            return _commute_search(start)
+    return None
+
+
+def _commute_search(start):
+    """Breadth-first hunt on a coded word for exposing commutes.
+
+    Returns (commute rewrites, contraction rewrite) for the first word
+    of ``_commuted_words`` with a contraction, or None.  Only a
+    contraction starting at j-2 .. j+2, around the last commute at j,
+    can be new.
+    """
+    contractions = _CONTRACTIONS
+    n = len(start)
+    for new, path in _commuted_words(start):
+        j = path[-1]
+        for k in range(max(0, j - 2), min(n - 2, j + 3)):
+            kind = contractions.get(new[k:k + 3], _UNSEEN)
+            if kind is _UNSEEN:
+                kind = _contraction_kind(new[k:k + 3])
+            if kind is not None:
+                return ([Rewrite("commute", i) for i in path],
+                        Rewrite(kind, k))
     return None
 
 
@@ -493,6 +545,8 @@ def _isolate_eye(diagram, component):
 
 def _ruling_obstructed(diagram):
     """True if some component alone admits no normal ruling."""
+    if diagram.n_components == 1:
+        return count_rulings(diagram) == 0
     for c in range(diagram.n_components):
         if count_rulings(diagram.component_subdiagram(c)) == 0:
             return True

@@ -118,8 +118,12 @@ def is_normal_switch(pairing, level):
 
     ``pairing`` is the 0-based partner array just before the crossing.
     The companion intervals of the two crossing strands must be disjoint
-    or nested; interleaving rules the switch out.
+    or nested; interleaving rules the switch out.  Raises RulingError
+    unless 1 <= level <= len(pairing) - 1.
     """
+    if not 1 <= level <= len(pairing) - 1:
+        raise RulingError(f"switch level {level} is out of range "
+                          f"1..{len(pairing) - 1}")
     if pairing[level - 1] == level:
         raise CrossingStrandsPaired(level)
     return _step(pairing, CROSSING, level - 1)[1]

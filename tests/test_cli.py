@@ -387,3 +387,28 @@ def test_negative_counts_are_parse_errors(capsys, argv):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "wanted a non-negative integer" in err and "Traceback" not in err
+
+
+def test_one_parser_serves_every_call(capsys):
+    """The parser is built once per process; a call that fails to parse
+    leaves nothing behind for the next one."""
+    calls = [["--format", "tsv", "rulings", "--list", "catalog:trefoil"],
+             ["search-filling", "--budget", "-3", "catalog:unknot"],
+             ["rulings", "catalog:trefoil"]]
+
+    def outputs(fresh):
+        results = []
+        for argv in calls:
+            if fresh:
+                cli.build_parser.cache_clear()
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            results.append((code, *capsys.readouterr()))
+        return results
+
+    separate = outputs(fresh=True)
+    assert [code for code, _out, _err in separate] == [0, 2, 0]
+    assert outputs(fresh=False) == separate
+    assert cli.build_parser() is cli.build_parser()

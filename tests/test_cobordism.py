@@ -259,6 +259,32 @@ def test_search_cleans_each_diagram_once(monkeypatch):
     assert set(cleaned) <= set(reduced)
 
 
+def test_commute_search_runs_only_on_hits(monkeypatch):
+    # A contraction that commutes expose lies in some window of _WINDOW
+    # events, so the window table answers every miss of the cleanup and
+    # the whole-word search runs only where it finds one.
+    from frontcalc import catalog, cobordism
+    hunts, found = 0, []
+    hunt, search = (cobordism._find_reducing_commutes,
+                    cobordism._commute_search)
+
+    def noting_hunt(events):
+        nonlocal hunts
+        hunts += 1
+        return hunt(events)
+
+    def noting_search(start):
+        found.append(search(start))
+        return found[-1]
+
+    monkeypatch.setattr(cobordism, "_find_reducing_commutes", noting_hunt)
+    monkeypatch.setattr(cobordism, "_commute_search", noting_search)
+    d = catalog.get("budget_demo").diagram
+    assert search_decomposable_filling(d, isotopy_budget=0) is None
+    assert found and None not in found
+    assert len(found) < hunts
+
+
 def test_move_text():
     from frontcalc.moves import Rewrite
     commute = Move("isotopy", rewrite=Rewrite("commute", 3))

@@ -76,6 +76,13 @@ def test_switch_on_paired_strands_raises():
         is_normal_switch((1, 0), 1)
 
 
+@pytest.mark.parametrize("pairing, level", [
+    ((1, 0, 3, 2), 0), ((3, 2, 1, 0), 4), ((1, 0), -1)])
+def test_switch_level_out_of_range_rejected(pairing, level):
+    with pytest.raises(RulingError, match=f"switch level {level} is out of"):
+        is_normal_switch(pairing, level)
+
+
 def test_normality_blocks_interleaving():
     # partners 0-3, 1-4, 2-5: the crossing of strands 2,3 (levels 3,4)
     # has companions 5 and 0, giving interleaved intervals

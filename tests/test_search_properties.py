@@ -10,6 +10,7 @@ search must come back empty on one.
 """
 
 import random
+from itertools import accumulate
 
 from hypothesis import assume, given, settings, strategies as st
 
@@ -18,7 +19,7 @@ from frontcalc.cobordism import (_find_reducing_commutes, check_trace,
                                  reduce_diagram, search_decomposable_filling,
                                  trace_from_text, trace_to_text)
 from frontcalc.diagrams import FrontDiagram
-from frontcalc.moves import random_shuffle
+from frontcalc.moves import apply_rewrite, random_shuffle
 
 from helpers import random_word
 from oracles import (reference_enumerate_rulings,
@@ -54,6 +55,18 @@ def test_reduction_matches_reference_on_random_words(seed):
 def test_reduction_matches_reference_on_shuffles(name, steps, seed):
     d = random_shuffle(catalog.get(name).diagram, steps, seed)
     assert_reduction_matches_reference(d)
+
+
+@PROPERTY
+@given(st.sampled_from(catalog.names()), SEEDS)
+def test_commute_hunt_matches_reference_on_long_shuffles(name, seed):
+    # Every intermediate of the reduction is hunted; the last one is a
+    # miss, which the window table answers without the whole-word search.
+    d = random_shuffle(catalog.get(name).diagram, 200, seed)
+    _reduced, applied = reduce_diagram(d)
+    for step in accumulate(applied, apply_rewrite, initial=d):
+        assert _find_reducing_commutes(step.events) == \
+            reference_find_reducing_commutes(step.events)
 
 
 def assert_search_result_holds(d):
