@@ -22,11 +22,15 @@ strands, until every component is a max-tb unknot.  Both run one
 iterative-deepening search on the pinch count, which reverses the
 downward moves into a trace in one place and keeps one failure table
 for the whole call: the most pinches left with which each state failed,
-so no state is expanded twice with as few.  The reduction's
+so no state is expanded twice with as few.  The reduction's one
 breadth-first hunt for commutes runs on words coded as tuples of small
-ints, and only on words where a table of short windows shows it will
-find a contraction; one filling search memoizes the cleanup of every
-diagram it meets, so each distinct diagram is cleaned once.
+ints and stops at the first contraction next to its last commute.  The
+same hunt fills a table of short windows, which answers every word it
+would find nothing on, so the whole-word hunt runs only where it hits.
+The rule tables fill themselves on first lookup.  An eye whose cusps
+commute together dies where it stands, with those commutes recorded;
+one filling search memoizes the cleanup of every diagram it meets, so
+each distinct diagram is cleaned once.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from dataclasses import dataclass
 from . import moves as _moves
 from .diagrams import (CROSSING, LEFT_CUSP, RIGHT_CUSP, DiagramError, Event,
                        FrontDiagram, L, R, connected_components, from_lines)
-from .moves import Rewrite, apply_rewrite, inverse
+from .moves import InapplicableRewrite, Rewrite, apply_rewrite, inverse
 from .rulings import count_rulings, ruling_pairings
 
 
@@ -78,26 +82,18 @@ class ArcSiteInvalid(CobordismError):
 
 # -- elementary moves ------------------------------------------------------
 
-def _pinch_directions(diagram, index, level):
-    """Directions of the two strands a pinch at ``index``@``level`` joins.
-
-    Raises NotAdjacent unless strands level, level+1 exist at that gap.
-    """
-    if not 0 <= index <= len(diagram.events):
-        raise NotAdjacent(index, level)
-    if not 1 <= level <= diagram.strand_counts[index] - 1:
-        raise NotAdjacent(index, level)
-    return (diagram.direction_at(index, level),
-            diagram.direction_at(index, level + 1))
-
-
 def pinch(diagram, index, level, orientable_only=True):
     """Insert a ")(" cusp pair between strands level, level+1 at ``index``.
 
     tb drops by exactly 1, the cusp count rises by 2, the writhe is
     unchanged, and the component count changes by one either way.
+    Raises NotAdjacent unless strands level, level+1 exist at that gap.
     """
-    up, down = _pinch_directions(diagram, index, level)
+    if not (0 <= index <= len(diagram.events)
+            and 1 <= level <= diagram.strand_counts[index] - 1):
+        raise NotAdjacent(index, level)
+    up = diagram.direction_at(index, level)
+    down = diagram.direction_at(index, level + 1)
     if orientable_only and up == down:
         raise OrientationClash(index, level)
     d = diagram._edited(index, index, [R(level), L(level)],
@@ -205,20 +201,21 @@ class Move:
 
     @staticmethod
     def parse(line):
-        parts = line.split()
-        kind = parts[0] if parts else ""
+        """Read ``isotopy K I L [V]``, ``death C``, ``pinch I@L``,
+        ``surgery I@L`` or ``birth I@L [O]``; anything else raises."""
+        kind, *args = line.split() or [""]
         try:
-            if kind == "isotopy":
-                rkind, ridx, rlvl = parts[1], int(parts[2]), int(parts[3])
-                variant = parts[4] if len(parts) > 4 else ""
-                return Move(kind, rewrite=Rewrite(rkind, ridx, rlvl, variant))
-            if kind == "death":
-                return Move(kind, int(parts[1]))
-            if kind in ("birth", "pinch", "surgery"):
-                idx, lvl = parts[1].split("@")
-                orient = parts[2] if len(parts) > 2 else "+"
-                return Move(kind, int(idx), int(lvl), orient)
-        except (IndexError, ValueError):
+            if kind == "isotopy" and len(args) in (3, 4):
+                rkind, ridx, rlvl, *variant = args
+                return Move(kind, rewrite=Rewrite(rkind, int(ridx), int(rlvl),
+                                                  *variant))
+            if kind == "death" and len(args) == 1:
+                return Move(kind, int(args[0]))
+            if ((kind in ("pinch", "surgery") and len(args) == 1)
+                    or (kind == "birth" and len(args) in (1, 2))):
+                idx, lvl = args[0].split("@")
+                return Move(kind, int(idx), int(lvl), *args[1:])
+        except ValueError:
             pass
         raise CobordismError(f"bad move line {line!r}")
 
@@ -269,13 +266,10 @@ class CobordismTrace:
 
     @property
     def orientable(self):
-        d = self.bottom
-        for m in self.moves:
-            if m.kind == "pinch":
-                up, down = _pinch_directions(d, m.index, m.level)
-                if up == down:
-                    return False
-            d = apply_move(d, m)
+        try:
+            self.replay()
+        except OrientationClash:
+            return False
         return True
 
 
@@ -341,17 +335,26 @@ def _contraction_at(events, j):
     return None
 
 
+class _Table(dict):
+    """A dict that fills a missing entry from ``fill(key)`` on first read."""
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
+
+
 # The reduction works on words of small ints: an event's code is
-# 3 * level plus the index of its kind in _KINDS.  Both tables below are
+# 3 * level plus the index of its kind in _KINDS.  The tables below are
 # filled on first lookup from the rules in ``moves``: the commute of a
 # code pair (the swapped pair, or None) and the contraction kind of a
 # code triple ("r1_remove", "r2_pull" or None).  An entry is a function
 # of its key alone, so every caller can share them.
 _KINDS = (LEFT_CUSP, RIGHT_CUSP, CROSSING)
 _KIND_INDEX = {kind: i for i, kind in enumerate(_KINDS)}
-_SWAPS = {}
-_CONTRACTIONS = {}
-_UNSEEN = object()
 
 
 def _codes(events):
@@ -362,28 +365,25 @@ def _event(code):
     return Event(_KINDS[code % 3], code // 3)
 
 
-def _swap(pair):
-    """The commute of a code pair, from ``_SWAPS`` or ``moves``."""
-    swapped = _SWAPS.get(pair, _UNSEEN)
-    if swapped is _UNSEEN:
-        events = _moves._commute_pair(*map(_event, pair))
-        swapped = _SWAPS[pair] = None if events is None else _codes(events)
-    return swapped
+def _commuted_codes(pair):
+    events = _moves._commute_pair(*map(_event, pair))
+    return None if events is None else _codes(events)
 
 
 def _contraction_kind(triple):
-    """The contraction kind of a code triple, from ``_CONTRACTIONS``."""
-    kind = _CONTRACTIONS.get(triple, _UNSEEN)
-    if kind is _UNSEEN:
-        rw = _contraction_at(list(map(_event, triple)), 0)
-        kind = _CONTRACTIONS[triple] = None if rw is None else rw.kind
-    return kind
+    rw = _contraction_at(tuple(map(_event, triple)), 0)
+    return None if rw is None else rw.kind
+
+
+_SWAPS = _Table(_commuted_codes)
+_CONTRACTIONS = _Table(_contraction_kind)
 
 
 def _first_contraction(word):
     """The leftmost length-reducing rewrite on a coded word, or None."""
+    contractions = _CONTRACTIONS
     for j in range(len(word) - 2):
-        kind = _contraction_kind(word[j:j + 3])
+        kind = contractions[word[j:j + 3]]
         if kind is not None:
             return Rewrite(kind, j)
     return None
@@ -397,18 +397,19 @@ _COMMUTE_DEPTH = 3
 # one adds at most one event.  So whether a word's commutes can expose a
 # contraction is decided by its windows of this many events.
 _WINDOW = 3 + _COMMUTE_DEPTH
-# A window's code tuple -> whether a word within _COMMUTE_DEPTH commutes
-# inside it holds a contraction anywhere in it; filled on first lookup.
-_WINDOWS = {}
 
 
-def _commuted_words(start):
-    """Every word within _COMMUTE_DEPTH commutes of ``start``, once each.
+def _commute_hit(start):
+    """Breadth-first hunt on a coded word for commutes exposing a contraction.
 
-    Yields (word, commute positions) breadth-first, j ascending within
-    each word, skipping words already seen.
+    Visits every word within _COMMUTE_DEPTH commutes of ``start`` once,
+    breadth-first, j ascending within each word, and returns (commute
+    positions, contraction kind, contraction index) for the first with a
+    contraction starting at j-2 .. j+2 around its last commute at j, or
+    None.  Only such a contraction can be new: one elsewhere is already
+    in the word it was commuted from, so by induction in ``start``.
     """
-    swaps = _SWAPS
+    swaps, contractions = _SWAPS, _CONTRACTIONS
     n = len(start)
     frontier = [(start, ())]
     seen = {start}
@@ -416,30 +417,27 @@ def _commuted_words(start):
         nxt = []
         for word, path in frontier:
             for j in range(n - 1):
-                pair = swaps.get(word[j:j + 2], _UNSEEN)
-                if pair is _UNSEEN:
-                    pair = _swap(word[j:j + 2])
+                pair = swaps[word[j:j + 2]]
                 if pair is None:
                     continue
                 new = word[:j] + pair + word[j + 2:]
                 if new in seen:
                     continue
                 seen.add(new)
-                npath = path + (j,)
-                yield new, npath
-                nxt.append((new, npath))
+                path_j = path + (j,)
+                for k in range(max(0, j - 2), min(n - 2, j + 3)):
+                    kind = contractions[new[k:k + 3]]
+                    if kind is not None:
+                        return path_j, kind, k
+                nxt.append((new, path_j))
         frontier = nxt
+    return None
 
 
-def _window_exposes(window):
-    """Whether ``window``'s own commutes can expose a contraction in it."""
-    hit = _WINDOWS.get(window)
-    if hit is None:
-        hit = _WINDOWS[window] = (
-            _first_contraction(window) is not None
-            or any(_first_contraction(word) is not None
-                   for word, _path in _commuted_words(window)))
-    return hit
+# A window's code tuple -> whether a word within _COMMUTE_DEPTH commutes
+# inside it holds a contraction anywhere in it.
+_WINDOWS = _Table(lambda window: _first_contraction(window) is not None
+                  or _commute_hit(window) is not None)
 
 
 def _find_reducing_commutes(events):
@@ -452,35 +450,21 @@ def _find_reducing_commutes(events):
     start = _codes(events)
     windows = _WINDOWS
     for a in range(max(1, len(start) - _WINDOW + 1)):
-        window = start[a:a + _WINDOW]
-        hit = windows.get(window)
-        if hit is None:
-            hit = _window_exposes(window)
-        if hit:
+        if windows[start[a:a + _WINDOW]]:
             return _commute_search(start)
     return None
 
 
 def _commute_search(start):
-    """Breadth-first hunt on a coded word for exposing commutes.
+    """``_commute_hit`` on a whole coded word, as rewrites.
 
-    Returns (commute rewrites, contraction rewrite) for the first word
-    of ``_commuted_words`` with a contraction, or None.  Only a
-    contraction starting at j-2 .. j+2, around the last commute at j,
-    can be new.
+    Returns (commute rewrites, contraction rewrite) or None.
     """
-    contractions = _CONTRACTIONS
-    n = len(start)
-    for new, path in _commuted_words(start):
-        j = path[-1]
-        for k in range(max(0, j - 2), min(n - 2, j + 3)):
-            kind = contractions.get(new[k:k + 3], _UNSEEN)
-            if kind is _UNSEEN:
-                kind = _contraction_kind(new[k:k + 3])
-            if kind is not None:
-                return ([Rewrite("commute", i) for i in path],
-                        Rewrite(kind, k))
-    return None
+    hit = _commute_hit(start)
+    if hit is None:
+        return None
+    path, kind, k = hit
+    return [Rewrite("commute", j) for j in path], Rewrite(kind, k)
 
 
 def reduce_diagram(diagram, inverses=None):
@@ -510,35 +494,37 @@ def reduce_diagram(diagram, inverses=None):
             applied.append(rw)
 
 
-def _isolate_eye(diagram, component):
-    """Commute an isolated eye's two cusps until adjacent.
+def _kill_eye(diagram, component):
+    """Commute an isolated eye's two cusps until adjacent, then kill it.
 
-    Returns (diagram, commute rewrites, index, level, component) or
-    None: the index and level of the adjacent cusp pair, and the eye's
-    component in the returned diagram.  The left cusp bubbles rightward
-    past the disjoint events in between.
+    Returns (diagram, downward record) or None when ``component`` is not
+    such an eye.  The left cusp bubbles rightward past the events in
+    between; the record holds those commutes, each its own inverse, and
+    the birth that undoes the death.
     """
     own = diagram.component_events(component)
     if len(own) != 2:
         return None
     j_left, j_right = own
-    if (diagram.events[j_left].kind != LEFT_CUSP
-            or diagram.events[j_right].kind != RIGHT_CUSP):
+    events = diagram.events
+    if (events[j_left].kind != LEFT_CUSP
+            or events[j_right].kind != RIGHT_CUSP):
         return None
     d = diagram
-    applied = []
-    for j in range(j_left, j_right - 1):
-        pair = _moves._commute_pair(d.events[j], d.events[j + 1])
-        if pair is None:
-            return None
-        rw = Rewrite("commute", j)
-        d = apply_rewrite(d, rw)
-        applied.append(rw)
-    level = d.events[j_right - 1].level
-    if d.events[j_right].level != level:
+    record = []
+    try:
+        for j in range(j_left, j_right - 1):
+            rw = Rewrite("commute", j)
+            d = apply_rewrite(d, rw)
+            record.append(Move("isotopy", rewrite=rw))
+    except InapplicableRewrite:
         return None
-    # commutes can renumber components; re-identify the eye in place
-    return d, applied, j_right - 1, level, d.component_at(j_right, level)
+    # the eye's first segment is its left cusp's top strand
+    orient = "+" if diagram.directions[j_left][0] == 1 else "-"
+    # the right cusp stays in place, so the pair meets at its level
+    record.append(Move("birth", j_right - 1, events[j_right].level, orient))
+    # death shifts the events in between exactly as the commutes did
+    return death(diagram, component), record
 
 
 # -- filling search --------------------------------------------------------
@@ -566,16 +552,11 @@ def _downward_cleanup(diagram):
         d, _applied = reduce_diagram(d, inverses=inverses)
         record += [Move("isotopy", rewrite=rw) for rw in inverses]
         for c in range(d.n_components):
-            iso = _isolate_eye(d, c)
-            if iso is None:
-                continue
-            d_adj, commutes, idx, level, c_adj = iso
-            # a commute is its own inverse
-            record += [Move("isotopy", rewrite=rw) for rw in commutes]
-            record.append(Move("birth", idx, level,
-                               d_adj.orientations[c_adj]))
-            d = death(d_adj, c_adj)
-            break
+            killed = _kill_eye(d, c)
+            if killed is not None:
+                d, moves = killed
+                record += moves
+                break
         else:
             return d, record
 
@@ -638,6 +619,10 @@ def _descend(search, d, extra, left):
             return [*record, move, *deeper], bottom
     failed[key] = left
     return None
+
+
+# Marks a diagram the filling search's cleanup memo has not seen yet.
+_UNSEEN = object()
 
 
 def search_decomposable_filling(diagram, max_pinches=3, isotopy_budget=0):

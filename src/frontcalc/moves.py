@@ -247,13 +247,13 @@ def inverse(diagram, rw):
     if rw.kind == "r1_insert":
         return Rewrite("r1_remove", rw.index)
     if rw.kind == "r1_remove":
-        level, variant = _match_fish(list(diagram.events), rw.index)
+        level, variant = _match_fish(diagram.events, rw.index)
         return Rewrite("r1_insert", rw.index, level, variant)
     if rw.kind == "r2_push":
         return Rewrite("r2_pull", rw.index)
     if rw.kind == "r2_pull":
         ev = diagram.events[rw.index:rw.index + 3]
-        contracted = _match_pull(list(diagram.events), rw.index)[0]
+        contracted = _match_pull(diagram.events, rw.index)[0]
         pattern_cusp = ev[0] if ev[0].kind == LEFT_CUSP else ev[2]
         variant = "down" if contracted.level > pattern_cusp.level else "up"
         return Rewrite("r2_push", rw.index, variant=variant)
@@ -262,7 +262,7 @@ def inverse(diagram, rw):
 
 def applicable_rewrites(diagram):
     """Complete enumeration of applicable rewrites, in a fixed order."""
-    events = list(diagram.events)
+    events = diagram.events
     counts = diagram.strand_counts
     out = []
     for j in range(len(events) - 1):

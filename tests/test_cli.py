@@ -281,6 +281,20 @@ def test_trace_with_bad_birth_site_is_parse_error(capsys, tmp_path):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["check-trace", "render"])
+def test_trace_line_with_trailing_tokens_is_parse_error(capsys, tmp_path,
+                                                        command):
+    code, out, _ = run(capsys, "search-filling", "catalog:unknot")
+    assert code == 0
+    path = tmp_path / "junk.trace"
+    path.write_text(out.replace("birth 0@1", "birth 0@1 + junk"),
+                    encoding="utf-8")
+    svg = ["--svg", str(tmp_path / "junk.svg")] if command == "render" else []
+    code, _, err = run(capsys, command, *svg, str(path))
+    assert code == 2
+    assert err.startswith("error: ") and "birth 0@1 + junk" in err
+
+
 def test_satellite_bad_pattern_parameter_is_parse_error(capsys):
     code, _, err = run(capsys, "satellite", "--pattern", "half_twist:x",
                        "catalog:unknot")

@@ -3,8 +3,9 @@ import random
 import pytest
 
 from frontcalc.cobordism import (
-    ArcSiteInvalid, CobordismTrace, Move, NotAdjacent, NotATree,
-    NotCuspPair, NotIsolatedUnknot, OrientationClash, SurgeryPresentation,
+    ArcSiteInvalid, CobordismError, CobordismTrace, Move, NotAdjacent,
+    NotATree, NotCuspPair, NotIsolatedUnknot, OrientationClash,
+    SurgeryPresentation,
     apply_presentation, apply_presentation_with_sites, birth, check_trace,
     check_trace_report, death, is_tree, leaf_pinch_order, pinch,
     presentation_graph, reduce_diagram, ruling_fillability,
@@ -235,6 +236,13 @@ def test_orientable_rejects_a_pinch_off_the_diagram():
         trace.orientable
 
 
+def test_orientable_is_false_after_a_same_way_pinch():
+    # both trefoil strands at gap 2, levels 2, 3 run the same way
+    top = pinch(TREFOIL, 2, 2, orientable_only=False)
+    trace = CobordismTrace(TREFOIL, [Move("pinch", 2, 2)], top)
+    assert not trace.orientable
+
+
 def test_search_cleans_each_diagram_once(monkeypatch):
     # Distinct cleanups can reach one diagram after a death, so
     # reduce_diagram may see an input twice; the cleanups themselves
@@ -295,6 +303,15 @@ def test_move_text():
     assert str(Move("birth", 0, 1, "-")) == "birth 0@1 -"
     assert str(Move("birth", 0, 1)) == "birth 0@1"
     assert str(Move.parse("birth 0@1 x")) == "birth 0@1 x"
+
+
+@pytest.mark.parametrize("line", [
+    "surgery 0@1 surgery 2@1", "death 0 junk", "pinch 0@1 -",
+    "birth 0@1 + junk", "isotopy commute 3 0 up junk", "surgery 0@1 2",
+])
+def test_move_lines_with_trailing_tokens_are_rejected(line):
+    with pytest.raises(CobordismError, match="bad move line"):
+        Move.parse(line)
 
 
 def test_check_trace_report_names_the_move_and_its_word():

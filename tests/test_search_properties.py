@@ -15,11 +15,14 @@ from itertools import accumulate
 from hypothesis import assume, given, settings, strategies as st
 
 from frontcalc import catalog
-from frontcalc.cobordism import (_find_reducing_commutes, check_trace,
-                                 reduce_diagram, search_decomposable_filling,
-                                 trace_from_text, trace_to_text)
+from frontcalc.cobordism import (_COMMUTE_DEPTH, _WINDOW, _WINDOWS,
+                                 CobordismTrace, _contraction_at, _event,
+                                 _find_reducing_commutes, _kill_eye, birth,
+                                 check_trace, reduce_diagram,
+                                 search_decomposable_filling, trace_from_text,
+                                 trace_to_text)
 from frontcalc.diagrams import FrontDiagram
-from frontcalc.moves import apply_rewrite, random_shuffle
+from frontcalc.moves import _commute_pair, apply_rewrite, random_shuffle
 
 from helpers import random_word
 from oracles import (reference_enumerate_rulings,
@@ -67,6 +70,45 @@ def test_commute_hunt_matches_reference_on_long_shuffles(name, seed):
     for step in accumulate(applied, apply_rewrite, initial=d):
         assert _find_reducing_commutes(step.events) == \
             reference_find_reducing_commutes(step.events)
+
+
+def exposes_by_brute_force(events):
+    """Whether a word within _COMMUTE_DEPTH commutes of ``events`` holds
+    a contraction anywhere."""
+    words = frontier = {tuple(events)}
+    for _ in range(_COMMUTE_DEPTH):
+        frontier = {w[:j] + pair + w[j + 2:]
+                    for w in frontier for j in range(len(w) - 1)
+                    if (pair := _commute_pair(w[j], w[j + 1])) is not None}
+        words |= frontier
+    return any(_contraction_at(w, k) is not None
+               for w in words for k in range(len(w) - 2))
+
+
+@settings(PROPERTY, max_examples=400)
+@given(st.lists(st.tuples(st.integers(1, 5), st.integers(0, 2)),
+                min_size=_WINDOW, max_size=_WINDOW))
+def test_window_table_matches_brute_force(window):
+    codes = tuple(3 * level + kind for level, kind in window)
+    assert _WINDOWS[codes] == exposes_by_brute_force(map(_event, codes))
+
+
+@settings(PROPERTY, max_examples=100)
+@given(st.sampled_from(catalog.names()), st.integers(0, 60), SEEDS)
+def test_killed_eyes_replay_from_a_birth(name, steps, seed):
+    # Births make eyes; a shuffle after them pulls their cusps apart.
+    rng = random.Random(seed)
+    d = random_shuffle(catalog.get(name).diagram, 20, seed)
+    for _ in range(rng.randint(1, 3)):
+        j = rng.randint(0, len(d.events))
+        d = birth(d, j, rng.randint(1, d.strand_counts[j] + 1),
+                  rng.choice("+-"))
+    d = random_shuffle(d, steps, seed + 1)
+    for c in range(d.n_components):
+        killed = _kill_eye(d, c)
+        if killed is not None:
+            result, record = killed
+            assert check_trace(CobordismTrace(result, record[::-1], d))
 
 
 def assert_search_result_holds(d):
