@@ -16,21 +16,24 @@ deaths.  The trace file format marks them with ``isotopy`` lines.
 The filling search runs top-down: it pinches, frees isolated unknot
 components with a deterministic reduction (pattern removals plus the
 commute moves that expose them), and kills them, recording the reverse
-of everything; reaching the empty diagram yields a filling trace.  The
-ruling certificate pinches only where a normal ruling pairs two adjacent
-strands, until every component is a max-tb unknot.  Both run one
-iterative-deepening search on the pinch count, which reverses the
-downward moves into a trace in one place and keeps one failure table
-for the whole call: the most pinches left with which each state failed,
-so no state is expanded twice with as few.  The reduction's one
-breadth-first hunt for commutes runs on words coded as tuples of small
-ints and stops at the first contraction next to its last commute.  The
-same hunt fills a table of short windows, which answers every word it
-would find nothing on, so the whole-word hunt runs only where it hits.
-The rule tables fill themselves on first lookup.  An eye whose cusps
-commute together dies where it stands, with those commutes recorded;
-one filling search memoizes the cleanup of every diagram it meets, so
-each distinct diagram is cleaned once.
+of everything; reaching the empty diagram yields a filling trace.  It
+drops a state whose link has no normal ruling.  The ruling certificate
+pinches only where a normal ruling pairs two adjacent strands, until
+every component is a max-tb unknot.  Both pinch only where a run of
+adjacency of two segments starts, since two commutes slide a pinch
+along its run, and both run one iterative-deepening search on the
+pinch count, which reverses the downward moves into a trace in one
+place and keeps one failure table for the whole call: the most pinches
+left with which each state failed, so no state is expanded twice with
+as few.  The reduction's one breadth-first hunt for commutes runs on
+words coded as tuples of small ints and stops at the first contraction
+next to its last commute.  The same hunt fills a table of short
+windows, which answers every word it would find nothing on, so the
+whole-word hunt runs only where it hits.  The rule tables fill
+themselves on first lookup.  An eye whose cusps commute together dies
+where it stands, with those commutes recorded; one filling search
+memoizes the cleanup of every diagram it meets, so each distinct
+diagram is cleaned once.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from dataclasses import dataclass
 from . import moves as _moves
 from .diagrams import (CROSSING, LEFT_CUSP, RIGHT_CUSP, DiagramError, Event,
                        FrontDiagram, L, R, connected_components, from_lines)
-from .moves import InapplicableRewrite, Rewrite, apply_rewrite, inverse
+from .moves import Rewrite, apply_rewrite, inverse
 from .rulings import count_rulings, ruling_pairings
 
 
@@ -499,8 +502,9 @@ def _kill_eye(diagram, component):
 
     Returns (diagram, downward record) or None when ``component`` is not
     such an eye.  The left cusp bubbles rightward past the events in
-    between; the record holds those commutes, each its own inverse, and
-    the birth that undoes the death.
+    between; their codes are checked first, so an eye that cannot be
+    isolated costs no diagram.  The record holds those commutes, each
+    its own inverse, and the birth that undoes the death.
     """
     own = diagram.component_events(component)
     if len(own) != 2:
@@ -510,34 +514,29 @@ def _kill_eye(diagram, component):
     if (events[j_left].kind != LEFT_CUSP
             or events[j_right].kind != RIGHT_CUSP):
         return None
+    swaps = _SWAPS
+    codes = _codes(events[j_left:j_right])
+    cusp = codes[0]
+    for code in codes[1:]:
+        pair = swaps[cusp, code]
+        if pair is None:
+            return None
+        cusp = pair[1]
     d = diagram
     record = []
-    try:
-        for j in range(j_left, j_right - 1):
-            rw = Rewrite("commute", j)
-            d = apply_rewrite(d, rw)
-            record.append(Move("isotopy", rewrite=rw))
-    except InapplicableRewrite:
-        return None
+    for j in range(j_left, j_right - 1):
+        rw = Rewrite("commute", j)
+        d = apply_rewrite(d, rw)
+        record.append(Move("isotopy", rewrite=rw))
     # the eye's first segment is its left cusp's top strand
     orient = "+" if diagram.directions[j_left][0] == 1 else "-"
     # the right cusp stays in place, so the pair meets at its level
     record.append(Move("birth", j_right - 1, events[j_right].level, orient))
-    # death shifts the events in between exactly as the commutes did
-    return death(diagram, component), record
+    # the adjacent pair goes as ``death`` would take it
+    return d._edited(j_right - 1, j_right + 1, (), ()), record
 
 
 # -- filling search --------------------------------------------------------
-
-def _ruling_obstructed(diagram):
-    """True if some component alone admits no normal ruling."""
-    if diagram.n_components == 1:
-        return count_rulings(diagram) == 0
-    for c in range(diagram.n_components):
-        if count_rulings(diagram.component_subdiagram(c)) == 0:
-            return True
-    return False
-
 
 def _downward_cleanup(diagram):
     """Reduce, then kill every eye that can be made adjacent; repeat.
@@ -561,13 +560,59 @@ def _downward_cleanup(diagram):
             return d, record
 
 
+def _slid_level(level, code):
+    """The level of a ")(" pair at ``level`` slid right past one event.
+
+    The slide is two commutes: the left cusp past the event ``code``,
+    then the right cusp past what that became.  Returns None unless both
+    commute and give the event back (the two cusps then meet at one
+    level again).  So the pair stays put beside a right cusp two levels
+    below it, the (L p, R p+2) form ``_commute_pair`` refuses, and
+    beside a left cusp at its own level, which the commutes move.
+    """
+    # the codes of L(level) and R(level)
+    first = _SWAPS[3 * level, code]
+    if first is None:
+        return None
+    event, left = first
+    second = _SWAPS[3 * level + 1, event]
+    if second is None or second[0] != code:
+        return None
+    return left // 3
+
+
+def _run_predecessor(diagram, j, i):
+    """The level i' at gap j - 1 of the pinch site (j, i) it repeats, or None.
+
+    Site (j, i) repeats (j - 1, i') when its top segment lies at level
+    i' at gap j - 1 and two commutes slide the ")(" of
+    ``pinch(diagram, j - 1, i')`` past event j - 1 into the word of
+    ``pinch(diagram, j, i)``: one front, so both searches pinch only
+    where a run of adjacency starts.  Such a slide passes an event that
+    touches neither strand of the pair, so the same two segments are
+    adjacent at both gaps.  Runs split by other strands stay apart,
+    since only neighbouring gaps are compared.
+    """
+    if j == 0:
+        return None
+    top = diagram.segments_at_gap(j)[i - 1]
+    before = diagram.segments_at_gap(j - 1)
+    if top not in before:
+        return None
+    level = before.index(top) + 1
+    (code,) = _codes(diagram.events[j - 1:j])
+    return level if _slid_level(level, code) == i else None
+
+
 def _pinch_sites(diagram):
-    """Every (index, level) where an orientable pinch applies."""
+    """Every (index, level) where an orientable pinch applies and does
+    not repeat the site before it (``_run_predecessor``)."""
     seg_dir = diagram.segment_direction
     for j in range(len(diagram.events) + 1):
         gap = diagram.segments_at_gap(j)
         for i in range(1, len(gap)):
-            if seg_dir[gap[i - 1]] != seg_dir[gap[i]]:
+            if (seg_dir[gap[i - 1]] != seg_dir[gap[i]]
+                    and _run_predecessor(diagram, j, i) is None):
                 yield j, i
 
 
@@ -640,8 +685,8 @@ def search_decomposable_filling(diagram, max_pinches=3, isotopy_budget=0):
     proven minimum for the knot.
     """
     # (events, directions) of a reached diagram -> its cleanup, (cleaned
-    # diagram, downward record), or None when the cleaned diagram is
-    # ruling-obstructed; so each distinct diagram is cleaned once.
+    # diagram, downward record), or None when the cleaned diagram has no
+    # normal ruling; so each distinct diagram is cleaned once.
     cleaned = {}
 
     def settle(d):
@@ -649,7 +694,9 @@ def search_decomposable_filling(diagram, max_pinches=3, isotopy_budget=0):
         hit = cleaned.get(state, _UNSEEN)
         if hit is _UNSEEN:
             c, record = _downward_cleanup(d)
-            obstructed = bool(c.events) and _ruling_obstructed(c)
+            # a filling gives the link, not each component, a normal
+            # ruling (Ekholm-Honda-Kalman 2016; Fuchs 2003; Sabloff 2005)
+            obstructed = count_rulings(c) == 0
             hit = cleaned[state] = None if obstructed else (c, tuple(record))
         return hit
 
@@ -678,7 +725,8 @@ def ruling_fillability(diagram, switches, max_pinches=None):
     """Certify a normal ruling fillable by paired pinches, if possible.
 
     Pinch sites are restricted to adjacent strand pairs that the
-    (descended) ruling pairs with each other; success is reaching a
+    (descended) ruling pairs with each other, at the first gap of each
+    run (a pairing persists along a run); success is reaching a
     diagram each of whose components is a max-tb unknot (components may
     stay linked in the front, as they do for the trefoil: its tb rules
     out any filling by honestly split unknots).  Returns a trace whose
@@ -695,7 +743,8 @@ def ruling_fillability(diagram, switches, max_pinches=None):
             return
         for j, pairing in enumerate(ruling_pairings(d, sw)):
             for i in range(1, len(pairing)):
-                if pairing[i - 1] != i:
+                if (pairing[i - 1] != i
+                        or _run_predecessor(d, j, i) is not None):
                     continue
                 try:
                     d2 = pinch(d, j, i)

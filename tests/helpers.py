@@ -1,6 +1,16 @@
 """Shared generators for the test suite."""
 
-from frontcalc.diagrams import Event, FrontDiagram, L, R, X, DiagramError
+from pathlib import Path
+
+from frontcalc.diagrams import (Event, FrontDiagram, L, R, X, DiagramError,
+                                from_text)
+
+FRONTS = Path(__file__).parent / "fronts"
+
+
+def front_fixture(name):
+    """The diagram stored in ``tests/fronts/<name>.front``."""
+    return from_text((FRONTS / f"{name}.front").read_text(encoding="utf-8"))
 
 
 def random_word(rng, max_width=6, max_events=24):

@@ -346,7 +346,40 @@ def test_ruling_search_expands_a_state_once_per_round(monkeypatch):
         return pairings(diagram, switches)
 
     monkeypatch.setattr(cobordism, "ruling_pairings", noting_pairings)
-    assert ruling_fillability(d, (2, 5, 18, 21), max_pinches=3) is None
-    assert len(rounds) == 1 + 3
+    max_pinches = 4
+    assert ruling_fillability(d, (2, 5, 18, 21), max_pinches) is None
+    assert len(rounds) == 1 + max_pinches
     assert len(expanded) > 100
     assert set(expanded.values()) == {1}
+
+
+def test_filling_search_prunes_on_the_links_rulings():
+    # One component alone has no normal ruling, but the link has 9; the
+    # search may prune only a state whose link has none.
+    from helpers import front_fixture
+    from frontcalc.rulings import count_rulings
+    d = front_fixture("unruled_component")
+    assert (d.tb, d.n_components, count_rulings(d)) == (4, 2, 9)
+    assert count_rulings(d.component_subdiagram(1)) == 0
+    trace = search_decomposable_filling(d, max_pinches=5)
+    assert trace is not None and check_trace(trace)
+    assert trace.chi == -d.tb == -4
+
+
+def test_long_shuffle_search_ends_after_few_cleanups(monkeypatch):
+    # A 200-step trefoil shuffle (110 events) whose cleaned word has 106
+    # orientable pinch sites in 35 runs; pinching each site of a run
+    # takes the search past 100,000 cleanups.
+    from helpers import front_fixture
+    from frontcalc import cobordism
+    cleanup, cleanups = cobordism._downward_cleanup, []
+
+    def counting_cleanup(diagram):
+        cleanups.append(None)
+        return cleanup(diagram)
+
+    monkeypatch.setattr(cobordism, "_downward_cleanup", counting_cleanup)
+    d = front_fixture("trefoil_shuffle_hang")
+    assert len(d.events) == 110
+    assert search_decomposable_filling(d) is None
+    assert len(cleanups) < 10_000

@@ -6,7 +6,9 @@ the reductions built on them.  Every trace the search returns must replay,
 start from the empty diagram, have chi = -tb(top) (Chantraine 2010), and
 survive the trace text format.  A front with no normal ruling has no
 filling (a filling gives an augmentation, which gives a ruling), so the
-search must come back empty on one.
+search must come back empty on one.  The search pinches once per run of
+two adjacent segments: every pinch site it skips must be two commutes
+from the site before it.
 """
 
 import random
@@ -16,15 +18,18 @@ from hypothesis import assume, given, settings, strategies as st
 
 from frontcalc import catalog
 from frontcalc.cobordism import (_COMMUTE_DEPTH, _WINDOW, _WINDOWS,
-                                 CobordismTrace, _contraction_at, _event,
-                                 _find_reducing_commutes, _kill_eye, birth,
-                                 check_trace, reduce_diagram,
-                                 search_decomposable_filling, trace_from_text,
-                                 trace_to_text)
-from frontcalc.diagrams import FrontDiagram
-from frontcalc.moves import _commute_pair, apply_rewrite, random_shuffle
+                                 CobordismTrace, _codes, _contraction_at,
+                                 _downward_cleanup, _event,
+                                 _find_reducing_commutes, _kill_eye,
+                                 _pinch_sites, _run_predecessor, _slid_level,
+                                 birth, check_trace, pinch,
+                                 reduce_diagram, search_decomposable_filling,
+                                 trace_from_text, trace_to_text)
+from frontcalc.diagrams import FrontDiagram, L, R, X
+from frontcalc.moves import (Rewrite, _commute_pair, apply_rewrite,
+                             random_shuffle)
 
-from helpers import random_word
+from helpers import front_fixture, random_word
 from oracles import (reference_enumerate_rulings,
                      reference_find_reducing_commutes,
                      reference_reduce_diagram)
@@ -109,6 +114,64 @@ def test_killed_eyes_replay_from_a_birth(name, steps, seed):
         if killed is not None:
             result, record = killed
             assert check_trace(CobordismTrace(result, record[::-1], d))
+
+
+def orientable_sites(d):
+    seg_dir = d.segment_direction
+    return [(j, i) for j in range(len(d.events) + 1)
+            for i in range(1, d.strand_counts[j])
+            if seg_dir[d.segments_at_gap(j)[i - 1]]
+            != seg_dir[d.segments_at_gap(j)[i]]]
+
+
+@settings(PROPERTY, max_examples=200)
+@given(SEEDS)
+def test_a_skipped_pinch_site_is_a_slide_of_the_one_before(seed):
+    d = oriented_diagram(random.Random(seed), max_width=8)
+    heads = []
+    for j, i in orientable_sites(d):
+        before = _run_predecessor(d, j, i)
+        if before is None:
+            heads.append((j, i))
+            continue
+        # the same two segments, one gap earlier
+        assert (d.segments_at_gap(j - 1)[before - 1:before + 1]
+                == d.segments_at_gap(j)[i - 1:i + 1])
+        slid = pinch(d, j - 1, before)
+        for k in (j, j - 1):
+            slid = apply_rewrite(slid, Rewrite("commute", k))
+        assert slid == pinch(d, j, i)
+    assert list(_pinch_sites(d)) == heads
+
+
+def test_slides_keep_the_two_cusp_cases_apart():
+    def slid(level, event):
+        return _slid_level(level, *_codes([event]))
+
+    assert slid(1, X(3)) == 1
+    assert slid(2, L(1)) == 4
+    assert slid(3, R(1)) == 1
+    assert slid(1, R(4)) == 1
+    # a crossing on the pair's lower strand
+    assert slid(1, X(2)) is None
+    # (L p, R p+2), which _commute_pair refuses to swap
+    assert slid(1, R(3)) is None
+    # a left cusp at the pair's own level commutes to another word
+    assert slid(2, L(2)) is None
+
+
+def test_pinch_site_counts():
+    hang, _record = _downward_cleanup(front_fixture("trefoil_shuffle_hang"))
+    cases = {"trefoil_shuffle_hang cleaned": hang,
+             **{name: catalog.get(name).diagram
+                for name in ("trefoil", "m9_46", "budget_demo")}}
+    counts = {name: (len(d.events), len(orientable_sites(d)),
+                     len(list(_pinch_sites(d))))
+              for name, d in cases.items()}
+    assert counts == {"trefoil_shuffle_hang cleaned": (23, 106, 35),
+                      "trefoil": (7, 10, 8),
+                      "m9_46": (16, 43, 23),
+                      "budget_demo": (16, 37, 18)}
 
 
 def assert_search_result_holds(d):
