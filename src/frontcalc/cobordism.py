@@ -41,8 +41,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import moves as _moves
-from .diagrams import (CROSSING, LEFT_CUSP, RIGHT_CUSP, DiagramError, Event,
-                       FrontDiagram, L, R, connected_components, from_lines)
+from .diagrams import (CROSSING, LEFT_CUSP, RIGHT_CUSP, DiagramError,
+                       FrontDiagram, L, R, connected_components, event,
+                       from_lines)
 from .moves import Rewrite, apply_rewrite, inverse
 from .rulings import count_rulings, ruling_pairings
 
@@ -174,7 +175,7 @@ def death(diagram, component):
             else:
                 raise NotIsolatedUnknot(component,
                                         f"event {idx} touches the eye")
-        window.append(Event(ev.kind, new_l))
+        window.append(event(ev.kind, new_l))
     # the events in between keep their strands, only their levels move
     return diagram._edited(j_left, j_right + 1, window,
                            diagram.directions[j_left + 1:j_right])
@@ -365,7 +366,7 @@ def _codes(events):
 
 
 def _event(code):
-    return Event(_KINDS[code % 3], code // 3)
+    return event(_KINDS[code % 3], code // 3)
 
 
 def _commuted_codes(pair):
@@ -773,8 +774,8 @@ class SurgeryPresentation:
         for index, level in self.arcs:
             events = self.base.events
             if not (0 <= index < len(events) - 1
-                    and events[index] == Event(RIGHT_CUSP, level)
-                    and events[index + 1] == Event(LEFT_CUSP, level)):
+                    and events[index] == R(level)
+                    and events[index + 1] == L(level)):
                 raise ArcSiteInvalid(f"no \")(\" pair at {index}@{level}")
 
 

@@ -24,12 +24,20 @@ rightward.
 ``FrontDiagram(events, orientations)`` is the validating constructor, for
 input from outside the package (text files, the catalog, the CLI): it takes
 one orientation symbol per component, all '+' by default.
+
+Events are interned: every event the package builds comes from
+``event(kind, level)`` (or ``L``, ``R``, ``X``, ``Event.parse``), a
+bounded cache of validated events, so a rewrite reuses the events it
+writes instead of building and checking new ones.  ``Event(kind, level)``
+still builds a fresh, equal event; the cache holds at most
+``_INTERNED_MAX`` events, so text with many distinct levels cannot grow
+it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 LEFT_CUSP = "L"
 RIGHT_CUSP = "R"
@@ -81,19 +89,34 @@ class Event:
         kind, level = token[:1], token[1:]
         if kind not in _KINDS or not level.isdigit():
             raise DiagramError(f"bad event token {token!r}")
-        return Event(kind, int(level))
+        return event(kind, int(level))
+
+
+# Far above the levels of any word the package handles (3 kinds times
+# about 1,300 levels), and small enough that filling it costs little.
+_INTERNED_MAX = 1 << 12
+
+
+@lru_cache(maxsize=_INTERNED_MAX)
+def event(kind, level):
+    """The event ``Event(kind, level)``, one shared object while cached.
+
+    Raises DiagramError on a bad kind or level, as ``Event`` does; a
+    rejected pair is never cached.
+    """
+    return Event(kind, level)
 
 
 def L(level):
-    return Event(LEFT_CUSP, level)
+    return event(LEFT_CUSP, level)
 
 
 def R(level):
-    return Event(RIGHT_CUSP, level)
+    return event(RIGHT_CUSP, level)
 
 
 def X(level):
-    return Event(CROSSING, level)
+    return event(CROSSING, level)
 
 
 def strand_counts(events):
@@ -493,14 +516,14 @@ class FrontDiagram:
                 if comp[segs[0]] != c:
                     continue
                 above = sum(1 for s in gap[:ev.level - 1] if comp[s] != c)
-                events.append(Event(ev.kind, ev.level - above))
+                events.append(event(ev.kind, ev.level - above))
             else:
                 a = gap[ev.level - 1]
                 b = gap[ev.level]
                 if comp[a] != c or comp[b] != c:
                     continue
                 above = sum(1 for s in gap[:ev.level - 1] if comp[s] != c)
-                events.append(Event(ev.kind, ev.level - above))
+                events.append(event(ev.kind, ev.level - above))
         return FrontDiagram(events, (self.orientations[c],))
 
 

@@ -14,6 +14,16 @@ Every rewrite preserves tb, rot, component count and ruling count; each
 has an inverse in the set.  Tangencies of two plain strands are never
 generated (they are not Legendrian isotopies), which is why crossing pairs
 only appear and disappear next to cusps.
+
+One kernel, ``_rewritten(diagram, kind, index, level, variant)``, matches
+a rewrite's pattern at its site and splices the new window into the
+word, or returns None on a miss; it is the only place a rewrite is
+matched and applied.  ``apply_rewrite`` wraps it for callers that name a
+``Rewrite`` and want a refusal explained: it raises InapplicableRewrite
+with the reason.  ``random_shuffle`` calls the kernel directly, so a
+missed draw costs neither a ``Rewrite`` nor an exception.  A hit still
+copies the parent's word and direction tuples (``FrontDiagram._edited``),
+so its cost grows with the length of the word.
 """
 
 from __future__ import annotations
@@ -21,8 +31,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .diagrams import (CROSSING, LEFT_CUSP, RIGHT_CUSP, DiagramError, Event,
-                       L, R, X)
+from .diagrams import (CROSSING, LEFT_CUSP, RIGHT_CUSP, DiagramError, L, R, X,
+                       event)
 
 
 class InapplicableRewrite(DiagramError):
@@ -50,13 +60,30 @@ class Rewrite:
 KINDS = ("commute", "r1_insert", "r1_remove", "r2_push", "r2_pull",
          "r3_triple")
 
+# The variants each kind accepts, and why it is refused at a site in
+# range with an accepted variant.
+_VARIANTS = {"commute": ("",), "r1_insert": ("below", "above"),
+             "r1_remove": ("",), "r2_push": ("down", "up"),
+             "r2_pull": ("",), "r3_triple": ("",)}
+_MISSES = {"commute": "events interact", "r1_insert": "no strand at site",
+           "r1_remove": "no fish pattern", "r2_push": "cusp cannot pass",
+           "r2_pull": "no pushed-cusp pattern",
+           "r3_triple": "no triple pattern"}
+
 
 # -- local pattern machinery ----------------------------------------------
 
+def _fish_word(level, variant):
+    """The fish gadget on a strand at ``level``, ``below`` or ``above`` it."""
+    i = level
+    if variant == "below":
+        return [L(i + 1), X(i), R(i + 1)]
+    return [L(i), X(i + 1), R(i)]
+
+
 def _fish_words(level):
     """The two fish gadgets on a strand at ``level``: (below, above)."""
-    i = level
-    return ([L(i + 1), X(i), R(i + 1)], [L(i), X(i + 1), R(i)])
+    return (_fish_word(level, "below"), _fish_word(level, "above"))
 
 
 def _match_fish(events, j):
@@ -161,7 +188,7 @@ def _commute_pair(a, b):
         na = la + 2
     elif above and b.kind == RIGHT_CUSP:
         na = la - 2
-    return (Event(b.kind, nb), Event(a.kind, na))
+    return (event(b.kind, nb), event(a.kind, na))
 
 
 # -- public operations -----------------------------------------------------
@@ -187,57 +214,81 @@ def _push_directions(diagram, j, variant):
     return ((-t, s), (t, s), (t, -t))
 
 
+def _rewritten(diagram, kind, j, level, variant):
+    """``diagram`` with the rewrite (kind, j, level, variant) applied, or
+    None when the rewrite does not match there.
+
+    Orientations are preserved, and only the rewrite's window of the word
+    is rebuilt.  A variant the kind does not take is a miss.
+    """
+    events = diagram.events
+    n = len(events)
+    if not 0 <= j <= n or variant not in _VARIANTS.get(kind, ()):
+        return None
+    if kind == "commute":
+        if j >= n - 1:
+            return None
+        pair = _commute_pair(events[j], events[j + 1])
+        if pair is None:
+            return None
+        dirs = diagram.directions
+        return diagram._edited(j, j + 2, pair, (dirs[j + 1], dirs[j]))
+    if kind == "r1_insert":
+        if not 1 <= level <= diagram.strand_counts[j]:
+            return None
+        d = diagram.direction_at(j, level)
+        if variant == "below":
+            dirs = ((d, -d), (d, d), (d, -d))
+        else:
+            dirs = ((-d, d), (d, d), (-d, d))
+        return diagram._edited(j, j, _fish_word(level, variant), dirs)
+    if kind == "r1_remove":
+        if _match_fish(events, j) is None:
+            return None
+        return diagram._edited(j, j + 3, (), ())
+    if kind == "r2_push":
+        rep = _push_replacement(events, diagram.strand_counts, j, variant)
+        if rep is None:
+            return None
+        return diagram._edited(j, j + 1, rep,
+                               _push_directions(diagram, j, variant))
+    if kind == "r2_pull":
+        rep = _match_pull(events, j)
+        if rep is None:
+            return None
+        # the surviving cusp keeps its two strands
+        cusp = j if events[j].kind == LEFT_CUSP else j + 2
+        return diagram._edited(j, j + 3, rep, (diagram.directions[cusp],))
+    rep = _match_r3(events, j)   # kind is "r3_triple"
+    if rep is None:
+        return None
+    # the three strands cross pairwise in the opposite order
+    return diagram._edited(j, j + 3, rep, diagram.directions[j:j + 3][::-1])
+
+
+def _miss_reason(diagram, rw):
+    """Why ``_rewritten`` refuses ``rw`` on ``diagram``."""
+    n = len(diagram.events)
+    if not 0 <= rw.index <= n or (rw.kind == "commute" and rw.index >= n - 1):
+        return "index out of range"
+    if rw.kind not in _VARIANTS:
+        return f"unknown kind {rw.kind}"
+    if rw.variant not in _VARIANTS[rw.kind]:
+        return f"unknown variant {rw.variant!r} for {rw.kind}"
+    return _MISSES[rw.kind]
+
+
 def apply_rewrite(diagram, rw):
     """Apply a rewrite, preserving component orientations.
 
     Only the rewrite's window of the word is touched.  Raises
-    InapplicableRewrite when the local pattern does not match.
+    InapplicableRewrite when the local pattern does not match, or the
+    rewrite names an unknown kind or variant.
     """
-    events = diagram.events
-    dirs = diagram.directions
-    counts = diagram.strand_counts
-    j = rw.index
-    if not 0 <= j <= len(events):
-        raise InapplicableRewrite(rw, "index out of range")
-    if rw.kind == "commute":
-        if j >= len(events) - 1:
-            raise InapplicableRewrite(rw, "index out of range")
-        pair = _commute_pair(events[j], events[j + 1])
-        if pair is None:
-            raise InapplicableRewrite(rw, "events interact")
-        return diagram._edited(j, j + 2, pair, (dirs[j + 1], dirs[j]))
-    if rw.kind == "r1_insert":
-        if not 1 <= rw.level <= counts[j]:
-            raise InapplicableRewrite(rw, "no strand at site")
-        d = diagram.direction_at(j, rw.level)
-        below, above = _fish_words(rw.level)
-        if rw.variant == "below":
-            return diagram._edited(j, j, below, ((d, -d), (d, d), (d, -d)))
-        return diagram._edited(j, j, above, ((-d, d), (d, d), (-d, d)))
-    if rw.kind == "r1_remove":
-        if _match_fish(events, j) is None:
-            raise InapplicableRewrite(rw, "no fish pattern")
-        return diagram._edited(j, j + 3, (), ())
-    if rw.kind == "r2_push":
-        rep = _push_replacement(events, counts, j, rw.variant)
-        if rep is None:
-            raise InapplicableRewrite(rw, "cusp cannot pass")
-        return diagram._edited(j, j + 1, rep,
-                               _push_directions(diagram, j, rw.variant))
-    if rw.kind == "r2_pull":
-        rep = _match_pull(events, j)
-        if rep is None:
-            raise InapplicableRewrite(rw, "no pushed-cusp pattern")
-        # the surviving cusp keeps its two strands
-        cusp = j if events[j].kind == LEFT_CUSP else j + 2
-        return diagram._edited(j, j + 3, rep, (dirs[cusp],))
-    if rw.kind == "r3_triple":
-        rep = _match_r3(events, j)
-        if rep is None:
-            raise InapplicableRewrite(rw, "no triple pattern")
-        # the three strands cross pairwise in the opposite order
-        return diagram._edited(j, j + 3, rep, dirs[j:j + 3][::-1])
-    raise InapplicableRewrite(rw, f"unknown kind {rw.kind}")
+    new = _rewritten(diagram, rw.kind, rw.index, rw.level, rw.variant)
+    if new is None:
+        raise InapplicableRewrite(rw, _miss_reason(diagram, rw))
+    return new
 
 
 def inverse(diagram, rw):
@@ -296,30 +347,28 @@ def random_shuffle(diagram, steps, seed):
     input by construction.
     """
     rng = random.Random(seed)
+    choice, randint = rng.choice, rng.randint
     d = diagram
     for _ in range(steps):
         n = len(d.events)
-        kind = rng.choice(KINDS)
+        kind = choice(KINDS)
+        level, variant = 0, ""
         if kind == "r1_insert":
-            j = rng.randint(0, n)
+            j = randint(0, n)
             m = d.strand_counts[j]
             if m == 0:
                 continue
-            rw = Rewrite(kind, j, rng.randint(1, m),
-                         rng.choice(("below", "above")))
-        elif kind == "r2_push":
-            if n == 0:
-                continue
-            rw = Rewrite(kind, rng.randint(0, n - 1),
-                         variant=rng.choice(("down", "up")))
-        else:
-            if n == 0:
-                continue
-            rw = Rewrite(kind, rng.randint(0, n - 1))
-        try:
-            d = apply_rewrite(d, rw)
-        except InapplicableRewrite:
+            level = randint(1, m)
+            variant = choice(("below", "above"))
+        elif n == 0:
             continue
+        else:
+            j = randint(0, n - 1)
+            if kind == "r2_push":
+                variant = choice(("down", "up"))
+        new = _rewritten(d, kind, j, level, variant)
+        if new is not None:
+            d = new
     return d
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 from .diagrams import (CROSSING, LEFT_CUSP, RIGHT_CUSP, DiagramError, Event,
                        FrontDiagram, L, LevelOutOfBounds, NonzeroFinalStrands,
-                       R, X, _Scan, connected_components)
+                       R, X, _Scan, connected_components, event)
 
 
 class PatternError(DiagramError):
@@ -204,7 +204,7 @@ def satellite(companion, pattern):
     # the lower block, which runs the other way
     upper_rightward = companion.directions[first_cusp][0] == 1
     row = a if upper_rightward else a + k
-    spliced = [Event(ev.kind, ev.level + row - 1) for ev in pattern.events]
+    spliced = [event(ev.kind, ev.level + row - 1) for ev in pattern.events]
     events[splice_at:splice_at] = spliced
     origins[splice_at:splice_at] = [None] * len(spliced)
     d = _inherit_orientations(companion, events, origins)

@@ -364,6 +364,39 @@ def test_check_trace_names_the_failing_move_and_its_word(capsys, tmp_path):
             "bad orientation symbol 'x'") in out
 
 
+def test_check_trace_details_a_refused_rewrite(capsys, tmp_path):
+    path = tmp_path / "bad.trace"
+    path.write_text("trace v1\nbottom: L1 R1\norient: +\n"
+                    "isotopy r2_push 0 0 down\n"
+                    "top: L1 R1\norient: +\n", encoding="utf-8")
+    code, out, _ = run(capsys, "check-trace", str(path))
+    assert code == 1
+    assert ("detail: move 0 (isotopy r2_push 0 0 down) failed on L1 R1: "
+            "rewrite r2_push:0:down does not apply: cusp cannot pass") in out
+
+
+# the tops are what an unchecked variant used to give (the first two
+# traces passed with "ok: true")
+@pytest.mark.parametrize("bottom, line, top, orient", [
+    ("L1 R1", "isotopy r1_insert 1 1 sideways", "L1 L1 X2 R1 R1", "+"),
+    ("L1 L1 R3 R1", "isotopy commute 0 0 up", "L1 L3 R3 R1", "+ +"),
+    ("L1 L1 X2 R1 R1", "isotopy r2_push 1 0 sideways", "L1 L1 X2 R1 R1",
+     "+"),
+], ids=["r1_insert", "commute", "r2_push"])
+def test_check_trace_rejects_unknown_variants(capsys, tmp_path, bottom,
+                                              line, top, orient):
+    path = tmp_path / "variant.trace"
+    path.write_text(f"trace v1\nbottom: {bottom}\norient: {orient}\n"
+                    f"{line}\ntop: {top}\norient: {orient}\n",
+                    encoding="utf-8")
+    code, out, _ = run(capsys, "check-trace", str(path))
+    assert code == 1
+    kind, _, _, variant = line.split()[1:]
+    assert (f"detail: move 0 ({line}) failed on {bottom}: rewrite "
+            f"{kind}:") in out
+    assert f"does not apply: unknown variant '{variant}' for {kind}" in out
+
+
 def test_search_filling_lines_end_without_blanks(capsys):
     code, out, _ = run(capsys, "search-filling", "--budget", "2",
                        "catalog:m9_46")

@@ -5,7 +5,7 @@ import pytest
 from frontcalc.diagrams import (
     Event, FrontDiagram, L, R, X, DiagramError, LevelOutOfBounds,
     NonzeroFinalStrands, OrientationMissing, classical_invariants,
-    components, from_text, strand_counts, to_text, validate,
+    components, event, from_text, strand_counts, to_text, validate,
 )
 
 from helpers import random_diagram, random_word
@@ -25,6 +25,39 @@ def test_event_parsing_roundtrip():
         Event.parse("X")
     with pytest.raises(DiagramError):
         Event("L", 0)
+
+
+def test_events_are_interned():
+    assert L(3) is L(3)
+    assert Event.parse("X2") is X(2)
+    assert event("R", 4) is R(4)
+    for kind in "LRX":
+        for level in (1, 2, 7):
+            shared, fresh = event(kind, level), Event(kind, level)
+            assert shared is not fresh
+            assert shared == fresh and hash(shared) == hash(fresh)
+            assert str(shared) == str(fresh) and not shared < fresh
+
+
+def test_interning_keeps_validation():
+    for token in ("Q1", "L0", "Lx", "R", "X-1"):
+        with pytest.raises(DiagramError):
+            Event.parse(token)
+    for bad in (lambda: L(0), lambda: X(-2), lambda: event("Q", 1)):
+        with pytest.raises(DiagramError):
+            bad()
+    # a refused pair is not cached: it raises again
+    with pytest.raises(DiagramError):
+        L(0)
+
+
+def test_interning_cache_is_bounded():
+    limit = event.cache_info().maxsize
+    assert limit is not None
+    for level in range(10 ** 6, 10 ** 6 + limit + 500):
+        assert Event.parse(f"X{level}").level == level
+    assert event.cache_info().currsize <= limit
+    assert L(1) is L(1)
 
 
 def test_strand_counts():

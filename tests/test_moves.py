@@ -65,6 +65,45 @@ def test_inapplicable_sites_raise():
             apply_rewrite(UNKNOT, rw)
 
 
+@pytest.mark.parametrize("diagram, rw, reason", [
+    (TREFOIL, Rewrite("commute", 2), "events interact"),
+    (UNKNOT, Rewrite("commute", 1), "index out of range"),
+    (UNKNOT, Rewrite("r1_insert", 0, 1, "below"), "no strand at site"),
+    (UNKNOT, Rewrite("r1_insert", 1, 3, "above"), "no strand at site"),
+    (UNKNOT, Rewrite("r1_remove", 0), "no fish pattern"),
+    (UNKNOT, Rewrite("r2_push", 0, variant="down"), "cusp cannot pass"),
+    (UNKNOT, Rewrite("r2_pull", 0), "no pushed-cusp pattern"),
+    (TREFOIL, Rewrite("r3_triple", 2), "no triple pattern"),
+    (UNKNOT, Rewrite("r1_remove", 3), "index out of range"),
+    (UNKNOT, Rewrite("r3_triple", -1), "index out of range"),
+    (UNKNOT, Rewrite("nonsense", 0), "unknown kind nonsense"),
+    (UNKNOT, Rewrite("nonsense", 9), "index out of range"),
+], ids=lambda v: str(v) if isinstance(v, Rewrite) else None)
+def test_inapplicable_reasons(diagram, rw, reason):
+    with pytest.raises(InapplicableRewrite) as exc:
+        apply_rewrite(diagram, rw)
+    assert exc.value.rewrite is rw
+    assert str(exc.value) == f"rewrite {rw} does not apply: {reason}"
+
+
+def test_unknown_variants_are_refused():
+    # one matching site of every kind, found on random words
+    rng = random.Random(13)
+    sites = {}
+    while len(sites) < 6:
+        d = random_diagram(rng)
+        for rw in applicable_rewrites(d):
+            sites.setdefault(rw.kind, (d, rw))
+    for kind, (d, rw) in sites.items():
+        apply_rewrite(d, rw)
+        for bad in ("sideways", "" if rw.variant else "up"):
+            wrong = Rewrite(kind, rw.index, rw.level, bad)
+            with pytest.raises(InapplicableRewrite) as exc:
+                apply_rewrite(d, wrong)
+            assert str(exc.value) == (f"rewrite {wrong} does not apply: "
+                                      f"unknown variant {bad!r} for {kind}")
+
+
 def test_every_applicable_rewrite_preserves_invariants():
     rng = random.Random(12)
     for _ in range(40):

@@ -108,3 +108,17 @@ def test_shuffle_matches_reference(name):
     for seed in range(5):
         assert (to_text(random_shuffle(d, 500, seed))
                 == to_text(reference_shuffle(d, 500, seed)))
+
+
+@pytest.mark.parametrize("steps, words", [(500, 3), (2000, 1)])
+def test_shuffle_matches_reference_on_random_links(steps, words):
+    rng = random.Random(steps)
+    for seed in range(words):
+        d = oriented_diagram(rng)
+        while d.n_components < 2:
+            d = oriented_diagram(rng)
+        got = random_shuffle(d, steps, seed)
+        want = reference_shuffle(d, steps, seed)
+        assert got.events == want.events
+        assert got.directions == want.directions
+        assert got.strand_counts == want.strand_counts
