@@ -26,10 +26,10 @@ pinch count, which reverses the downward moves into a trace in one
 place and keeps one failure table for the whole call: the most pinches
 left with which each state failed, so no state is expanded twice with
 as few.  The reduction's one breadth-first hunt for commutes runs on
-words coded as tuples of small ints and stops at the first contraction
-next to its last commute.  The same hunt fills a table of short
-windows, which answers every word it would find nothing on, so the
-whole-word hunt runs only where it hits.  The rule tables fill
+event words, which are tuples of int codes, and stops at the first
+contraction next to its last commute.  The same hunt fills a table of
+short windows, which answers every word it would find nothing on, so
+the whole-word hunt runs only where it hits.  The rule tables fill
 themselves on first lookup.  An eye whose cusps commute together dies
 where it stands, with those commutes recorded; one filling search
 memoizes the cleanup of every diagram it meets, so each distinct
@@ -41,10 +41,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import moves as _moves
-from .diagrams import (CROSSING, LEFT_CUSP, RIGHT_CUSP, DiagramError,
-                       FrontDiagram, L, R, connected_components, event,
-                       from_lines)
-from .moves import Rewrite, apply_rewrite, inverse
+from .diagrams import (LEFT_CUSP, RIGHT_CUSP, DiagramError, FrontDiagram, L,
+                       R, connected_components, event, from_lines)
+from .moves import _SWAPS, Rewrite, _Table, apply_rewrite, inverse
 from .rulings import count_rulings, ruling_pairings
 
 
@@ -339,52 +338,18 @@ def _contraction_at(events, j):
     return None
 
 
-class _Table(dict):
-    """A dict that fills a missing entry from ``fill(key)`` on first read."""
-
-    def __init__(self, fill):
-        super().__init__()
-        self.fill = fill
-
-    def __missing__(self, key):
-        value = self[key] = self.fill(key)
-        return value
-
-
-# The reduction works on words of small ints: an event's code is
-# 3 * level plus the index of its kind in _KINDS.  The tables below are
-# filled on first lookup from the rules in ``moves``: the commute of a
-# code pair (the swapped pair, or None) and the contraction kind of a
-# code triple ("r1_remove", "r2_pull" or None).  An entry is a function
-# of its key alone, so every caller can share them.
-_KINDS = (LEFT_CUSP, RIGHT_CUSP, CROSSING)
-_KIND_INDEX = {kind: i for i, kind in enumerate(_KINDS)}
-
-
-def _codes(events):
-    return tuple(3 * ev.level + _KIND_INDEX[ev.kind] for ev in events)
-
-
-def _event(code):
-    return event(_KINDS[code % 3], code // 3)
-
-
-def _commuted_codes(pair):
-    events = _moves._commute_pair(*map(_event, pair))
-    return None if events is None else _codes(events)
-
-
 def _contraction_kind(triple):
-    rw = _contraction_at(tuple(map(_event, triple)), 0)
+    rw = _contraction_at(triple, 0)
     return None if rw is None else rw.kind
 
 
-_SWAPS = _Table(_commuted_codes)
+# Event triple -> its contraction kind ("r1_remove", "r2_pull" or None),
+# filled on first lookup like the commute table ``moves._SWAPS``.
 _CONTRACTIONS = _Table(_contraction_kind)
 
 
 def _first_contraction(word):
-    """The leftmost length-reducing rewrite on a coded word, or None."""
+    """The leftmost length-reducing rewrite on an event word, or None."""
     contractions = _CONTRACTIONS
     for j in range(len(word) - 2):
         kind = contractions[word[j:j + 3]]
@@ -404,7 +369,7 @@ _WINDOW = 3 + _COMMUTE_DEPTH
 
 
 def _commute_hit(start):
-    """Breadth-first hunt on a coded word for commutes exposing a contraction.
+    """Breadth-first hunt on a word for commutes exposing a contraction.
 
     Visits every word within _COMMUTE_DEPTH commutes of ``start`` once,
     breadth-first, j ascending within each word, and returns (commute
@@ -438,7 +403,7 @@ def _commute_hit(start):
     return None
 
 
-# A window's code tuple -> whether a word within _COMMUTE_DEPTH commutes
+# A window of events -> whether a word within _COMMUTE_DEPTH commutes
 # inside it holds a contraction anywhere in it.
 _WINDOWS = _Table(lambda window: _first_contraction(window) is not None
                   or _commute_hit(window) is not None)
@@ -451,16 +416,15 @@ def _find_reducing_commutes(events):
     window of _WINDOW events can expose one, this is None at once;
     otherwise ``_commute_search`` runs on the whole word.
     """
-    start = _codes(events)
     windows = _WINDOWS
-    for a in range(max(1, len(start) - _WINDOW + 1)):
-        if windows[start[a:a + _WINDOW]]:
-            return _commute_search(start)
+    for a in range(max(1, len(events) - _WINDOW + 1)):
+        if windows[events[a:a + _WINDOW]]:
+            return _commute_search(events)
     return None
 
 
 def _commute_search(start):
-    """``_commute_hit`` on a whole coded word, as rewrites.
+    """``_commute_hit`` on a whole event word, as rewrites.
 
     Returns (commute rewrites, contraction rewrite) or None.
     """
@@ -482,7 +446,7 @@ def reduce_diagram(diagram, inverses=None):
     applied = []
     d = diagram
     while True:
-        rw = _first_contraction(_codes(d.events))
+        rw = _first_contraction(d.events)
         if rw is not None:
             steps = [rw]
         else:
@@ -503,7 +467,7 @@ def _kill_eye(diagram, component):
 
     Returns (diagram, downward record) or None when ``component`` is not
     such an eye.  The left cusp bubbles rightward past the events in
-    between; their codes are checked first, so an eye that cannot be
+    between; their swaps are looked up first, so an eye that cannot be
     isolated costs no diagram.  The record holds those commutes, each
     its own inverse, and the birth that undoes the death.
     """
@@ -515,11 +479,9 @@ def _kill_eye(diagram, component):
     if (events[j_left].kind != LEFT_CUSP
             or events[j_right].kind != RIGHT_CUSP):
         return None
-    swaps = _SWAPS
-    codes = _codes(events[j_left:j_right])
-    cusp = codes[0]
-    for code in codes[1:]:
-        pair = swaps[cusp, code]
+    cusp = events[j_left]
+    for ev in events[j_left + 1:j_right]:
+        pair = _SWAPS[cusp, ev]
         if pair is None:
             return None
         cusp = pair[1]
@@ -561,25 +523,24 @@ def _downward_cleanup(diagram):
             return d, record
 
 
-def _slid_level(level, code):
+def _slid_level(level, ev):
     """The level of a ")(" pair at ``level`` slid right past one event.
 
-    The slide is two commutes: the left cusp past the event ``code``,
+    The slide is two commutes: the left cusp past the event ``ev``,
     then the right cusp past what that became.  Returns None unless both
     commute and give the event back (the two cusps then meet at one
     level again).  So the pair stays put beside a right cusp two levels
     below it, the (L p, R p+2) form ``_commute_pair`` refuses, and
     beside a left cusp at its own level, which the commutes move.
     """
-    # the codes of L(level) and R(level)
-    first = _SWAPS[3 * level, code]
+    first = _SWAPS[L(level), ev]
     if first is None:
         return None
-    event, left = first
-    second = _SWAPS[3 * level + 1, event]
-    if second is None or second[0] != code:
+    moved, left = first
+    second = _SWAPS[R(level), moved]
+    if second is None or second[0] != ev:
         return None
-    return left // 3
+    return left.level
 
 
 def _run_predecessor(diagram, j, i):
@@ -601,8 +562,7 @@ def _run_predecessor(diagram, j, i):
     if top not in before:
         return None
     level = before.index(top) + 1
-    (code,) = _codes(diagram.events[j - 1:j])
-    return level if _slid_level(level, code) == i else None
+    return level if _slid_level(level, diagram.events[j - 1]) == i else None
 
 
 def _pinch_sites(diagram):

@@ -25,18 +25,22 @@ rightward.
 input from outside the package (text files, the catalog, the CLI): it takes
 one orientation symbol per component, all '+' by default.
 
+An event is an ``int`` whose value is its code, ``3 * level`` plus the
+index of its kind in ``_KINDS``, with ``kind`` and ``level`` as
+attributes: a word is a tuple of small ints, and events order by level,
+then kind.  Only this module does arithmetic on codes: in its loops over
+whole words, where decoding costs less than reading the attributes, and
+in ``kinds_and_levels``, the decoded word the ruling DP reads.
 Events are interned: every event the package builds comes from
 ``event(kind, level)`` (or ``L``, ``R``, ``X``, ``Event.parse``), a
-bounded cache of validated events, so a rewrite reuses the events it
-writes instead of building and checking new ones.  ``Event(kind, level)``
-still builds a fresh, equal event; the cache holds at most
-``_INTERNED_MAX`` events, so text with many distinct levels cannot grow
-it.
+bounded cache of at most ``_INTERNED_MAX`` validated events, so a rewrite
+reuses the events it writes; ``Event.parse`` keeps as many tokens.
+``Event(kind, level)`` still builds a fresh, equal event.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property, lru_cache
 
 LEFT_CUSP = "L"
@@ -44,6 +48,7 @@ RIGHT_CUSP = "R"
 CROSSING = "X"
 
 _KINDS = (LEFT_CUSP, RIGHT_CUSP, CROSSING)
+_LEFT, _RIGHT, _CROSS = range(3)   # kind indices: an event's code % 3
 
 
 class DiagramError(ValueError):
@@ -70,34 +75,52 @@ class OrientationMissing(DiagramError):
             f"orientation symbols")
 
 
-@dataclass(frozen=True, order=True)
-class Event:
-    kind: str
-    level: int
-
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise DiagramError(f"unknown event kind {self.kind!r}")
-        if self.level < 1:
-            raise DiagramError(f"level must be >= 1, got {self.level}")
-
-    def __str__(self):
-        return f"{self.kind}{self.level}"
-
-    @staticmethod
-    def parse(token: str) -> "Event":
-        kind, level = token[:1], token[1:]
-        if kind not in _KINDS or not level.isdigit():
-            raise DiagramError(f"bad event token {token!r}")
-        return event(kind, int(level))
-
-
-# Far above the levels of any word the package handles (3 kinds times
-# about 1,300 levels), and small enough that filling it costs little.
+# Far above the 3 kinds times ~1,300 levels of any word handled; cheap.
 _INTERNED_MAX = 1 << 12
 
 
-@lru_cache(maxsize=_INTERNED_MAX)
+class Event(int):
+    """A cusp or crossing at a 1-based level; its value is its code."""
+
+    def __new__(cls, kind, level):
+        if kind not in _KINDS:
+            raise DiagramError(f"unknown event kind {kind!r}")
+        if type(level) is not int:
+            raise DiagramError(f"level must be an int, got {level!r}")
+        if level < 1:
+            raise DiagramError(f"level must be >= 1, got {level}")
+        self = super().__new__(cls, 3 * level + _KINDS.index(kind))
+        vars(self).update(kind=kind, level=level, _text=f"{kind}{level}")
+        return self
+
+    def __setattr__(self, name, *_value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __getnewargs__(self):
+        return self.kind, self.level
+
+    def __repr__(self):
+        return f"Event(kind={self.kind!r}, level={self.level!r})"
+
+    def __str__(self):
+        return self._text
+
+    @staticmethod
+    @lru_cache(maxsize=_INTERNED_MAX)
+    def parse(token: str) -> "Event":
+        kind, digits = token[:1], token[1:]
+        if kind not in _KINDS or not (digits.isascii() and digits.isdigit()):
+            raise DiagramError(f"bad event token {token!r}")
+        try:
+            level = int(digits)
+        except ValueError:  # more digits than int() converts
+            raise DiagramError(f"bad event token {token!r}") from None
+        return event(kind, level)
+
+
+@lru_cache(maxsize=_INTERNED_MAX, typed=True)
 def event(kind, level):
     """The event ``Event(kind, level)``, one shared object while cached.
 
@@ -147,19 +170,20 @@ class _Scan:
         next_id = strands
         self.gaps.append(tuple(current))
         for idx, ev in enumerate(events):
-            i = ev.level - 1
-            if ev.kind == LEFT_CUSP:
+            i = ev // 3 - 1
+            kind = ev % 3
+            if kind == _LEFT:
                 if not 0 <= i <= len(current):
-                    raise LevelOutOfBounds(idx, ev.level, len(current))
+                    raise LevelOutOfBounds(idx, i + 1, len(current))
                 top, bot = next_id, next_id + 1
                 next_id += 2
                 current[i:i] = [top, bot]
                 self.cusp_pair[idx] = (top, bot)
             else:
                 if not 0 <= i <= len(current) - 2:
-                    raise LevelOutOfBounds(idx, ev.level, len(current))
+                    raise LevelOutOfBounds(idx, i + 1, len(current))
                 a, b = current[i], current[i + 1]
-                if ev.kind == RIGHT_CUSP:
+                if kind == _RIGHT:
                     del current[i:i + 2]
                     self.cusp_pair[idx] = (a, b)
                 else:
@@ -280,10 +304,7 @@ class FrontDiagram:
         m = counts[start]
         window_counts = [m]
         for ev in events:
-            if ev.kind == LEFT_CUSP:
-                m += 2
-            elif ev.kind == RIGHT_CUSP:
-                m -= 2
+            m += (2, -2, 0)[ev % 3]   # strands an L, R or X adds
             window_counts.append(m)
         new = FrontDiagram.__new__(FrontDiagram)
         new.events = self.events[:start] + tuple(events) + self.events[stop:]
@@ -321,6 +342,11 @@ class FrontDiagram:
     @cached_property
     def n_components(self):
         return max(self.component_of_segment, default=-1) + 1
+
+    @cached_property
+    def kinds_and_levels(self):
+        """(kind, level) of every event, decoded once for the ruling DP."""
+        return tuple((_KINDS[ev % 3], ev // 3) for ev in self.events)
 
     @cached_property
     def segment_direction(self):
@@ -382,28 +408,30 @@ class FrontDiagram:
         while True:
             if right < len(events):
                 ev = events[right]
-                if ev.kind == LEFT_CUSP:
-                    if ev.level <= p_right:
+                kind, lv = ev % 3, ev // 3
+                if kind == _LEFT:
+                    if lv <= p_right:
                         p_right += 2
-                elif p_right == ev.level:
+                elif p_right == lv:
                     return dirs[right][0]
-                elif p_right == ev.level + 1:
+                elif p_right == lv + 1:
                     return dirs[right][1]
-                elif ev.kind == RIGHT_CUSP and p_right > ev.level:
+                elif kind == _RIGHT and p_right > lv:
                     p_right -= 2
                 right += 1
             if left >= 0:
                 ev = events[left]
+                kind, lv = ev % 3, ev // 3
                 # after a crossing its two strands have swapped positions
-                swap = ev.kind == CROSSING
-                if ev.kind == RIGHT_CUSP:
-                    if ev.level <= p_left:
+                swap = kind == _CROSS
+                if kind == _RIGHT:
+                    if lv <= p_left:
                         p_left += 2
-                elif p_left == ev.level:
+                elif p_left == lv:
                     return dirs[left][swap]
-                elif p_left == ev.level + 1:
+                elif p_left == lv + 1:
                     return dirs[left][not swap]
-                elif ev.kind == LEFT_CUSP and p_left > ev.level:
+                elif kind == _LEFT and p_left > lv:
                     p_left -= 2
                 left -= 1
 
@@ -512,16 +540,10 @@ class FrontDiagram:
         for idx, ev in enumerate(self.events):
             gap = self._scan.gaps[idx]
             if ev.kind == LEFT_CUSP:
-                segs = self._scan.cusp_pair[idx]
-                if comp[segs[0]] != c:
-                    continue
-                above = sum(1 for s in gap[:ev.level - 1] if comp[s] != c)
-                events.append(event(ev.kind, ev.level - above))
+                mine = comp[self._scan.cusp_pair[idx][0]] == c
             else:
-                a = gap[ev.level - 1]
-                b = gap[ev.level]
-                if comp[a] != c or comp[b] != c:
-                    continue
+                mine = comp[gap[ev.level - 1]] == comp[gap[ev.level]] == c
+            if mine:
                 above = sum(1 for s in gap[:ev.level - 1] if comp[s] != c)
                 events.append(event(ev.kind, ev.level - above))
         return FrontDiagram(events, (self.orientations[c],))

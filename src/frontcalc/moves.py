@@ -191,6 +191,22 @@ def _commute_pair(a, b):
     return (event(b.kind, nb), event(a.kind, na))
 
 
+class _Table(dict):
+    """A dict that fills a missing entry from ``fill(key)`` on first read."""
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
+
+
+# Event pair -> its commute (b', a') or None: the package's commute table.
+_SWAPS = _Table(lambda pair: _commute_pair(*pair))
+
+
 # -- public operations -----------------------------------------------------
 
 def _push_directions(diagram, j, variant):
@@ -228,7 +244,7 @@ def _rewritten(diagram, kind, j, level, variant):
     if kind == "commute":
         if j >= n - 1:
             return None
-        pair = _commute_pair(events[j], events[j + 1])
+        pair = _SWAPS[events[j:j + 2]]
         if pair is None:
             return None
         dirs = diagram.directions
@@ -317,7 +333,7 @@ def applicable_rewrites(diagram):
     counts = diagram.strand_counts
     out = []
     for j in range(len(events) - 1):
-        if _commute_pair(events[j], events[j + 1]) is not None:
+        if _SWAPS[events[j:j + 2]] is not None:
             out.append(Rewrite("commute", j))
     for j in range(len(events) + 1):
         for level in range(1, counts[j] + 1):

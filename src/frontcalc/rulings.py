@@ -141,22 +141,21 @@ def _meet(diagram):
     side's frontier is empty.
     """
     _check_width(diagram)
-    events = diagram.events
+    steps = diagram.kinds_and_levels
     fronts = [{_EMPTY: 1}, {_EMPTY: 1}]
     yield 0, fronts[0]
     yield 1, fronts[1]
-    lo, hi = 0, len(events)
+    lo, hi = 0, len(steps)
     while lo < hi:
         side = len(fronts[1]) < len(fronts[0])
         if side:
             hi -= 1
-            ev = events[hi]
-            kind = _MIRROR[ev.kind]
+            kind, level = steps[hi]
+            kind = _MIRROR[kind]
         else:
-            ev = events[lo]
+            kind, level = steps[lo]
             lo += 1
-            kind = ev.kind
-        i = ev.level - 1
+        i = level - 1
         nxt = {}
         get = nxt.get
         for pairing, n in fronts[side].items():
@@ -196,8 +195,8 @@ def enumerate_rulings(diagram):
     live = right[0].keys() & left[-1]
     if not live:
         return []
-    events = diagram.events
-    n = len(events)
+    steps = diagram.kinds_and_levels
+    n = len(steps)
     m = len(left) - 1
     # Each gap's states from which some ruling goes on.  Right of m the
     # suffix states are such by construction; left of m, keep the prefix
@@ -205,8 +204,8 @@ def enumerate_rulings(diagram):
     # live set holds.
     gaps = left[:m] + [live] + right[1:]
     for k in range(m - 1, -1, -1):
-        ev = events[k]
-        kind, i = ev.kind, ev.level - 1
+        kind, level = steps[k]
+        i = level - 1
         after, live = live, set()
         for pairing in gaps[k]:
             follow, switch = _step(pairing, kind, i)
@@ -222,8 +221,8 @@ def enumerate_rulings(diagram):
         if k == n:
             rulings.append(switches)
             continue
-        ev = events[k]
-        follow, switch = _step(pairing, ev.kind, ev.level - 1)
+        kind, level = steps[k]
+        follow, switch = _step(pairing, kind, level - 1)
         after = gaps[k + 1]
         if follow in after:
             stack.append((k + 1, follow, switches))
@@ -241,16 +240,16 @@ def _walk(diagram, switches):
     the switch set is not a normal ruling.
     """
     _check_width(diagram)
-    events = diagram.events
+    steps = diagram.kinds_and_levels
     switches = set(switches)
     for idx in sorted(switches):
-        if not 0 <= idx < len(events):
+        if not 0 <= idx < len(steps):
             raise RulingError(
-                f"switch index {idx} is out of range 0..{len(events) - 1}")
+                f"switch index {idx} is out of range 0..{len(steps) - 1}")
     pairing = _EMPTY
     yield pairing
-    for idx, ev in enumerate(events):
-        follow, switch = _step(pairing, ev.kind, ev.level - 1)
+    for idx, (kind, level) in enumerate(steps):
+        follow, switch = _step(pairing, kind, level - 1)
         if idx in switches:
             follow = pairing if switch else None
         if follow is None:

@@ -231,6 +231,9 @@ def pattern_from_text(text):
         raise PatternError("missing 'pattern v1' header")
     if not lines[1].startswith("strands: "):
         raise PatternError("missing 'strands:' line")
-    k = int(lines[1].split(":")[1])
+    try:
+        k = int(lines[1].split(":")[1])
+    except ValueError:
+        raise PatternError(f"bad strands line {lines[1]!r}") from None
     word = lines[2].split() if len(lines) > 2 else []
     return PatternFront(k, [Event.parse(t) for t in word])

@@ -13,6 +13,8 @@ from frontcalc.diagrams import from_text, to_text
 from frontcalc.moves import random_shuffle
 from frontcalc.rulings import count_rulings
 
+from helpers import FRONTS
+
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
@@ -65,6 +67,16 @@ def test_garbage_file_is_parse_error(capsys, tmp_path):
     code, _, err = run(capsys, "invariants", str(path))
     assert code == 2
     assert "error" in err
+
+
+def test_non_ascii_level_is_parse_error(capsys):
+    # its word is "L² R1": a superscript two is no ASCII digit
+    path = FRONTS / "bad_level.front"
+    code, out, err = run(capsys, "invariants", str(path))
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "bad event token 'L²'" in lines[0] and "Traceback" not in err
 
 
 def test_rulings_count(capsys):

@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -25,6 +26,46 @@ def test_event_parsing_roundtrip():
         Event.parse("X")
     with pytest.raises(DiagramError):
         Event("L", 0)
+
+
+def test_event_is_its_code():
+    for kind in "LRX":
+        for level in (1, 2, 7, 40):
+            ev, code = event(kind, level), 3 * level + "LRX".index(kind)
+            assert int(ev) == code and ev == code and hash(ev) == hash(code)
+            assert (ev.kind, ev.level) == (kind, level)
+            assert str(ev) == f"{kind}{level}"
+    assert repr(L(1)) == "Event(kind='L', level=1)"
+    # events order by code: by level, then kind
+    assert sorted([L(2), X(1), R(1), L(1)]) == [L(1), R(1), X(1), L(2)]
+
+
+def test_events_are_immutable():
+    ev = X(2)
+    for name in ("kind", "level", "other"):
+        with pytest.raises(AttributeError):
+            setattr(ev, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(ev, name)
+    assert (ev.kind, ev.level, ev) == ("X", 2, 8)
+    back = pickle.loads(pickle.dumps(ev))
+    assert (back, back.kind, back.level) == (ev, "X", 2)
+
+
+def test_parse_reads_ascii_decimal_levels_only():
+    # a superscript two, an Arabic-Indic one, more digits than int() reads
+    for token in ("L\u00b2", "L\u0661", "X" + "1" * 5000):
+        with pytest.raises(DiagramError):
+            Event.parse(token)
+    assert Event.parse("R0012") is R(12)
+
+
+def test_constructor_rejects_non_int_levels():
+    assert L(1) is L(1)
+    for level in (1.5, 1.0, "1", None, True):
+        for make in (Event, event):
+            with pytest.raises(DiagramError):
+                make("L", level)
 
 
 def test_events_are_interned():

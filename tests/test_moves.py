@@ -2,10 +2,10 @@ import random
 
 import pytest
 
-from frontcalc.diagrams import FrontDiagram, L, R, X
+from frontcalc.diagrams import FrontDiagram, L, R, X, event
 from frontcalc.moves import (
-    InapplicableRewrite, Rewrite, applicable_rewrites, apply_rewrite,
-    inverse, random_shuffle, stabilize,
+    _SWAPS, InapplicableRewrite, Rewrite, _commute_pair, applicable_rewrites,
+    apply_rewrite, inverse, random_shuffle, stabilize,
 )
 from frontcalc.rulings import count_rulings
 
@@ -45,6 +45,13 @@ def test_commute_disjoint_supports_only():
     assert swapped.events[0].kind == "L"
     with pytest.raises(InapplicableRewrite):
         apply_rewrite(TREFOIL, Rewrite("commute", 2))
+
+
+def test_swap_table_is_the_commute_rule():
+    events = [event(kind, level) for kind in "LRX" for level in range(1, 7)]
+    for a in events:
+        for b in events:
+            assert _SWAPS[a, b] == _commute_pair(a, b)
 
 
 def test_commute_is_an_involution():

@@ -50,6 +50,12 @@ def test_pattern_text_roundtrip():
         pattern_from_text("bad")
 
 
+def test_non_integer_strands_line_is_pattern_error():
+    for line in ("strands: x", "strands: ", "strands: 1.5"):
+        with pytest.raises(PatternError, match="strands"):
+            pattern_from_text(f"pattern v1\n{line}\nX1\n")
+
+
 def test_k_copy_counts():
     d2 = k_copy(UNKNOT, 2)
     assert d2.n_components == 2

@@ -1,14 +1,15 @@
 """Properties of the filling search and its cleanup over random words.
 
-The cleanup's commute BFS runs on int-coded words; ``oracles`` keeps the
-same BFS on Event words, and the two must agree on every word, as must
-the reductions built on them.  Every trace the search returns must replay,
-start from the empty diagram, have chi = -tb(top) (Chantraine 2010), and
-survive the trace text format.  A front with no normal ruling has no
-filling (a filling gives an augmentation, which gives a ruling), so the
-search must come back empty on one.  The search pinches once per run of
-two adjacent segments: every pinch site it skips must be two commutes
-from the site before it.
+The cleanup's commute BFS looks its rules up in tables keyed on the
+events (which are their int codes); ``oracles`` keeps the same BFS
+calling the rules directly, and the two must agree on every word, as
+must the reductions built on them.  Every trace the search returns must
+replay, start from the empty diagram, have chi = -tb(top) (Chantraine
+2010), and survive the trace text format.  A front with no normal
+ruling has no filling (a filling gives an augmentation, which gives a
+ruling), so the search must come back empty on one.  The search pinches
+once per run of two adjacent segments: every pinch site it skips must
+be two commutes from the site before it.
 """
 
 import random
@@ -18,14 +19,14 @@ from hypothesis import assume, given, settings, strategies as st
 
 from frontcalc import catalog
 from frontcalc.cobordism import (_COMMUTE_DEPTH, _WINDOW, _WINDOWS,
-                                 CobordismTrace, _codes, _contraction_at,
-                                 _downward_cleanup, _event,
+                                 CobordismTrace, _contraction_at,
+                                 _downward_cleanup,
                                  _find_reducing_commutes, _kill_eye,
                                  _pinch_sites, _run_predecessor, _slid_level,
                                  birth, check_trace, pinch,
                                  reduce_diagram, search_decomposable_filling,
                                  trace_from_text, trace_to_text)
-from frontcalc.diagrams import FrontDiagram, L, R, X
+from frontcalc.diagrams import FrontDiagram, L, R, X, event
 from frontcalc.moves import (Rewrite, _commute_pair, apply_rewrite,
                              random_shuffle)
 
@@ -94,8 +95,8 @@ def exposes_by_brute_force(events):
 @given(st.lists(st.tuples(st.integers(1, 5), st.integers(0, 2)),
                 min_size=_WINDOW, max_size=_WINDOW))
 def test_window_table_matches_brute_force(window):
-    codes = tuple(3 * level + kind for level, kind in window)
-    assert _WINDOWS[codes] == exposes_by_brute_force(map(_event, codes))
+    events = tuple(event("LRX"[kind], level) for level, kind in window)
+    assert _WINDOWS[events] == exposes_by_brute_force(events)
 
 
 @settings(PROPERTY, max_examples=100)
@@ -145,19 +146,16 @@ def test_a_skipped_pinch_site_is_a_slide_of_the_one_before(seed):
 
 
 def test_slides_keep_the_two_cusp_cases_apart():
-    def slid(level, event):
-        return _slid_level(level, *_codes([event]))
-
-    assert slid(1, X(3)) == 1
-    assert slid(2, L(1)) == 4
-    assert slid(3, R(1)) == 1
-    assert slid(1, R(4)) == 1
+    assert _slid_level(1, X(3)) == 1
+    assert _slid_level(2, L(1)) == 4
+    assert _slid_level(3, R(1)) == 1
+    assert _slid_level(1, R(4)) == 1
     # a crossing on the pair's lower strand
-    assert slid(1, X(2)) is None
+    assert _slid_level(1, X(2)) is None
     # (L p, R p+2), which _commute_pair refuses to swap
-    assert slid(1, R(3)) is None
+    assert _slid_level(1, R(3)) is None
     # a left cusp at the pair's own level commutes to another word
-    assert slid(2, L(2)) is None
+    assert _slid_level(2, L(2)) is None
 
 
 def test_pinch_site_counts():
