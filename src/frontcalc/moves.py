@@ -192,13 +192,22 @@ def _commute_pair(a, b):
 
 
 class _Table(dict):
-    """A dict that fills a missing entry from ``fill(key)`` on first read."""
+    """A dict that fills a missing entry from ``fill(key)`` on first read.
+
+    It holds at most ``LIMIT`` entries: a miss that finds it full clears
+    it first, so a hit stays a plain dict lookup.  The rule tables'
+    steady state is a few thousand entries.
+    """
+
+    LIMIT = 1 << 16
 
     def __init__(self, fill):
         super().__init__()
         self.fill = fill
 
     def __missing__(self, key):
+        if len(self) >= self.LIMIT:
+            self.clear()
         value = self[key] = self.fill(key)
         return value
 

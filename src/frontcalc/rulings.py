@@ -25,19 +25,24 @@ reflecting a front in a vertical line keeps every ruling, since a
 switch keeps the pairing and normality reads only that pairing, so the
 suffixes of a ruling of the word are the prefixes of a ruling of its
 mirror.  ``count_rulings`` sums prefixes times suffixes over the
-pairings at the meeting gap.  ``enumerate_rulings`` keeps the states
-met from both sides there, prunes the prefix states backward to the
-ones with a live successor (every suffix state is live), and then emits
-switch sets forward with an explicit stack, visiting live states only:
-no branch that dies at a later right cusp is followed, and the depth of
-the word costs no recursion.
+pairings at the meeting gap.  ``enumerate_rulings`` keeps every
+frontier of the pass, then continues the suffix pass from the meeting
+gap leftward, keeping at each gap only the states some prefix reached:
+those are the live states, with exact suffix counts.  It then emits
+switch sets forward with an explicit stack, visiting live states only
+and stepping each live state once: no branch that dies at a later
+right cusp is followed, and the depth of the word costs no recursion.
 
-The pass and ``_walk``, which follows one switch set for
-``ruling_pairings`` and ``is_ruling``, go through one step kernel,
-``_step``, the successors of a pairing at one event.  Inside the DP a
-pairing is a ``bytes`` object (its hash is cached, and a cusp's shift of
-the partner indices is one ``bytes.translate``), so at most 256 strands
-are supported.
+The pass steps a whole frontier at a time through ``_advance``, which
+maps a dict of pairing -> count to the next gap's and reads the event's
+kind once per event; counts combine through ``+`` only.  A single
+pairing steps through ``_step``, its successors at one event: ``_walk``
+(which follows one switch set for ``ruling_pairings`` and
+``is_ruling``), ``is_normal_switch`` and emission use it.  The two
+encode the same crossing rule, and the tests hold them equal.  Inside
+the DP a pairing is a ``bytes`` object (its hash is cached, and a
+cusp's shift of the partner indices is one ``bytes.translate``), so at
+most 256 strands are supported.
 """
 
 from __future__ import annotations
@@ -107,6 +112,46 @@ def _step(pairing, kind, i):
     return (pairing[:i] + pairing[i + 2:]).translate(_cusp_tables(i)[1]), False
 
 
+def _advance(front, kind, i):
+    """The frontier after an event of ``kind`` at 0-based level i.
+
+    ``front`` maps pairings to counts; each successor's count is the sum
+    of its predecessors' counts, as ``_step`` relates them.
+    """
+    if kind == LEFT_CUSP:
+        up, _down, born = _cusp_tables(i)
+        return {(s := p.translate(up))[:i] + born + s[i:]: n
+                for p, n in front.items()}
+    j = i + 1
+    if kind == RIGHT_CUSP:
+        down = _cusp_tables(i)[1]
+        return {(p[:i] + p[i + 2:]).translate(down): n
+                for p, n in front.items() if p[i] == j}
+    # Conjugation is injective, so follows never collide; a kept
+    # pairing may meet one, and joins it after the loop.
+    nxt = {}
+    kept = []
+    for p, n in front.items():
+        a = p[i]
+        if a == j:
+            continue
+        b = p[j]
+        new = bytearray(p)
+        new[i] = b
+        new[j] = a
+        new[a] = j
+        new[b] = i
+        nxt[bytes(new)] = n
+        if (b < a or b > j) if a < i else i < b < a:
+            kept.append(p)
+    get = nxt.get
+    for p in kept:
+        n = front[p]
+        old = get(p)
+        nxt[p] = n if old is None else old + n
+    return nxt
+
+
 def _check_width(diagram):
     if max(diagram.strand_counts) > MAX_STRANDS:
         raise RulingError(
@@ -155,16 +200,7 @@ def _meet(diagram):
         else:
             kind, level = steps[lo]
             lo += 1
-        i = level - 1
-        nxt = {}
-        get = nxt.get
-        for pairing, n in fronts[side].items():
-            follow, switch = _step(pairing, kind, i)
-            if follow is not None:
-                nxt[follow] = get(follow, 0) + n
-            if switch:
-                nxt[pairing] = get(pairing, 0) + n
-        fronts[side] = nxt
+        nxt = fronts[side] = _advance(fronts[side], kind, level - 1)
         yield side, nxt
         if not nxt:
             return
@@ -183,50 +219,50 @@ def count_rulings(diagram):
 def enumerate_rulings(diagram):
     """All normal rulings, each as a sorted tuple of switched crossing
     event indices; the list is sorted."""
-    # Prefix gaps keep their pairings only, a tuple being smaller than
-    # the dict of counts; suffix gaps keep their dicts for lookups.
-    left, right = [], []
+    fronts = [], []
     for side, states in _meet(diagram):
-        if side:
-            right.append(states)
-        else:
-            left.append(tuple(states))
-    right.reverse()
-    live = right[0].keys() & left[-1]
+        fronts[side].append(states)
+    left, right = fronts
+    reached = left[-1]
+    live = {p: c for p, c in right[-1].items() if p in reached}
     if not live:
         return []
     steps = diagram.kinds_and_levels
     n = len(steps)
     m = len(left) - 1
-    # Each gap's states from which some ruling goes on.  Right of m the
-    # suffix states are such by construction; left of m, keep the prefix
-    # states with a live successor.  A dead follow is None, which no
-    # live set holds.
-    gaps = left[:m] + [live] + right[1:]
+    # Each gap's live states: reached by a ruling prefix and left by a
+    # ruling suffix.  Right of m every state some prefix reaches is
+    # live, and only those are visited.  Left of m, go on with the
+    # suffix pass and keep the states a prefix reached.
+    gaps = [None] * m + [live] + right[-2::-1]
     for k in range(m - 1, -1, -1):
         kind, level = steps[k]
-        i = level - 1
-        after, live = live, set()
-        for pairing in gaps[k]:
-            follow, switch = _step(pairing, kind, i)
-            if follow in after or (switch and pairing in after):
-                live.add(pairing)
-        gaps[k] = live
+        reached = left[k]
+        live = _advance(live, _MIRROR[kind], level - 1)
+        live = gaps[k] = {p: c for p, c in live.items() if p in reached}
     # Forward from the empty pairing: every state on the stack is reached
-    # by a ruling prefix and extends to at least one ruling.
+    # by a ruling prefix and extends to at least one ruling.  ``memo[k]``
+    # holds each state's live successors at event k, stepped once.
     rulings = []
+    memo = [{} for _ in range(n)]
     stack = [(0, _EMPTY, ())]
     while stack:
         k, pairing, switches = stack.pop()
         if k == n:
             rulings.append(switches)
             continue
-        kind, level = steps[k]
-        follow, switch = _step(pairing, kind, level - 1)
-        after = gaps[k + 1]
-        if follow in after:
+        known = memo[k]
+        succ = known.get(pairing)
+        if succ is None:
+            kind, level = steps[k]
+            follow, switch = _step(pairing, kind, level - 1)
+            after = gaps[k + 1]
+            succ = known[pairing] = (follow if follow in after else None,
+                                     switch and pairing in after)
+        follow, switch = succ
+        if follow is not None:
             stack.append((k + 1, follow, switches))
-        if switch and pairing in after:
+        if switch:
             stack.append((k + 1, pairing, switches + (k,)))
     rulings.sort()
     return rulings

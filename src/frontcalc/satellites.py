@@ -231,9 +231,12 @@ def pattern_from_text(text):
         raise PatternError("missing 'pattern v1' header")
     if not lines[1].startswith("strands: "):
         raise PatternError("missing 'strands:' line")
+    digits = lines[1][len("strands: "):]
+    if not (digits.isascii() and digits.isdigit()):
+        raise PatternError(f"bad strands line {lines[1]!r}")
     try:
-        k = int(lines[1].split(":")[1])
-    except ValueError:
+        k = int(digits)
+    except ValueError:  # more digits than int() converts
         raise PatternError(f"bad strands line {lines[1]!r}") from None
     word = lines[2].split() if len(lines) > 2 else []
     return PatternFront(k, [Event.parse(t) for t in word])

@@ -4,8 +4,8 @@ import pytest
 
 from frontcalc.diagrams import FrontDiagram, L, R, X, event
 from frontcalc.moves import (
-    _SWAPS, InapplicableRewrite, Rewrite, _commute_pair, applicable_rewrites,
-    apply_rewrite, inverse, random_shuffle, stabilize,
+    _SWAPS, InapplicableRewrite, Rewrite, _commute_pair, _Table,
+    applicable_rewrites, apply_rewrite, inverse, random_shuffle, stabilize,
 )
 from frontcalc.rulings import count_rulings
 
@@ -52,6 +52,13 @@ def test_swap_table_is_the_commute_rule():
     for a in events:
         for b in events:
             assert _SWAPS[a, b] == _commute_pair(a, b)
+
+
+def test_rule_table_is_bounded():
+    table = _Table(str)
+    for key in range(2 * _Table.LIMIT + 1):
+        assert table[key] == str(key)
+        assert len(table) <= _Table.LIMIT
 
 
 def test_commute_is_an_involution():

@@ -5,7 +5,8 @@ two-sided pass that ``count_rulings`` runs.  ``oracles`` keeps the
 recursive walk it replaced, which follows every branch of the pairing
 tree; both must list the same rulings.  The pass reads the suffixes of
 a word as prefixes of its mirror, so a mirrored front must have the
-reflected rulings.
+reflected rulings.  The pass steps whole frontiers through
+``_advance`` and single states through ``_step``; the two must agree.
 """
 
 import random
@@ -15,7 +16,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from frontcalc import catalog, rulings
-from frontcalc.diagrams import FrontDiagram, L, R
+from frontcalc.diagrams import (CROSSING, LEFT_CUSP, RIGHT_CUSP,
+                                FrontDiagram, L, R)
 from frontcalc.moves import random_shuffle
 from frontcalc.rulings import (MAX_STRANDS, RulingError, count_rulings,
                                enumerate_rulings, ruling_pairings)
@@ -82,22 +84,70 @@ def test_satellite_mirror_reflects_rulings(companion, family, param):
         satellite(catalog.get(companion).diagram, pattern).diagram)
 
 
-def test_count_meets_in_the_middle(monkeypatch):
-    """Growing the thinner side keeps the steps well below the 13,635
-    of a left-to-right pass over the 3-copy of the trefoil."""
-    d = satellite(catalog.get("trefoil").diagram,
-                  builtin_pattern("identity", "3")).diagram
-    calls = 0
-    step = rulings._step
+def three_copy_of_trefoil():
+    return satellite(catalog.get("trefoil").diagram,
+                     builtin_pattern("identity", "3")).diagram
+
+
+def count_work(monkeypatch):
+    """Count the pairings stepped: every state of a frontier passed to
+    ``_advance`` and every ``_step`` call."""
+    work = {"_advance": 0, "_step": 0}
+    advance, step = rulings._advance, rulings._step
+
+    def counting_advance(front, kind, i):
+        work["_advance"] += len(front)
+        return advance(front, kind, i)
 
     def counting_step(*args):
-        nonlocal calls
-        calls += 1
+        work["_step"] += 1
         return step(*args)
 
+    monkeypatch.setattr(rulings, "_advance", counting_advance)
     monkeypatch.setattr(rulings, "_step", counting_step)
+    return work
+
+
+def test_count_meets_in_the_middle(monkeypatch):
+    """Growing the thinner side keeps the pairings stepped well below
+    the 13,635 of a left-to-right pass over the 3-copy of the trefoil."""
+    d = three_copy_of_trefoil()
+    work = count_work(monkeypatch)
     assert count_rulings(d) == 256
-    assert calls <= 4000
+    assert work["_step"] == 0
+    assert work["_advance"] <= 4000
+
+
+def test_enumeration_steps_each_live_state_once(monkeypatch):
+    """The prune goes on with the suffix pass, and emission steps each
+    live state once, where stepping every prefix state in the prune and
+    every node of the emitting walk takes 10,769 steps."""
+    d = three_copy_of_trefoil()
+    work = count_work(monkeypatch)
+    assert len(enumerate_rulings(d)) == 256
+    assert work["_advance"] + work["_step"] <= 4500
+
+
+@PROPERTY
+@given(SEEDS)
+def test_advance_merges_step(seed):
+    """``_advance`` on a frontier is ``_step`` on each of its states,
+    follows and kept pairings merged with their counts summed, for
+    every kind at every level a frontier of the pass admits."""
+    d = FrontDiagram(random_word(random.Random(seed), max_width=6))
+    for _side, front in rulings._meet(d):
+        width = len(next(iter(front), b""))
+        for kind, levels in ((LEFT_CUSP, width + 1), (RIGHT_CUSP, width - 1),
+                             (CROSSING, width - 1)):
+            for i in range(levels):
+                merged = {}
+                for pairing, n in front.items():
+                    follow, switch = rulings._step(pairing, kind, i)
+                    if follow is not None:
+                        merged[follow] = merged.get(follow, 0) + n
+                    if switch:
+                        merged[pairing] = merged.get(pairing, 0) + n
+                assert rulings._advance(front, kind, i) == merged
 
 
 @pytest.fixture

@@ -56,6 +56,16 @@ def test_non_integer_strands_line_is_pattern_error():
             pattern_from_text(f"pattern v1\n{line}\nX1\n")
 
 
+@pytest.mark.parametrize("count", ["\u0662", "2:9", "2_0",
+                                   pytest.param("9" * 5000, id="5000-digits")])
+def test_strands_count_is_ascii_decimal(count):
+    """Only ASCII digits count strands, as in event tokens: no other
+    script's digits, no trailing field, no digit separators, and no
+    more digits than ``int()`` converts."""
+    with pytest.raises(PatternError, match="bad strands line"):
+        pattern_from_text(f"pattern v1\nstrands: {count}\nX1\n")
+
+
 def test_k_copy_counts():
     d2 = k_copy(UNKNOT, 2)
     assert d2.n_components == 2
