@@ -102,8 +102,8 @@ def pinch(diagram, index, level, orientable_only=True):
     d = diagram._edited(index, index, [R(level), L(level)],
                         ((up, down), (up, down)))
     # A band between strands running the same way reverses part of the
-    # merged component; it keeps the direction at its first event.
-    return d._reoriented() if up == down else d
+    # merged component; it keeps the direction at its first left cusp.
+    return d._with_orientations(d.orientations) if up == down else d
 
 
 def surgery(diagram, index, level=None):
@@ -120,7 +120,7 @@ def surgery(diagram, index, level=None):
     d = diagram._edited(index, index + 2, (), ())
     # the right cusp's top strand continues as the left cusp's top strand
     same_way = diagram.directions[index][0] == diagram.directions[index + 1][0]
-    return d if same_way else d._reoriented()
+    return d if same_way else d._with_orientations(d.orientations)
 
 
 def birth(diagram, index, level, orient="+"):
@@ -731,12 +731,15 @@ class SurgeryPresentation:
                 raise ArcSiteInvalid(
                     f"base component has (tb, rot) = ({tb}, {rot}), "
                     f"wanted the max-tb unknot (-1, 0)")
+        events = self.base.events
         for index, level in self.arcs:
-            events = self.base.events
-            if not (0 <= index < len(events) - 1
-                    and events[index] == R(level)
-                    and events[index + 1] == L(level)):
-                raise ArcSiteInvalid(f"no \")(\" pair at {index}@{level}")
+            if not (type(index) is int and type(level) is int
+                    and 0 <= index < len(events) - 1
+                    and events[index].kind == RIGHT_CUSP
+                    and events[index + 1].kind == LEFT_CUSP
+                    and events[index].level == events[index + 1].level
+                    == level):
+                raise ArcSiteInvalid(f"no \")(\" pair at {index}@{level!r}")
 
 
 def presentation_graph(p):
@@ -766,7 +769,7 @@ def is_tree(p):
     if g["self_arcs"] or len(g["edges"]) != n - 1:
         return False
     # n - 1 edges on n vertices make a tree exactly when they connect
-    return not any(connected_components(n, g["edges"]))
+    return not any(connected_components(n, g["edges"])[0])
 
 
 def apply_presentation(p):

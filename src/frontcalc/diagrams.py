@@ -19,7 +19,16 @@ its window only, and the direction of any strand can be read off the
 nearest event touching it.  The segment scan, the component numbering and
 the per-component orientation symbols are derived on first use; the
 symbol '+' directs the top strand of a component's first left cusp
-rightward.
+rightward, and a component's symbol is read off that cusp's entry.
+
+One iterative walk of the cusp graph, whose nodes are segments and whose
+edges are cusps, gives every segment its component, numbered by least
+segment, and a side: +1 at the component's least segment, flipping
+across every cusp.  A segment's direction has one formula: its side,
+negated on a '-' component.  It sets the entries from the symbols, and
+re-signing a diagram with other symbols reuses the walk.  The same walk
+counts a pattern's closed curves and tests whether a surgery
+presentation is a tree.
 
 ``FrontDiagram(events, orientations)`` is the validating constructor, for
 input from outside the package (text files, the catalog, the CLI): it takes
@@ -196,56 +205,37 @@ class _Scan:
 
 
 def connected_components(n, pairs):
-    """Component label of every node 0 .. n-1, joined by ``pairs``.
+    """(label, side) of every node 0 .. n-1 of the graph with edges ``pairs``.
 
-    Components are numbered in order of their first node.  A union-find
-    whose roots are always the least node of their set.
+    One iterative walk from each node not yet reached, in node order, so
+    components are numbered by their least node.  The side is +1 at that
+    node and flips across every edge walked.  On the cusp graph of a
+    diagram, whose edges are the cusps, the two segments of a cusp run
+    opposite ways and every component has an even number of cusps, so a
+    segment's side is its direction when its component is oriented '+'.
     """
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    adj = [[] for _ in range(n)]
     for a, b in pairs:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-    roots = {}
-    return tuple(roots.setdefault(find(x), len(roots)) for x in range(n))
-
-
-def _components(scan):
-    """Component index of every segment: each cusp joins its two segments."""
-    return connected_components(scan.n_segments, scan.cusp_pair.values())
-
-
-def _propagate(scan, component_of_segment, orientations):
-    """Segment directions, +1 rightward and -1 leftward.
-
-    The two segments meeting at any cusp point in opposite x-directions;
-    each component's first segment is directed by its orientation symbol.
-    """
-    dirs = [0] * scan.n_segments
-    adj = [[] for _ in range(scan.n_segments)]
-    for a, b in scan.cusp_pair.values():
         adj[a].append(b)
         adj[b].append(a)
-    for first in range(scan.n_segments):
-        if dirs[first]:
+    label = [-1] * n
+    side = [0] * n
+    count = 0
+    for first in range(n):
+        if label[first] >= 0:
             continue
-        c = component_of_segment[first]
-        dirs[first] = 1 if orientations[c] == "+" else -1
+        label[first] = count
+        side[first] = 1
         stack = [first]
         while stack:
             s = stack.pop()
             for t in adj[s]:
-                if dirs[t] == 0:
-                    dirs[t] = -dirs[s]
+                if label[t] < 0:
+                    label[t] = count
+                    side[t] = -side[s]
                     stack.append(t)
-    return tuple(dirs)
+        count += 1
+    return tuple(label), tuple(side)
 
 
 class FrontDiagram:
@@ -267,16 +257,20 @@ class FrontDiagram:
                 if s not in ("+", "-"):
                     raise DiagramError(f"bad orientation symbol {s!r}")
         scan = _Scan(events)
-        comps = _components(scan)
-        n_components = max(comps, default=-1) + 1
+        walk = connected_components(scan.n_segments, scan.cusp_pair.values())
+        n_components = max(walk[0], default=-1) + 1
         if orientations is None:
             orientations = ("+",) * n_components
         if len(orientations) != n_components:
             raise OrientationMissing(n_components, len(orientations))
-        self._orient(events, scan, comps, orientations)
+        self._orient(events, scan, walk, orientations)
 
-    def _orient(self, events, scan, comps, orientations):
-        seg_dirs = _propagate(scan, comps, orientations)
+    def _orient(self, events, scan, walk, orientations):
+        """Set every entry from the walk and one symbol per component."""
+        self.events = events
+        self.__dict__.update(_scan=scan, _walk=walk,
+                             orientations=orientations)
+        seg_dirs = self.segment_direction
         directions = []
         for idx, ev in enumerate(events):
             if ev.kind == CROSSING:
@@ -284,12 +278,8 @@ class FrontDiagram:
             else:
                 a, b = scan.cusp_pair[idx]
             directions.append((seg_dirs[a], seg_dirs[b]))
-        self.events = events
         self.directions = tuple(directions)
         self.strand_counts = tuple(len(g) for g in scan.gaps)
-        self.__dict__.update(_scan=scan, component_of_segment=comps,
-                             segment_direction=seg_dirs,
-                             orientations=orientations)
 
     def _edited(self, start, stop, events, directions):
         """This diagram with ``self.events[start:stop]`` replaced by
@@ -298,7 +288,8 @@ class FrontDiagram:
         Nothing is validated: the caller guarantees a valid word whose
         strand count after the window is unchanged.  Entries outside the
         window are kept, so a move that reverses strands outside it must
-        call :meth:`_reoriented` on the result.
+        re-sign the result, ``d._with_orientations(d.orientations)``: each
+        component keeps the direction of its first left cusp's top strand.
         """
         counts = self.strand_counts
         m = counts[start]
@@ -315,19 +306,11 @@ class FrontDiagram:
         return new
 
     def _with_orientations(self, orientations):
-        """The same word with every component directed by its symbol."""
+        """The same word with every component directed by its symbol,
+        re-signed from this diagram's walk."""
         new = FrontDiagram.__new__(FrontDiagram)
-        new._orient(self.events, self._scan, self.component_of_segment,
-                    tuple(orientations))
+        new._orient(self.events, self._scan, self._walk, tuple(orientations))
         return new
-
-    def _reoriented(self):
-        """Make the entries consistent along every component.
-
-        Each component keeps the direction of its first left cusp's top
-        strand; the rest of the component follows from it.
-        """
-        return self._with_orientations(self.orientations)
 
     # -- derived data, computed on first use ------------------------------
 
@@ -336,8 +319,14 @@ class FrontDiagram:
         return _Scan(self.events)
 
     @cached_property
+    def _walk(self):
+        """(component label, side) of every segment: one cusp-graph walk."""
+        scan = self._scan
+        return connected_components(scan.n_segments, scan.cusp_pair.values())
+
+    @cached_property
     def component_of_segment(self):
-        return _components(self._scan)
+        return self._walk[0]
 
     @cached_property
     def n_components(self):
@@ -350,21 +339,23 @@ class FrontDiagram:
 
     @cached_property
     def segment_direction(self):
-        """Direction of every segment, read off the left cusp creating it."""
-        dirs = [0] * self._scan.n_segments
-        for idx, (top, bot) in self._scan.cusp_pair.items():
-            if self.events[idx].kind == LEFT_CUSP:
-                dirs[top], dirs[bot] = self.directions[idx]
-        return tuple(dirs)
+        """Direction of every segment: its side, negated on a '-' component."""
+        label, side = self._walk
+        sign = [1 if s == "+" else -1 for s in self.orientations]
+        return tuple(d * sign[c] for d, c in zip(side, label))
 
     @cached_property
     def orientations(self):
-        """One symbol per component: the direction of its first segment."""
-        seg_dir = self.segment_direction
+        """One symbol per component, read off its first left cusp's entry.
+
+        That cusp creates the component's least segment as its top one,
+        and first left cusps come in component order.
+        """
+        comp = self.component_of_segment
         out = []
-        for seg, c in enumerate(self.component_of_segment):
-            if c == len(out):
-                out.append("+" if seg_dir[seg] == 1 else "-")
+        for idx, (top, _bot) in self._scan.cusp_pair.items():
+            if comp[top] == len(out):
+                out.append("+" if self.directions[idx][0] == 1 else "-")
         return tuple(out)
 
     # -- basic queries ----------------------------------------------------
@@ -504,8 +495,15 @@ class FrontDiagram:
         return [(writhe[c] - rcusps[c], downup[c] // 2)
                 for c in range(self.n_components)]
 
+    def _check_component(self, c):
+        if not (type(c) is int and 0 <= c < self.n_components):
+            raise DiagramError(f"no component {c!r}: components are "
+                               f"0..{self.n_components - 1}")
+
     def linking_number(self, c1, c2):
         """Half the signed count of crossings between components c1, c2."""
+        self._check_component(c1)
+        self._check_component(c2)
         if c1 == c2:
             raise DiagramError("linking number needs distinct components")
         comp = self.component_of_segment
@@ -535,6 +533,7 @@ class FrontDiagram:
 
     def component_subdiagram(self, c):
         """The front of component c alone, with other strands deleted."""
+        self._check_component(c)
         comp = self.component_of_segment
         events = []
         for idx, ev in enumerate(self.events):

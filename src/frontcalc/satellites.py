@@ -18,7 +18,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
-from .diagrams import (CROSSING, LEFT_CUSP, RIGHT_CUSP, DiagramError, Event,
+from .diagrams import (LEFT_CUSP, RIGHT_CUSP, DiagramError, Event,
                        FrontDiagram, L, LevelOutOfBounds, NonzeroFinalStrands,
                        R, X, _Scan, connected_components, event)
 
@@ -69,9 +69,9 @@ class PatternFront:
         """Number of closed curves after gluing the seam by position."""
         scan = self._scan
         seam = zip(scan.gaps[0], scan.gaps[-1])
-        comps = connected_components(
+        labels, _sides = connected_components(
             scan.n_segments, [*scan.cusp_pair.values(), *seam])
-        return max(comps) + 1
+        return max(labels) + 1
 
 
 def _count_param(name, param):
@@ -149,20 +149,20 @@ def _inherit_orientations(diagram, events, origins):
     """Give every copied component the direction of its source strands.
 
     A component takes the direction of its first cusp copied from a cusp
-    of ``diagram``; components with no such cusp are directed '+'.
+    of ``diagram``; components with no such cusp are directed '+'.  A
+    cusp's origin is a cusp of ``diagram``, or None for a pattern's cusp.
+    Under '+' a strand runs the way its side says, so the symbols are
+    read off the walk of the '+' diagram, which is re-signed without a
+    second walk.
     """
     d = FrontDiagram(events)
+    label, side = d._walk
     symbols = [None] * d.n_components
-    for new_idx, ev in enumerate(d.events):
-        if ev.kind == CROSSING:
-            continue
+    for new_idx, (top, _bot) in d._scan.cusp_pair.items():
         src = origins[new_idx]
-        if src is None or diagram.events[src].kind == CROSSING:
-            continue
-        c = d.component_of_segment[d.cusp_segments(new_idx)[0]]
-        if symbols[c] is None:
-            same = d.directions[new_idx][0] == diagram.directions[src][0]
-            symbols[c] = "+" if same else "-"
+        if src is not None and symbols[label[top]] is None:
+            same = side[top] == diagram.directions[src][0]
+            symbols[label[top]] = "+" if same else "-"
     if "-" not in symbols:
         return d
     return d._with_orientations(s or "+" for s in symbols)

@@ -13,17 +13,22 @@ the over-strand joining a0-a2; the A-smoothing joins a0-a1 and a2-a3;
 a crossing is positive when the under-strand runs a1 -> a3 while the
 over-strand runs a0 -> a2.
 
-The next-to-last section is a reference for orientation transfer across
-moves: every move rebuilds the whole result with the validating
-constructor and gives each new component the direction its first event
-outside the move's window had before.  It reads directions off the full
+One section is a reference for orientation transfer across moves:
+every move rebuilds the whole result with the validating constructor
+and gives each new component the direction its first event outside the
+move's window had before.  It reads directions off the full
 segment scan only, never off the per-event entries that the package's
 moves edit, so the fast moves can be compared against it.
 
-The reference ruling enumerator at the end is the recursive walk that
-the ruling DP replaced: it follows every branch of the pairing tree,
-including those that die at a later right cusp, and tests normality by
-comparing intervals.
+The reference ruling enumerator is the recursive walk that the ruling
+DP replaced: it follows every branch of the pairing tree, including those
+that die at a later right cusp, and tests normality by comparing
+intervals.
+
+The reference cusp-graph labelling at the end is what the package's one
+walk replaced: a union-find for the components, a second search that
+directs the segments from the orientation symbols, the symbols read off
+the left-cusp entries, and the k-copy's orientation rule over both.
 """
 
 import sympy
@@ -619,3 +624,140 @@ def reference_reduce_diagram(diagram):
             inverses.append(inverse(d, rw))
             d = apply_rewrite(d, rw)
             applied.append(rw)
+
+
+# -- reference cusp-graph labelling ------------------------------------------
+
+from frontcalc.diagrams import _Scan  # noqa: E402
+
+
+def reference_connected_components(n, pairs):
+    """Component label of every node 0 .. n-1, joined by ``pairs``.
+
+    Components are numbered in order of their first node.  A union-find
+    whose roots are always the least node of their set.
+    """
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+    roots = {}
+    return tuple(roots.setdefault(find(x), len(roots)) for x in range(n))
+
+
+def reference_propagate(scan, component_of_segment, orientations):
+    """Segment directions, +1 rightward and -1 leftward.
+
+    The two segments meeting at any cusp point in opposite x-directions;
+    each component's first segment is directed by its orientation symbol.
+    """
+    dirs = [0] * scan.n_segments
+    adj = [[] for _ in range(scan.n_segments)]
+    for a, b in scan.cusp_pair.values():
+        adj[a].append(b)
+        adj[b].append(a)
+    for first in range(scan.n_segments):
+        if dirs[first]:
+            continue
+        c = component_of_segment[first]
+        dirs[first] = 1 if orientations[c] == "+" else -1
+        stack = [first]
+        while stack:
+            s = stack.pop()
+            for t in adj[s]:
+                if dirs[t] == 0:
+                    dirs[t] = -dirs[s]
+                    stack.append(t)
+    return tuple(dirs)
+
+
+def reference_labels(diagram):
+    """(scan, union-find component of every segment) of a diagram's word."""
+    scan = _Scan(diagram.events)
+    return scan, reference_connected_components(scan.n_segments,
+                                                scan.cusp_pair.values())
+
+
+def reference_segment_direction(diagram):
+    """Direction of every segment, read off the entry of the left cusp
+    creating it."""
+    scan = _Scan(diagram.events)
+    dirs = [0] * scan.n_segments
+    for idx, (top, bot) in scan.cusp_pair.items():
+        if diagram.events[idx].kind == LEFT_CUSP:
+            dirs[top], dirs[bot] = diagram.directions[idx]
+    return tuple(dirs)
+
+
+def reference_orientations(diagram):
+    """One symbol per component: the direction of its first segment."""
+    _scan, comps = reference_labels(diagram)
+    seg_dir = reference_segment_direction(diagram)
+    out = []
+    for seg, c in enumerate(comps):
+        if c == len(out):
+            out.append("+" if seg_dir[seg] == 1 else "-")
+    return tuple(out)
+
+
+def reference_directions(diagram, orientations):
+    """The direction entries of ``diagram``'s word under ``orientations``,
+    propagated over the union-find's components."""
+    scan, comps = reference_labels(diagram)
+    seg_dirs = reference_propagate(scan, comps, orientations)
+    out = []
+    for idx, ev in enumerate(diagram.events):
+        pairs = scan.crossing_pair if ev.kind == CROSSING else scan.cusp_pair
+        a, b = pairs[idx]
+        out.append((seg_dirs[a], seg_dirs[b]))
+    return tuple(out)
+
+
+def reference_inherit_orientations(diagram, events, origins):
+    """A k-copy's orientation: each component takes the direction of its
+    first cusp copied from a cusp of ``diagram``, else '+'."""
+    scan = _Scan(events)
+    comps = reference_connected_components(scan.n_segments,
+                                           scan.cusp_pair.values())
+    n = max(comps, default=-1) + 1
+    plus = reference_propagate(scan, comps, "+" * n)
+    symbols = [None] * n
+    for new_idx, ev in enumerate(events):
+        if ev.kind == CROSSING:
+            continue
+        src = origins[new_idx]
+        if src is None or diagram.events[src].kind == CROSSING:
+            continue
+        top = scan.cusp_pair[new_idx][0]
+        if symbols[comps[top]] is None:
+            same = plus[top] == diagram.directions[src][0]
+            symbols[comps[top]] = "+" if same else "-"
+    return FrontDiagram(events, [s or "+" for s in symbols])
+
+
+def reference_closure_cycles(pattern):
+    """Closed curves of a pattern glued at its seam, by the union-find."""
+    scan = _Scan(pattern.events, pattern.strands)
+    seam = zip(scan.gaps[0], scan.gaps[-1])
+    return max(reference_connected_components(
+        scan.n_segments, [*scan.cusp_pair.values(), *seam])) + 1
+
+
+def reference_is_tree(p):
+    """Whether the arcs join the base's union-find components into a tree."""
+    _scan, comps = reference_labels(p.base)
+    n = max(comps, default=-1) + 1
+    edges = [(comps[p.base.cusp_segments(index)[0]],
+              comps[p.base.cusp_segments(index + 1)[0]])
+             for index, _level in p.arcs]
+    if len(edges) != n - 1 or any(a == b for a, b in edges):
+        return False
+    return set(reference_connected_components(n, edges)) <= {0}

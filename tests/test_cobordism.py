@@ -167,6 +167,13 @@ def test_presentation_validation():
     assert apply_presentation(p).n_components == 1
 
 
+@pytest.mark.parametrize("level", [0, -1, 1.0, "1", True])
+def test_arc_level_must_be_an_int_at_the_pair(level):
+    base = FrontDiagram([L(1), R(1), L(1), R(1)])
+    with pytest.raises(ArcSiteInvalid):
+        SurgeryPresentation(base, [(1, level)])
+
+
 def test_overlapping_arcs_rejected():
     base, sites = tree_presentation([(0, 1), (0, 2)])
     p = SurgeryPresentation(base, [sites[0], sites[0]])

@@ -8,6 +8,7 @@ from frontcalc.diagrams import (
     NonzeroFinalStrands, OrientationMissing, classical_invariants,
     components, event, from_text, strand_counts, to_text, validate,
 )
+from frontcalc.satellites import k_copy
 
 from helpers import random_diagram, random_word
 
@@ -154,6 +155,17 @@ def test_linking_number_needs_distinct():
     d = FrontDiagram(UNKNOT)
     with pytest.raises(DiagramError):
         d.linking_number(0, 0)
+
+
+def test_component_index_out_of_range():
+    d = k_copy(FrontDiagram(TREFOIL), 2)
+    assert d.n_components == 2
+    for call in (lambda: d.linking_number(0, 5),
+                 lambda: d.linking_number(-1, 1),
+                 lambda: d.component_subdiagram(2),
+                 lambda: d.component_subdiagram(-1)):
+        with pytest.raises(DiagramError, match=r"component -?\d+.*0\.\.1"):
+            call()
 
 
 def test_component_subdiagram_of_nested_unlink():
