@@ -19,21 +19,25 @@ commute moves that expose them), and kills them, recording the reverse
 of everything; reaching the empty diagram yields a filling trace.  It
 drops a state whose link has no normal ruling.  The ruling certificate
 pinches only where a normal ruling pairs two adjacent strands, until
-every component is a max-tb unknot.  Both pinch only where a run of
-adjacency of two segments starts, since two commutes slide a pinch
-along its run, and both run one iterative-deepening search on the
-pinch count, which reverses the downward moves into a trace in one
-place and keeps one failure table for the whole call: the most pinches
-left with which each state failed, so no state is expanded twice with
-as few.  The reduction's one breadth-first hunt for commutes runs on
-event words, which are tuples of int codes, and stops at the first
-contraction next to its last commute.  The same hunt fills a table of
-short windows, which answers every word it would find nothing on, so
-the whole-word hunt runs only where it hits.  The rule tables fill
-themselves on first lookup.  An eye whose cusps commute together dies
-where it stands, with those commutes recorded; one filling search
-memoizes the cleanup of every diagram it meets, so each distinct
-diagram is cleaned once.
+every component is a max-tb unknot.  Both take their pinch sites from
+one rule, which keeps only the orientable sites where a run of adjacency
+of two segments starts, since two commutes slide a pinch along its run;
+the certificate keeps those of them that its ruling pairs.  Both run one
+iterative-deepening loop on the pinch count over an explicit path of
+states, so no search depth sets the depth of Python's stack.  The loop
+reverses the downward moves into a trace in one place, keeps one
+failure table for the whole call (the most pinches left with which each
+state failed, so no state is expanded twice with as few), and stops
+deepening once a round cut nothing off.  The reduction's one
+breadth-first hunt for commutes runs on event words, which are tuples of
+int codes, and stops at the first contraction next to its last commute.
+The same hunt fills a table of short windows, which answers every word
+it would find nothing on, so the whole-word hunt runs only where it
+hits.  The rule tables fill themselves on first lookup.  Eyes are found
+on the word: a left cusp that bubbles through the commute table up to a
+right cusp at its own level heads an eye, which dies where it stands,
+with those commutes recorded; one filling search memoizes the cleanup of
+every diagram it meets, so each distinct diagram is cleaned once.
 """
 
 from __future__ import annotations
@@ -462,29 +466,32 @@ def reduce_diagram(diagram, inverses=None):
             applied.append(rw)
 
 
-def _kill_eye(diagram, component):
-    """Commute an isolated eye's two cusps until adjacent, then kill it.
+def _kill_eye(diagram):
+    """Commute the first isolated eye's two cusps until adjacent, kill it.
 
-    Returns (diagram, downward record) or None when ``component`` is not
-    such an eye.  The left cusp bubbles rightward past the events in
-    between; their swaps are looked up first, so an eye that cannot be
-    isolated costs no diagram.  The record holds those commutes, each
-    its own inverse, and the birth that undoes the death.
+    Returns (diagram, downward record) or None when there is no such
+    eye.  Each left cusp bubbles rightward through ``_SWAPS``; it heads
+    an eye exactly when the first event it cannot pass is a right cusp
+    at its bubbled level, since a commute passes only events that touch
+    neither of its strands.  Eyes number their components in word order,
+    so the first such cusp is the eye of least component.  Decided on the
+    coded word, so an eye that cannot be isolated costs no diagram.  The
+    record holds the commutes, each its own inverse, and the birth that
+    undoes the death.
     """
-    own = diagram.component_events(component)
-    if len(own) != 2:
-        return None
-    j_left, j_right = own
     events = diagram.events
-    if (events[j_left].kind != LEFT_CUSP
-            or events[j_right].kind != RIGHT_CUSP):
+    for j_left, cusp in enumerate(events):
+        if cusp.kind != LEFT_CUSP:
+            continue
+        for j_right in range(j_left + 1, len(events)):
+            pair = _SWAPS[cusp, events[j_right]]
+            if pair is None:
+                break
+            cusp = pair[1]
+        if events[j_right] == R(cusp.level):
+            break
+    else:
         return None
-    cusp = events[j_left]
-    for ev in events[j_left + 1:j_right]:
-        pair = _SWAPS[cusp, ev]
-        if pair is None:
-            return None
-        cusp = pair[1]
     d = diagram
     record = []
     for j in range(j_left, j_right - 1):
@@ -513,14 +520,11 @@ def _downward_cleanup(diagram):
         inverses = []
         d, _applied = reduce_diagram(d, inverses=inverses)
         record += [Move("isotopy", rewrite=rw) for rw in inverses]
-        for c in range(d.n_components):
-            killed = _kill_eye(d, c)
-            if killed is not None:
-                d, moves = killed
-                record += moves
-                break
-        else:
+        killed = _kill_eye(d)
+        if killed is None:
             return d, record
+        d, moves = killed
+        record += moves
 
 
 def _slid_level(level, ev):
@@ -586,44 +590,46 @@ def _pinch_search(diagram, extra, max_pinches, settle, is_goal, children):
     ``children(d, extra, left)`` yields (upward move, diagram, extra,
     pinches left) for each step down, with no pinch once none is left.
 
-    One failure table serves every round: it maps a settled state's key
-    to the most pinches left with which it failed.  A state that fails
-    with p pinches left fails with fewer, since it then explores a subset
-    of the same steps, so a table hit prunes only failures and the first
-    trace found is the one an unpruned search finds.
+    Each round is a depth-first search over an explicit path of frames
+    (key, pinches left, downward moves into the state, its children), so
+    no bound sets the depth of Python's stack.  One failure table serves
+    every round: it maps a settled state's key to the most pinches left
+    with which it failed.  A state that fails with p pinches left fails
+    with fewer, since it then explores a subset of the same steps, so a
+    table hit prunes only failures and the first trace found is the one
+    an unpruned search finds.  A round that met no state with no pinch
+    left and pruned none searched the whole tree the next round would
+    search, so deepening stops there.
     """
-    search = ({}, settle, is_goal, children)
+    failed = {}
     for pinches in range(max_pinches + 1):
-        found = _descend(search, diagram, extra, pinches)
-        if found is not None:
-            down_moves, bottom = found
-            return CobordismTrace(bottom, down_moves[::-1], diagram)
-    return None
-
-
-def _descend(search, d, extra, left):
-    """The DFS of ``_pinch_search`` from ``d``, with ``left`` pinches left.
-
-    Returns (downward moves, bottom diagram) or None.  A module-level
-    function rather than a closure, so that no reference cycle keeps a
-    finished search's tables alive until the garbage collector runs.
-    """
-    failed, settle, is_goal, children = search
-    settled = settle(d)
-    if settled is None:
-        return None
-    d, record = settled
-    key = (d.events, d.directions, extra)
-    if failed.get(key, -1) >= left:
-        return None
-    if is_goal(d):
-        return list(record), d
-    for move, child, child_extra, child_left in children(d, extra, left):
-        found = _descend(search, child, child_extra, child_left)
-        if found is not None:
-            deeper, bottom = found
-            return [*record, move, *deeper], bottom
-    failed[key] = left
+        cut = False   # a state ran out of pinches or was pruned
+        root = iter([(None, diagram, extra, pinches)])
+        path = []
+        while True:
+            for move, d, ex, left in path[-1][3] if path else root:
+                settled = settle(d)
+                if settled is None:
+                    continue
+                d, record = settled
+                key = (d.events, d.directions, ex)
+                if failed.get(key, -1) >= left:
+                    cut = True
+                    continue
+                down = record if move is None else (move, *record)
+                if is_goal(d):
+                    moves = [m for _k, _l, into, _c in path for m in into]
+                    return CobordismTrace(d, [*moves, *down][::-1], diagram)
+                cut = cut or left == 0
+                path.append((key, left, down, children(d, ex, left)))
+                break
+            else:
+                if not path:
+                    break
+                key, left, _down, _children = path.pop()
+                failed[key] = left
+        if not cut:
+            return None
     return None
 
 
@@ -702,17 +708,11 @@ def ruling_fillability(diagram, switches, max_pinches=None):
     def children(d, sw, left):
         if left == 0:
             return
-        for j, pairing in enumerate(ruling_pairings(d, sw)):
-            for i in range(1, len(pairing)):
-                if (pairing[i - 1] != i
-                        or _run_predecessor(d, j, i) is not None):
-                    continue
-                try:
-                    d2 = pinch(d, j, i)
-                except CobordismError:
-                    continue
+        pairings = ruling_pairings(d, sw)
+        for j, i in _pinch_sites(d):
+            if pairings[j][i - 1] == i:
                 shifted = tuple(s if s < j else s + 2 for s in sw)
-                yield Move("surgery", j, i), d2, shifted, left - 1
+                yield Move("surgery", j, i), pinch(d, j, i), shifted, left - 1
 
     return _pinch_search(diagram, switches, max_pinches,
                          lambda d: (d, ()), _is_max_tb_unlink, children)

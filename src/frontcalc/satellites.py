@@ -152,20 +152,21 @@ def _inherit_orientations(diagram, events, origins):
     of ``diagram``; components with no such cusp are directed '+'.  A
     cusp's origin is a cusp of ``diagram``, or None for a pattern's cusp.
     Under '+' a strand runs the way its side says, so the symbols are
-    read off the walk of the '+' diagram, which is re-signed without a
-    second walk.
+    read off one scan and one walk of the word, which then set every
+    direction entry once.
     """
-    d = FrontDiagram(events)
-    label, side = d._walk
-    symbols = [None] * d.n_components
-    for new_idx, (top, _bot) in d._scan.cusp_pair.items():
+    scan = _Scan(events)
+    walk = label, side = connected_components(scan.n_segments,
+                                              scan.cusp_pair.values())
+    symbols = [None] * (max(label, default=-1) + 1)
+    for new_idx, (top, _bot) in scan.cusp_pair.items():
         src = origins[new_idx]
         if src is not None and symbols[label[top]] is None:
             same = side[top] == diagram.directions[src][0]
             symbols[label[top]] = "+" if same else "-"
-    if "-" not in symbols:
-        return d
-    return d._with_orientations(s or "+" for s in symbols)
+    d = FrontDiagram.__new__(FrontDiagram)
+    d._orient(scan.events, scan, walk, tuple(s or "+" for s in symbols))
+    return d
 
 
 def k_copy(diagram, k):

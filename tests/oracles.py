@@ -25,10 +25,16 @@ DP replaced: it follows every branch of the pairing tree, including those
 that die at a later right cusp, and tests normality by comparing
 intervals.
 
-The reference cusp-graph labelling at the end is what the package's one
-walk replaced: a union-find for the components, a second search that
-directs the segments from the orientation symbols, the symbols read off
-the left-cusp entries, and the k-copy's orientation rule over both.
+The reference cusp-graph labelling is what the package's one walk
+replaced: a union-find for the components, a second search that directs
+the segments from the orientation symbols, the symbols read off the
+left-cusp entries, and the k-copy's orientation rule over both.
+
+The reference pinch search at the end is what the one search loop
+replaced: a recursive depth-first search per deepening round, an eye
+rule that looks each component up and asks whether it is a killable
+eye, and the ruling certificate's own loop over the ruling's adjacent
+pairs, which tries each pinch and skips the ones that raise.
 """
 
 import sympy
@@ -761,3 +767,136 @@ def reference_is_tree(p):
     if len(edges) != n - 1 or any(a == b for a, b in edges):
         return False
     return set(reference_connected_components(n, edges)) <= {0}
+
+
+# -- reference pinch search ----------------------------------------------------
+
+from unittest import mock  # noqa: E402
+
+from frontcalc import cobordism as _cobordism  # noqa: E402
+from frontcalc.moves import _SWAPS  # noqa: E402
+from frontcalc.rulings import ruling_pairings  # noqa: E402
+
+
+def reference_pinch_search(diagram, extra, max_pinches, settle, is_goal,
+                           children):
+    """``cobordism._pinch_search`` as a recursive depth-first search per
+    round, with one failure table for the whole call and no early stop."""
+    failed = {}
+
+    def descend(d, extra, left):
+        settled = settle(d)
+        if settled is None:
+            return None
+        d, record = settled
+        key = (d.events, d.directions, extra)
+        if failed.get(key, -1) >= left:
+            return None
+        if is_goal(d):
+            return list(record), d
+        for move, child, child_extra, child_left in children(d, extra, left):
+            found = descend(child, child_extra, child_left)
+            if found is not None:
+                deeper, bottom = found
+                return [*record, move, *deeper], bottom
+        failed[key] = left
+        return None
+
+    for pinches in range(max_pinches + 1):
+        found = descend(diagram, extra, pinches)
+        if found is not None:
+            down_moves, bottom = found
+            return _cobordism.CobordismTrace(bottom, down_moves[::-1],
+                                             diagram)
+    return None
+
+
+def reference_kill_eye(diagram, component):
+    """Kill ``component`` when it is an eye whose cusps commute together.
+
+    Returns (diagram, downward record) or None, as ``cobordism._kill_eye``
+    does for the first such eye; the component's events come from the
+    segment scan, and its left cusp must pass every event in between.
+    """
+    own = diagram.component_events(component)
+    if len(own) != 2:
+        return None
+    j_left, j_right = own
+    events = diagram.events
+    if (events[j_left].kind != LEFT_CUSP
+            or events[j_right].kind != RIGHT_CUSP):
+        return None
+    cusp = events[j_left]
+    for ev in events[j_left + 1:j_right]:
+        pair = _SWAPS[cusp, ev]
+        if pair is None:
+            return None
+        cusp = pair[1]
+    d = diagram
+    record = []
+    for j in range(j_left, j_right - 1):
+        rw = Rewrite("commute", j)
+        d = apply_rewrite(d, rw)
+        record.append(_cobordism.Move("isotopy", rewrite=rw))
+    orient = "+" if diagram.directions[j_left][0] == 1 else "-"
+    record.append(_cobordism.Move("birth", j_right - 1,
+                                  events[j_right].level, orient))
+    return d._edited(j_right - 1, j_right + 1, (), ()), record
+
+
+def reference_downward_cleanup(diagram):
+    """``cobordism._downward_cleanup`` over the per-component eye rule."""
+    record = []
+    d = diagram
+    while True:
+        inverses = []
+        d, _applied = _cobordism.reduce_diagram(d, inverses=inverses)
+        record += [_cobordism.Move("isotopy", rewrite=rw) for rw in inverses]
+        for c in range(d.n_components):
+            killed = reference_kill_eye(d, c)
+            if killed is not None:
+                d, moves = killed
+                record += moves
+                break
+        else:
+            return d, record
+
+
+def reference_search_decomposable_filling(diagram, max_pinches=3,
+                                          isotopy_budget=0):
+    """``search_decomposable_filling`` run by the reference engine and the
+    reference cleanup."""
+    with mock.patch.object(_cobordism, "_pinch_search",
+                           reference_pinch_search), \
+            mock.patch.object(_cobordism, "_downward_cleanup",
+                              reference_downward_cleanup):
+        return _cobordism.search_decomposable_filling(
+            diagram, max_pinches, isotopy_budget)
+
+
+def reference_ruling_fillability(diagram, switches, max_pinches=None):
+    """``ruling_fillability`` with its own loop over the adjacent pairs
+    that the ruling pairs, run by the reference engine."""
+    switches = tuple(switches)
+    ruling_pairings(diagram, switches)
+    if max_pinches is None:
+        max_pinches = len(diagram.crossing_indices()) + diagram.n_components
+
+    def children(d, sw, left):
+        if left == 0:
+            return
+        for j, pairing in enumerate(ruling_pairings(d, sw)):
+            for i in range(1, len(pairing)):
+                if (pairing[i - 1] != i
+                        or _cobordism._run_predecessor(d, j, i) is not None):
+                    continue
+                try:
+                    d2 = _cobordism.pinch(d, j, i)
+                except CobordismError:
+                    continue
+                shifted = tuple(s if s < j else s + 2 for s in sw)
+                yield _cobordism.Move("surgery", j, i), d2, shifted, left - 1
+
+    return reference_pinch_search(diagram, switches, max_pinches,
+                                  lambda d: (d, ()),
+                                  _cobordism._is_max_tb_unlink, children)

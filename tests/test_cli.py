@@ -5,6 +5,8 @@ captures stdout, which keeps the tests fast while still exercising the
 real argument parsing and exit code paths.
 """
 
+import time
+
 import pytest
 
 from frontcalc import catalog, cli
@@ -168,6 +170,29 @@ def test_search_filling_stabilized_fails(capsys):
     code, out, _ = run(capsys, "search-filling", "catalog:stab_plus_unknot")
     assert code == 1
     assert "no decomposable filling" in out
+
+
+def test_huge_pinch_bound_on_an_obstructed_front_ends(capsys):
+    # the front has no normal ruling, so every deepening round would
+    # search the same dead root again
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "search-filling", "--max-pinches",
+                       "100000000", "catalog:stab_plus_unknot")
+    assert code == 1
+    assert "no decomposable filling" in out
+    assert time.perf_counter() - start < 10
+
+
+def test_search_deeper_than_the_stack_gives_a_trace(capsys, tmp_path):
+    # a budget of 1000 isotopy steps makes a path of about 1000 states
+    code, out, err = run(capsys, "search-filling", "--budget", "1000",
+                         "catalog:budget_demo")
+    assert code == 0 and not err
+    path = tmp_path / "deep.trace"
+    path.write_text(out, encoding="utf-8")
+    code, out, _ = run(capsys, "check-trace", str(path))
+    assert code == 0
+    assert "ok: true" in out
 
 
 def test_ruling_fillable_unknot(capsys):

@@ -9,7 +9,11 @@ replay, start from the empty diagram, have chi = -tb(top) (Chantraine
 ruling has no filling (a filling gives an augmentation, which gives a
 ruling), so the search must come back empty on one.  The search pinches
 once per run of two adjacent segments: every pinch site it skips must
-be two commutes from the site before it.
+be two commutes from the site before it.  ``oracles`` also keeps the
+recursive search, the per-component eye rule and the ruling
+certificate's own site loop that the one search loop replaced; on fronts
+with births, whose eyes the cleanup kills, both must find the same
+traces and kill the same eyes.
 """
 
 import random
@@ -24,7 +28,8 @@ from frontcalc.cobordism import (_COMMUTE_DEPTH, _WINDOW, _WINDOWS,
                                  _find_reducing_commutes, _kill_eye,
                                  _pinch_sites, _run_predecessor, _slid_level,
                                  birth, check_trace, pinch,
-                                 reduce_diagram, search_decomposable_filling,
+                                 reduce_diagram, ruling_fillability,
+                                 search_decomposable_filling,
                                  trace_from_text, trace_to_text)
 from frontcalc.diagrams import FrontDiagram, L, R, X, event
 from frontcalc.moves import (Rewrite, _commute_pair, apply_rewrite,
@@ -33,7 +38,9 @@ from frontcalc.moves import (Rewrite, _commute_pair, apply_rewrite,
 from helpers import front_fixture, random_word
 from oracles import (reference_enumerate_rulings,
                      reference_find_reducing_commutes,
-                     reference_reduce_diagram)
+                     reference_kill_eye, reference_reduce_diagram,
+                     reference_ruling_fillability,
+                     reference_search_decomposable_filling)
 
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
 SEEDS = st.integers(min_value=0, max_value=2 ** 32 - 1)
@@ -99,9 +106,7 @@ def test_window_table_matches_brute_force(window):
     assert _WINDOWS[events] == exposes_by_brute_force(events)
 
 
-@settings(PROPERTY, max_examples=100)
-@given(st.sampled_from(catalog.names()), st.integers(0, 60), SEEDS)
-def test_killed_eyes_replay_from_a_birth(name, steps, seed):
+def front_with_births(name, steps, seed):
     # Births make eyes; a shuffle after them pulls their cusps apart.
     rng = random.Random(seed)
     d = random_shuffle(catalog.get(name).diagram, 20, seed)
@@ -109,12 +114,33 @@ def test_killed_eyes_replay_from_a_birth(name, steps, seed):
         j = rng.randint(0, len(d.events))
         d = birth(d, j, rng.randint(1, d.strand_counts[j] + 1),
                   rng.choice("+-"))
-    d = random_shuffle(d, steps, seed + 1)
-    for c in range(d.n_components):
-        killed = _kill_eye(d, c)
+    return random_shuffle(d, steps, seed + 1)
+
+
+@settings(PROPERTY, max_examples=100)
+@given(st.sampled_from(catalog.names()), st.integers(0, 60), SEEDS)
+def test_killed_eyes_replay_from_a_birth(name, steps, seed):
+    d = front_with_births(name, steps, seed)
+    kills = [reference_kill_eye(d, c) for c in range(d.n_components)]
+    for killed in kills:
         if killed is not None:
             result, record = killed
             assert check_trace(CobordismTrace(result, record[::-1], d))
+    # the eye found on the word is the killable eye of least component
+    assert _kill_eye(d) == next((k for k in kills if k is not None), None)
+
+
+@PROPERTY
+@given(st.sampled_from(catalog.names()), st.integers(0, 30), SEEDS)
+def test_search_loop_finds_the_reference_traces(name, steps, seed):
+    d = front_with_births(name, steps, seed)
+    for budget in (0, 1):
+        assert (search_decomposable_filling(d, isotopy_budget=budget)
+                == reference_search_decomposable_filling(
+                    d, isotopy_budget=budget))
+    for switches in reference_enumerate_rulings(d)[:2]:
+        assert (ruling_fillability(d, switches)
+                == reference_ruling_fillability(d, switches))
 
 
 def orientable_sites(d):
