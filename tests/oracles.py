@@ -35,6 +35,11 @@ replaced: a recursive depth-first search per deepening round, an eye
 rule that looks each component up and asks whether it is a killable
 eye, and the ruling certificate's own loop over the ruling's adjacent
 pairs, which tries each pinch and skips the ones that raise.
+
+The reference renderer is the layout that the shared grid replaced:
+every front formats its own grid lines and points, keeps its strands'
+points in a dict by segment id, and reads each gap through
+``segments_at_gap``.
 """
 
 import sympy
@@ -900,3 +905,120 @@ def reference_ruling_fillability(diagram, switches, max_pinches=None):
     return reference_pinch_search(diagram, switches, max_pinches,
                                   lambda d: (d, ()),
                                   _cobordism._is_max_tb_unlink, children)
+
+
+# -- reference renderer --------------------------------------------------------
+
+from frontcalc.render import DX, DY, PALETTE, X0, Y0, _caption  # noqa: E402
+
+
+def _reference_fmt(v):
+    s = f"{v:.1f}"
+    return s[:-2] if s.endswith(".0") else s
+
+
+class _ReferenceLayout:
+    """Geometry of one front, formatted afresh for every front: strand
+    polylines keyed by segment id, cusp tips, crossings."""
+
+    def __init__(self, diagram):
+        n = len(diagram.events)
+        maxlev = max([1] + [m for m in diagram.strand_counts])
+        self.x = [_reference_fmt(X0 + h * DX / 2) for h in range(2 * n + 3)]
+        self.y = [_reference_fmt(Y0 + h * DY / 2)
+                  for h in range(2 * maxlev + 1)]
+        comp = diagram.component_of_segment
+        self.points = {}        # segment id -> [point, ...]
+        self.crossings = []     # (event index, level, over component)
+        for idx, ev in enumerate(diagram.events):
+            if ev.kind == CROSSING:
+                over = comp[diagram.segments_at_gap(idx)[ev.level - 1]]
+                self.crossings.append((idx, ev.level, over))
+            else:
+                tip = self.point(2 * idx + 1, 2 * ev.level - 1)
+                for s in diagram.cusp_segments(idx):
+                    self.points.setdefault(s, []).append(tip)
+            x = self.x[2 * idx + 2]
+            for pos, s in enumerate(diagram.segments_at_gap(idx + 1)):
+                self.points[s].append(f"{x} {self.y[2 * pos]}")
+        self.width = X0 + (n + 1) * DX
+        self.height = Y0 + maxlev * DY
+
+    def point(self, hx, hy):
+        return f"{self.x[hx]} {self.y[hy]}"
+
+
+def _reference_polyline(pts, color, width="2", dash=None):
+    d = "M " + " L ".join(pts)
+    extra = f' stroke-dasharray="{dash}"' if dash else ""
+    return (f'<path d="{d}" fill="none" stroke="{color}" '
+            f'stroke-width="{width}" stroke-linejoin="round" '
+            f'stroke-linecap="round"{extra}/>')
+
+
+def _reference_front_group(diagram, ruling=None):
+    lay = _ReferenceLayout(diagram)
+    x, y, point = lay.x, lay.y, lay.point
+    out = []
+    if ruling is not None:
+        gaps = ruling_pairings(diagram, ruling)
+        for g, pairing in enumerate(gaps):
+            for i, p in enumerate(pairing):
+                if p <= i:
+                    continue
+                out.append(_reference_polyline(
+                    [point(2 * g + 1, 2 * i), point(2 * g + 1, 2 * p)],
+                    "#bbbbbb", "1", "3 3"))
+        for idx in sorted(set(ruling)):
+            level = diagram.events[idx].level
+            out.append(f'<circle cx="{x[2 * idx + 1]}" '
+                       f'cy="{y[2 * level - 1]}" r="4" fill="#222222"/>')
+    comp = diagram.component_of_segment
+    for s in sorted(lay.points):
+        color = PALETTE[comp[s] % len(PALETTE)]
+        out.append(_reference_polyline(lay.points[s], color))
+    for idx, level, over in lay.crossings:
+        out.append(f'<circle cx="{x[2 * idx + 1]}" cy="{y[2 * level - 1]}" '
+                   f'r="5" fill="#ffffff"/>')
+        color = PALETTE[over % len(PALETTE)]
+        out.append(_reference_polyline([point(2 * idx, 2 * level - 2),
+                                        point(2 * idx + 2, 2 * level)],
+                                       color))
+    return out, lay.width, lay.height
+
+
+def _reference_document(lines, width, height):
+    fmt = _reference_fmt
+    head = (f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+            f'width="{fmt(width)}" height="{fmt(height)}" '
+            f'viewBox="0 0 {fmt(width)} {fmt(height)}">')
+    return "\n".join([head] + lines + ["</svg>"]) + "\n"
+
+
+def reference_render_svg(diagram, ruling=None):
+    """``render.render_svg`` with every coordinate formatted per front."""
+    lines, w, h = _reference_front_group(diagram, ruling=ruling)
+    return _reference_document(lines, w, h)
+
+
+def reference_render_trace_svg(trace):
+    """``render.render_trace_svg``, laying out each stage on its own."""
+    stages = trace.replay()
+    labels = [""] + [_caption(m) for m in trace.moves]
+    lines = []
+    y_off = 0.0
+    width = 0.0
+    for d, label in zip(stages, labels):
+        body, w, h = _reference_front_group(d)
+        if label:
+            lines.append(f'<text x="{_reference_fmt(X0)}" '
+                         f'y="{_reference_fmt(y_off + 16)}" '
+                         f'font-family="monospace" font-size="12">'
+                         f'{label}</text>')
+            y_off += 24.0
+        lines.append(f'<g transform="translate(0 {_reference_fmt(y_off)})">')
+        lines.extend(body)
+        lines.append("</g>")
+        y_off += h
+        width = max(width, w)
+    return _reference_document(lines, width, y_off)

@@ -1,11 +1,28 @@
+"""SVG rendering: structure, byte pins, and equality with the reference.
+
+The pins are sha256 digests of SVG bytes, so a change to the layout
+code cannot alter any rendered file unnoticed.  ``oracles`` keeps the
+renderer that formatted every front afresh; on shuffled catalog fronts,
+with and without a ruling, and on search traces of shuffled fronts the
+renderer must produce the same bytes.
+"""
+
 import hashlib
+import random
 import xml.etree.ElementTree as ET
 
+from hypothesis import given, settings, strategies as st
+
 from frontcalc import catalog
-from frontcalc.cobordism import search_decomposable_filling
+from frontcalc.cobordism import (ruling_fillability,
+                                 search_decomposable_filling)
 from frontcalc.diagrams import FrontDiagram, L, R, X
+from frontcalc.moves import random_shuffle
 from frontcalc.render import render_svg, render_trace_svg
 from frontcalc.rulings import enumerate_rulings
+from frontcalc.satellites import builtin_pattern, satellite
+
+from oracles import reference_render_svg, reference_render_trace_svg
 
 UNKNOT = FrontDiagram([L(1), R(1)])
 TREFOIL = FrontDiagram([L(1), L(3), X(2), X(2), X(2), R(1), R(1)])
@@ -106,3 +123,89 @@ def test_ruling_overlay_svg_bytes_are_pinned():
 def test_trace_svg_bytes_are_pinned():
     tr = search_decomposable_filling(TREFOIL)
     assert _sha256(render_trace_svg(tr)) == TREFOIL_TRACE_SVG_SHA256
+
+
+# the catalog entries that the default search fills
+FILLABLE = ("unknot", "trefoil", "unlink2", "m9_46")
+
+SEARCH_TRACE_SVG_SHA256 = {
+    "unknot":
+        "175e28a9f5ffb5ad73af7d5dc64a98f2b8d714fa3bd90dee745941220a2d17dc",
+    "trefoil":
+        "065413edaddf45850296861f444418f404a21871d4fa228d92593b2d669e0e80",
+    "unlink2":
+        "fdfb7e1a0ce4e8ca47adb37d8a042d75f34f3cfd14642e71987f908eab4aaf32",
+    "m9_46":
+        "17d9b5318731cb6a6d01abcf3bd1dc9c43279b994ec861b155a3dfdb521193d8",
+    "budget_demo:1":
+        "0c6913d693d5d293a1876ebd1aa2bd66c67fe8befe0aa471cbd27fee8b704c5e",
+    "budget_demo:2":
+        "06487d453575e6a8732fd7eedb1757be107a86d0db11172cd970fdeec2349824",
+}
+
+M9_46_RULING_TRACE_SVG_SHA256 = (
+    "2fcc110f94502b491dda3cd5fdb8a8946063a81976f4486d8dae79d02dd1235b")
+
+# the first ruling of the trefoil's 3-copy; the m9_46 Whitehead double
+# has no normal ruling, so it is drawn bare
+SATELLITE_SVG_SHA256 = {
+    "trefoil:identity:3":
+        "d5282941e6cb2a69384cf57a95c9aaa77b76271293d3bb97f0604e41d644a8e4",
+    "m9_46:whitehead":
+        "eccb2fdd3226d1d45b6f95c14eb999b098cf5c0a1d53b626bbc530fc26b8f6ba",
+}
+
+
+def test_search_trace_svg_bytes_are_pinned():
+    got = {name: _sha256(render_trace_svg(
+        search_decomposable_filling(catalog.get(name).diagram)))
+        for name in FILLABLE}
+    demo = catalog.get("budget_demo").diagram
+    for budget in (1, 2):
+        got[f"budget_demo:{budget}"] = _sha256(render_trace_svg(
+            search_decomposable_filling(demo, isotopy_budget=budget)))
+    assert got == SEARCH_TRACE_SVG_SHA256
+
+
+def test_ruling_certificate_svg_bytes_are_pinned():
+    d = catalog.get("m9_46").diagram
+    tr = ruling_fillability(d, enumerate_rulings(d)[0])
+    assert _sha256(render_trace_svg(tr)) == M9_46_RULING_TRACE_SVG_SHA256
+
+
+def test_satellite_svg_bytes_are_pinned():
+    got = {}
+    for name, pattern, param in (("trefoil", "identity", "3"),
+                                 ("m9_46", "whitehead", None)):
+        d = satellite(catalog.get(name).diagram,
+                      builtin_pattern(pattern, param)).diagram
+        rulings = enumerate_rulings(d)
+        key = ":".join(x for x in (name, pattern, param) if x)
+        got[key] = _sha256(render_svg(d, ruling=rulings[0] if rulings
+                                      else None))
+    assert got == SATELLITE_SVG_SHA256
+
+
+PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
+SEEDS = st.integers(min_value=0, max_value=2 ** 32 - 1)
+
+
+@PROPERTY
+@given(st.sampled_from(catalog.names()), st.integers(0, 120), SEEDS)
+def test_front_svg_matches_reference(name, steps, seed):
+    d = random_shuffle(catalog.get(name).diagram, steps, seed)
+    assert render_svg(d) == reference_render_svg(d)
+    rulings = enumerate_rulings(d)
+    if rulings:
+        r = random.Random(seed).choice(rulings)
+        assert render_svg(d, ruling=r) == reference_render_svg(d, ruling=r)
+
+
+@settings(PROPERTY, max_examples=30)
+@given(st.sampled_from(FILLABLE), st.integers(0, 60), SEEDS,
+       st.integers(0, 2))
+def test_trace_svg_matches_reference(name, steps, seed, budget):
+    d = random_shuffle(catalog.get(name).diagram, steps, seed)
+    tr = search_decomposable_filling(d, isotopy_budget=budget)
+    if tr is not None:
+        assert render_trace_svg(tr) == reference_render_trace_svg(tr)
