@@ -4,11 +4,17 @@ Strands are drawn as polylines sampled once per event column; cusps
 come to a point, and at each crossing the understrand is broken by a
 small mask so the descending strand reads as passing in front.  The
 output depends only on the input diagram, so files are byte-stable.
+
+Every coordinate lies on a grid of half columns and half levels.  One
+render call formats that grid once, in a ``_Grid`` that every front of
+the call shares: a filmstrip's frames look their points up instead of
+formatting them.
 """
 
 from __future__ import annotations
 
-from .diagrams import CROSSING
+from itertools import zip_longest
+
 from .rulings import ruling_pairings
 
 X0 = 30.0
@@ -20,83 +26,100 @@ PALETTE = ("#1f6f8b", "#c0392b", "#52772b", "#7d3c98",
            "#b9770e", "#1a5276", "#6e2c00", "#117864")
 
 
+def _path_end(color, width="2", extra=""):
+    """The end of a path element, after the points of its "d" attribute."""
+    return (f'" fill="none" stroke="{color}" stroke-width="{width}" '
+            f'stroke-linejoin="round" stroke-linecap="round"{extra}/>')
+
+
+# the end of a strand's path element, by component % len(PALETTE)
+_STRAND_END = tuple(map(_path_end, PALETTE))
+
+
 def _fmt(v):
-    s = f"{v:.1f}"
-    return s[:-2] if s.endswith(".0") else s
+    return f"{v:.1f}".removesuffix(".0")
 
 
-class _Layout:
-    """Geometry of one front: strand polylines, cusp tips, crossings.
+class _Grid:
+    """Formatted coordinates shared by the fronts of one render call.
 
-    Every coordinate lies on a grid of half columns and half levels;
-    ``x[h]`` and ``y[h]`` are grid line h formatted, so each coordinate
-    is formatted once per front.  Points are "x y" strings.  Segment ids
-    and positions come from the diagram's scan.
+    ``x[h]`` and ``y[h]`` are grid line h.  ``gaps[g][p]`` is the "x y"
+    point of the strand at 0-based position p in gap g (after event
+    g - 1), for the most strands any of the fronts has there; ``tips``
+    maps (event index, level) to the point of a cusp tip, filled as
+    cusps are met.  So a grid holds only points its fronts use.
     """
 
-    def __init__(self, diagram):
-        n = len(diagram.events)
-        maxlev = max([1] + [m for m in diagram.strand_counts])
-        self.x = [_fmt(X0 + h * DX / 2) for h in range(2 * n + 3)]
-        self.y = [_fmt(Y0 + h * DY / 2) for h in range(2 * maxlev + 1)]
-        comp = diagram.component_of_segment
-        self.points = {}        # segment id -> [point, ...]
-        self.crossings = []     # (event index, level, over component)
-        for idx, ev in enumerate(diagram.events):
-            if ev.kind == CROSSING:
-                over = comp[diagram.segments_at_gap(idx)[ev.level - 1]]
-                self.crossings.append((idx, ev.level, over))
-            else:
-                tip = self.point(2 * idx + 1, 2 * ev.level - 1)
-                for s in diagram.cusp_segments(idx):
-                    self.points.setdefault(s, []).append(tip)
-            x = self.x[2 * idx + 2]
-            for pos, s in enumerate(diagram.segments_at_gap(idx + 1)):
-                self.points[s].append(f"{x} {self.y[2 * pos]}")
-        self.width = X0 + (n + 1) * DX
-        self.height = Y0 + maxlev * DY
-
-    def point(self, hx, hy):
-        return f"{self.x[hx]} {self.y[hy]}"
+    def __init__(self, diagrams):
+        counts = [max(col) for col in
+                  zip_longest(*(d.strand_counts for d in diagrams),
+                              fillvalue=0)]
+        x = [_fmt(X0 + h * DX / 2) for h in range(2 * len(counts) + 1)]
+        y = [_fmt(Y0 + h * DY / 2)
+             for h in range(2 * max(1, *counts) + 1)]
+        self.x, self.y = x, y
+        gap_y = [" " + v for v in y[::2]]
+        self.gaps = [list(map(x[2 * g].__add__, gap_y[:m]))
+                     for g, m in enumerate(counts)]
+        self.tips = {}
 
 
-def _polyline(pts, color, width="2", dash=None):
-    d = "M " + " L ".join(pts)
-    extra = f' stroke-dasharray="{dash}"' if dash else ""
-    return (f'<path d="{d}" fill="none" stroke="{color}" '
-            f'stroke-width="{width}" stroke-linejoin="round" '
-            f'stroke-linecap="round"{extra}/>')
+# the end of a ruling's dashed pairing line
+_PAIRING_END = _path_end("#bbbbbb", "1", ' stroke-dasharray="3 3"')
 
 
-def _front_group(diagram, ruling=None):
-    """SVG fragment for one front; returns (markup lines, w, h)."""
-    lay = _Layout(diagram)
-    x, y, point = lay.x, lay.y, lay.point
+def _front_group(grid, diagram, ruling=None):
+    """SVG fragment for one front; returns (markup lines, w, h).
+
+    One pass over the diagram's scan puts every point on its segment's
+    list: a cusp's tip on both its segments, then the gap after the
+    event down its strands.
+    """
+    x, y, tips = grid.x, grid.y, grid.tips
+    scan = diagram._scan
+    cusps = scan.cusp_pair
+    counts = diagram.strand_counts
+    comp = diagram.component_of_segment
+    points = [[] for _ in range(scan.n_segments)]
+    add = [pts.append for pts in points]
+    crossings = []          # (event index, level, over segment)
+    for idx, (ev, gap, col) in enumerate(zip(diagram.events, scan.gaps[1:],
+                                             grid.gaps[1:])):
+        pair = cusps.get(idx)
+        if pair is None:
+            crossings.append((idx, ev.level, scan.crossing_pair[idx][0]))
+        else:
+            key = (idx, ev.level)
+            tip = tips.get(key)
+            if tip is None:
+                tip = tips[key] = f"{x[2 * idx + 1]} {y[2 * ev.level - 1]}"
+            add[pair[0]](tip)
+            add[pair[1]](tip)
+        for s, pt in zip(gap, col):
+            add[s](pt)
     out = []
     if ruling is not None:
-        gaps = ruling_pairings(diagram, ruling)
-        for g, pairing in enumerate(gaps):
+        for g, pairing in enumerate(ruling_pairings(diagram, ruling)):
+            cx = x[2 * g + 1]
             for i, p in enumerate(pairing):
-                if p <= i:
-                    continue
-                out.append(_polyline([point(2 * g + 1, 2 * i),
-                                      point(2 * g + 1, 2 * p)],
-                                     "#bbbbbb", "1", "3 3"))
+                if p > i:
+                    out.append(f'<path d="M {cx} {y[2 * i]} L {cx} '
+                               f'{y[2 * p]}{_PAIRING_END}')
         for idx in sorted(set(ruling)):
             level = diagram.events[idx].level
             out.append(f'<circle cx="{x[2 * idx + 1]}" '
                        f'cy="{y[2 * level - 1]}" r="4" fill="#222222"/>')
-    comp = diagram.component_of_segment
-    for s in sorted(lay.points):
-        color = PALETTE[comp[s] % len(PALETTE)]
-        out.append(_polyline(lay.points[s], color))
-    for idx, level, over in lay.crossings:
+    ends = len(PALETTE)
+    out += ['<path d="M ' + " L ".join(pts) + _STRAND_END[c % ends]
+            for pts, c in zip(points, comp)]
+    gaps = grid.gaps
+    for idx, level, over in crossings:
         out.append(f'<circle cx="{x[2 * idx + 1]}" cy="{y[2 * level - 1]}" '
                    f'r="5" fill="#ffffff"/>')
-        color = PALETTE[over % len(PALETTE)]
-        out.append(_polyline([point(2 * idx, 2 * level - 2),
-                              point(2 * idx + 2, 2 * level)], color))
-    return out, lay.width, lay.height
+        out.append('<path d="M ' + gaps[idx][level - 1] + " L "
+                   + gaps[idx + 1][level] + _STRAND_END[comp[over] % ends])
+    n = len(counts) - 1
+    return out, X0 + (n + 1) * DX, Y0 + max(1, *counts) * DY
 
 
 def _document(lines, width, height):
@@ -108,7 +131,8 @@ def _document(lines, width, height):
 
 def render_svg(diagram, ruling=None):
     """SVG document for one front, optionally with a ruling overlay."""
-    lines, w, h = _front_group(diagram, ruling=ruling)
+    grid = _Grid([diagram])
+    lines, w, h = _front_group(grid, diagram, ruling=ruling)
     return _document(lines, w, h)
 
 
@@ -126,14 +150,19 @@ def _caption(move):
 
 
 def render_trace_svg(trace):
-    """Filmstrip of every stage of a cobordism trace, bottom to top."""
+    """Filmstrip of every stage of a cobordism trace, bottom to top.
+
+    Every frame draws on one grid, sized for the widest and tallest
+    stage.
+    """
     stages = trace.replay()
     labels = [""] + [_caption(m) for m in trace.moves]
+    grid = _Grid(stages)
     lines = []
     y_off = 0.0
     width = 0.0
     for d, label in zip(stages, labels):
-        body, w, h = _front_group(d)
+        body, w, h = _front_group(grid, d)
         if label:
             lines.append(f'<text x="{_fmt(X0)}" y="{_fmt(y_off + 16)}" '
                          f'font-family="monospace" font-size="12">'
