@@ -3,7 +3,8 @@
 Diagrams are referenced either as ``catalog:<name>`` or as a path to a
 ``frontdiagram v1`` file.  Output is deterministic; ``--format tsv``
 switches to tab-separated key/value rows.  Exit codes: 0 success, 1
-domain error (invalid move, no filling, failed check), 2 parse error.
+domain error (invalid move, no filling, failed check) or standard output
+closed by its reader, 2 parse error.
 """
 
 from __future__ import annotations
@@ -297,12 +298,20 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args, sys.stdout)
+        code = args.fn(args, sys.stdout)
+        sys.stdout.flush()    # a closed reader shows here, not at exit
+        return code
     except CliParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return PARSE_ERROR
     except DiagramError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return DOMAIN_ERROR
+    except BrokenPipeError:
+        # The reader closed standard output.  Point it at devnull, so
+        # that the interpreter's flush at exit does not fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
         return DOMAIN_ERROR
 
 

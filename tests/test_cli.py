@@ -5,7 +5,11 @@ captures stdout, which keeps the tests fast while still exercising the
 real argument parsing and exit code paths.
 """
 
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +18,7 @@ from frontcalc.cobordism import check_trace, trace_from_text, _pinch_sites
 from frontcalc.diagrams import from_text, to_text
 from frontcalc.moves import random_shuffle
 from frontcalc.rulings import count_rulings
+from frontcalc.satellites import builtin_pattern, satellite
 
 from helpers import FRONTS
 
@@ -496,3 +501,24 @@ def test_one_parser_serves_every_call(capsys):
     assert [code for code, _out, _err in separate] == [0, 2, 0]
     assert outputs(fresh=False) == separate
     assert cli.build_parser() is cli.build_parser()
+
+
+def test_closed_reader_gives_no_traceback(tmp_path):
+    # The trefoil's 4-copy lists 250 kB of rulings, more than a pipe
+    # holds, so the command is still writing when the reader goes.
+    d = satellite(catalog.get("trefoil").diagram,
+                  builtin_pattern("identity", "4")).diagram
+    path = write_diagram(tmp_path, "trefoil_4copy.front", d)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "frontcalc.cli", "rulings", "--list", path],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert first.strip()
+    assert b"Traceback" not in err
+    assert err == b""
