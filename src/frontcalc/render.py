@@ -34,6 +34,8 @@ def _path_end(color, width="2", extra=""):
 
 # the end of a strand's path element, by component % len(PALETTE)
 _STRAND_END = tuple(map(_path_end, PALETTE))
+# the end of a ruling's dashed pairing line
+_PAIRING_END = _path_end("#bbbbbb", "1", ' stroke-dasharray="3 3"')
 
 
 def _fmt(v):
@@ -62,10 +64,6 @@ class _Grid:
         self.gaps = [list(map(x[2 * g].__add__, gap_y[:m]))
                      for g, m in enumerate(counts)]
         self.tips = {}
-
-
-# the end of a ruling's dashed pairing line
-_PAIRING_END = _path_end("#bbbbbb", "1", ' stroke-dasharray="3 3"')
 
 
 def _front_group(grid, diagram, ruling=None):
@@ -118,8 +116,7 @@ def _front_group(grid, diagram, ruling=None):
                    f'r="5" fill="#ffffff"/>')
         out.append('<path d="M ' + gaps[idx][level - 1] + " L "
                    + gaps[idx + 1][level] + _STRAND_END[comp[over] % ends])
-    n = len(counts) - 1
-    return out, X0 + (n + 1) * DX, Y0 + max(1, *counts) * DY
+    return out, X0 + len(counts) * DX, Y0 + max(1, *counts) * DY
 
 
 def _document(lines, width, height):
