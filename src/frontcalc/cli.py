@@ -312,6 +312,7 @@ def main(argv=None):
         # that the interpreter's flush at exit does not fail again.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return DOMAIN_ERROR
 
 
