@@ -14,7 +14,7 @@ import functools
 import os
 import sys
 
-from .diagrams import DiagramError, from_text, to_text
+from .diagrams import DiagramError, ascii_decimal, from_text, to_text
 from .moves import random_shuffle
 from .rulings import count_rulings, enumerate_rulings
 from . import cobordism as cob
@@ -112,7 +112,7 @@ def cmd_shuffle(args, out):
 def _parse_site(text):
     try:
         index, level = text.split("@")
-        return int(index), int(level)
+        return ascii_decimal(index), ascii_decimal(level)
     except ValueError:
         raise CliParseError(f"bad site {text!r}, wanted INDEX@LEVEL")
 
@@ -138,8 +138,9 @@ def cmd_search_filling(args, out):
 def _parse_ruling(text):
     if text in ("", "-"):
         return ()
-    try:
-        return tuple(int(t) for t in text.replace(",", " ").split())
+    try:   # signed, so that a negative index is a domain error
+        return tuple(-ascii_decimal(t[1:]) if t[0] == "-" else ascii_decimal(t)
+                     for t in text.replace(",", " ").split())
     except ValueError:
         raise CliParseError(f"bad ruling {text!r}, wanted crossing indices")
 
@@ -222,13 +223,10 @@ def cmd_catalog(args, out):
 def _count(text):
     """An argparse type: a non-negative integer; anything else exits 2."""
     try:
-        n = int(text)
+        return ascii_decimal(text)
     except ValueError:
-        n = -1
-    if n < 0:
         raise argparse.ArgumentTypeError(
-            f"wanted a non-negative integer, got {text!r}")
-    return n
+            f"wanted a non-negative integer, got {text!r}") from None
 
 
 @functools.cache

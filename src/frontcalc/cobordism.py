@@ -46,7 +46,8 @@ from dataclasses import dataclass
 
 from . import moves as _moves
 from .diagrams import (LEFT_CUSP, RIGHT_CUSP, DiagramError, FrontDiagram, L,
-                       R, connected_components, event, from_lines)
+                       R, ascii_decimal, connected_components, event,
+                       from_lines)
 from .moves import _SWAPS, Rewrite, _Table, apply_rewrite, inverse
 from .rulings import count_rulings, ruling_pairings
 
@@ -146,8 +147,10 @@ def death(diagram, component):
 
     The component must consist of exactly one left and one right cusp,
     and no other event may touch its two strands anywhere between them
-    (strands passing entirely above or below are fine).
+    (strands passing entirely above or below are fine).  The eye's
+    position at each gap in between is read off the scan.
     """
+    diagram._check_component(component)
     own = diagram.component_events(component)
     if len(own) != 2:
         raise NotIsolatedUnknot(component, f"{len(own)} events, wanted 2")
@@ -155,30 +158,20 @@ def death(diagram, component):
     ev_l, ev_r = diagram.events[j_left], diagram.events[j_right]
     if ev_l.kind != LEFT_CUSP or ev_r.kind != RIGHT_CUSP:
         raise NotIsolatedUnknot(component, "events are not a cusp pair")
-    k = ev_l.level  # the pair occupies positions k, k+1 from here on
+    top = diagram.cusp_segments(j_left)[0]
     window = []
     for idx in range(j_left + 1, j_right):
         ev = diagram.events[idx]
         l = ev.level
+        # the eye holds positions k, k+1 before event idx
+        k = diagram.segments_at_gap(idx).index(top) + 1
         if ev.kind == LEFT_CUSP:
-            if l <= k:
-                new_l, k = l, k + 2
-            elif l >= k + 2:
-                new_l = l - 2
-            else:
+            if l == k + 1:
                 raise NotIsolatedUnknot(component,
                                         f"event {idx} opens inside the eye")
-        else:
-            if l + 1 <= k - 1:
-                new_l = l
-                if ev.kind == RIGHT_CUSP:
-                    k -= 2
-            elif l >= k + 2:
-                new_l = l - 2
-            else:
-                raise NotIsolatedUnknot(component,
-                                        f"event {idx} touches the eye")
-        window.append(event(ev.kind, new_l))
+        elif k - 1 <= l <= k + 1:
+            raise NotIsolatedUnknot(component, f"event {idx} touches the eye")
+        window.append(event(ev.kind, l - 2) if l > k else ev)
     # the events in between keep their strands, only their levels move
     return diagram._edited(j_left, j_right + 1, window,
                            diagram.directions[j_left + 1:j_right])
@@ -214,14 +207,15 @@ class Move:
         try:
             if kind == "isotopy" and len(args) in (3, 4):
                 rkind, ridx, rlvl, *variant = args
-                return Move(kind, rewrite=Rewrite(rkind, int(ridx), int(rlvl),
-                                                  *variant))
+                return Move(kind, rewrite=Rewrite(
+                    rkind, ascii_decimal(ridx), ascii_decimal(rlvl), *variant))
             if kind == "death" and len(args) == 1:
-                return Move(kind, int(args[0]))
+                return Move(kind, ascii_decimal(args[0]))
             if ((kind in ("pinch", "surgery") and len(args) == 1)
                     or (kind == "birth" and len(args) in (1, 2))):
                 idx, lvl = args[0].split("@")
-                return Move(kind, int(idx), int(lvl), *args[1:])
+                return Move(kind, ascii_decimal(idx), ascii_decimal(lvl),
+                            *args[1:])
         except ValueError:
             pass
         raise CobordismError(f"bad move line {line!r}")

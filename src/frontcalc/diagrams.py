@@ -16,10 +16,11 @@ before a right cusp or a crossing.  The two strands of a cusp run opposite
 ways, so a cusp's entry is fixed by its top strand; a crossing's entry
 gives both of its strands.  A local rewrite therefore edits the entries of
 its window only, and the direction of any strand can be read off the
-nearest event touching it.  The segment scan, the component numbering and
-the per-component orientation symbols are derived on first use; the
-symbol '+' directs the top strand of a component's first left cusp
-rightward, and a component's symbol is read off that cusp's entry.
+next event to its right that touches it: every strand ends at a right
+cusp.  The segment scan, the component numbering and the per-component
+orientation symbols are derived on first use; the symbol '+' directs the
+top strand of a component's first left cusp rightward, and a component's
+symbol is read off that cusp's entry.
 
 One iterative walk of the cusp graph, whose nodes are segments and whose
 edges are cusps, gives every segment its component, numbered by least
@@ -57,7 +58,7 @@ RIGHT_CUSP = "R"
 CROSSING = "X"
 
 _KINDS = (LEFT_CUSP, RIGHT_CUSP, CROSSING)
-_LEFT, _RIGHT, _CROSS = range(3)   # kind indices: an event's code % 3
+_LEFT, _RIGHT = 0, 1   # the cusps' kind indices: an event's code % 3
 
 
 class DiagramError(ValueError):
@@ -120,13 +121,27 @@ class Event(int):
     @lru_cache(maxsize=_INTERNED_MAX)
     def parse(token: str) -> "Event":
         kind, digits = token[:1], token[1:]
-        if kind not in _KINDS or not (digits.isascii() and digits.isdigit()):
-            raise DiagramError(f"bad event token {token!r}")
-        try:
-            level = int(digits)
-        except ValueError:  # more digits than int() converts
-            raise DiagramError(f"bad event token {token!r}") from None
-        return event(kind, level)
+        if kind in _KINDS:
+            try:
+                level = ascii_decimal(digits)
+            except ValueError:
+                pass
+            else:
+                return event(kind, level)
+        raise DiagramError(f"bad event token {token!r}")
+
+
+def ascii_decimal(text):
+    """The non-negative integer that ``text`` spells in ASCII digits.
+
+    Every integer read from outside the program goes through here.
+    Raises ValueError on anything else that ``int`` would take: a sign,
+    blanks, ``_`` separators, another script's digits, or more digits
+    than ``int`` converts.
+    """
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"not an ASCII decimal: {text!r}")
+    return int(text)
 
 
 @lru_cache(maxsize=_INTERNED_MAX, typed=True)
@@ -387,44 +402,27 @@ class FrontDiagram:
     def direction_at(self, gap, level):
         """+1 if the strand at ``level`` runs rightward, -1 leftward.
 
-        Walks outward from the gap, one event to each side in turn, to
-        the nearest event touching the strand and reads its entry.
+        Walks right from the gap to the next event that touches the
+        strand and reads its entry.  There always is one: every strand
+        ends at a right cusp.
         """
         if not (0 <= gap < len(self.strand_counts)
                 and 1 <= level <= self.strand_counts[gap]):
             raise IndexError(f"no strand at level {level} at gap {gap}")
         events, dirs = self.events, self.directions
-        right, p_right = gap, level    # next event, strand position before it
-        left, p_left = gap - 1, level  # next event, strand position after it
-        while True:
-            if right < len(events):
-                ev = events[right]
-                kind, lv = ev % 3, ev // 3
-                if kind == _LEFT:
-                    if lv <= p_right:
-                        p_right += 2
-                elif p_right == lv:
-                    return dirs[right][0]
-                elif p_right == lv + 1:
-                    return dirs[right][1]
-                elif kind == _RIGHT and p_right > lv:
-                    p_right -= 2
-                right += 1
-            if left >= 0:
-                ev = events[left]
-                kind, lv = ev % 3, ev // 3
-                # after a crossing its two strands have swapped positions
-                swap = kind == _CROSS
-                if kind == _RIGHT:
-                    if lv <= p_left:
-                        p_left += 2
-                elif p_left == lv:
-                    return dirs[left][swap]
-                elif p_left == lv + 1:
-                    return dirs[left][not swap]
-                elif kind == _LEFT and p_left > lv:
-                    p_left -= 2
-                left -= 1
+        p = level   # the strand's position before event idx
+        for idx in range(gap, len(events)):
+            ev = events[idx]
+            kind, lv = ev % 3, ev // 3
+            if kind == _LEFT:
+                if lv <= p:
+                    p += 2
+            elif p == lv:
+                return dirs[idx][0]
+            elif p == lv + 1:
+                return dirs[idx][1]
+            elif kind == _RIGHT and p > lv:
+                p -= 2
 
     def cusp_segments(self, index):
         """(top, bottom) segment ids of the cusp event at ``index``."""

@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 
 from .diagrams import (LEFT_CUSP, RIGHT_CUSP, DiagramError, Event,
                        FrontDiagram, L, LevelOutOfBounds, NonzeroFinalStrands,
-                       R, X, _Scan, connected_components, event)
+                       R, X, _Scan, ascii_decimal, connected_components,
+                       event)
 
 
 class PatternError(DiagramError):
@@ -75,8 +76,11 @@ class PatternFront:
 
 
 def _count_param(name, param):
+    """A count given in code (an int) or in a pattern spec (ASCII digits)."""
     try:
-        return 1 if param is None else int(param)
+        if param is None:
+            return 1
+        return ascii_decimal(param) if isinstance(param, str) else int(param)
     except ValueError:
         raise UnknownPattern(f"{name}({param!r})") from None
 
@@ -232,12 +236,9 @@ def pattern_from_text(text):
         raise PatternError("missing 'pattern v1' header")
     if not lines[1].startswith("strands: "):
         raise PatternError("missing 'strands:' line")
-    digits = lines[1][len("strands: "):]
-    if not (digits.isascii() and digits.isdigit()):
-        raise PatternError(f"bad strands line {lines[1]!r}")
     try:
-        k = int(digits)
-    except ValueError:  # more digits than int() converts
+        k = ascii_decimal(lines[1][len("strands: "):])
+    except ValueError:
         raise PatternError(f"bad strands line {lines[1]!r}") from None
     word = lines[2].split() if len(lines) > 2 else []
     return PatternFront(k, [Event.parse(t) for t in word])

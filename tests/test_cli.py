@@ -469,7 +469,15 @@ def test_stripped_trace_is_read_back(capsys, tmp_path):
      "catalog:unknot"],
     ["shuffle", "--steps", "-5", "catalog:unknot"],
     ["shuffle", "--steps", "five", "catalog:unknot"],
-], ids=["max-pinches", "budget", "ruling-max-pinches", "steps", "steps-text"])
+    # int() reads these as numbers; a count is ASCII digits only
+    ["shuffle", "--steps", "١٠", "catalog:unknot"],
+    ["search-filling", "--max-pinches", "1_0", "catalog:unknot"],
+    ["search-filling", "--budget", " 3", "catalog:unknot"],
+    ["ruling-fillable", "--ruling", "-", "--max-pinches", "３",
+     "catalog:unknot"],
+], ids=["max-pinches", "budget", "ruling-max-pinches", "steps", "steps-text",
+        "steps-arabic-indic", "max-pinches-underscore", "budget-blank",
+        "ruling-max-pinches-fullwidth"])
 def test_negative_counts_are_parse_errors(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
@@ -522,3 +530,44 @@ def test_closed_reader_gives_no_traceback(tmp_path):
     assert first.strip()
     assert b"Traceback" not in err
     assert err == b""
+
+
+# int() reads every field below as a number; integers from outside the
+# program are ASCII digits only, and anything else is a parse error
+@pytest.mark.parametrize("command", ["check-trace", "render"])
+def test_non_ascii_digit_trace_is_parse_error(capsys, tmp_path, command):
+    svg = ["--svg", str(tmp_path / "out.svg")] if command == "render" else []
+    code, out, err = run(capsys, command, *svg,
+                         str(FRONTS / "non_ascii_digit.trace"))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "bad move line 'birth ٠@١'" in err
+
+
+@pytest.mark.parametrize("line", [
+    "birth 0@1_0", "pinch -1@1", "surgery 0@+1", "death ١",
+    "isotopy commute ０ 0",
+])
+def test_trace_move_fields_are_ascii_decimals(capsys, tmp_path, line):
+    path = tmp_path / "field.trace"
+    path.write_text(f"trace v1\nbottom: L1 R1\norient: +\n{line}\n"
+                    f"top: L1 R1\norient: +\n", encoding="utf-8")
+    code, out, err = run(capsys, "check-trace", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"bad move line {line!r}" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["pinch", "--site", "٠@١", "catalog:unknot"],
+    ["pinch", "--site", "0@ 1", "catalog:unknot"],
+    ["ruling-fillable", "--ruling", "١", "catalog:trefoil"],
+    ["ruling-fillable", "--ruling", "2,3,+4", "catalog:trefoil"],
+    ["satellite", "--pattern", "identity:٢", "catalog:unknot"],
+], ids=["site-arabic-indic", "site-blank", "ruling-arabic-indic",
+        "ruling-plus", "pattern-arabic-indic"])
+def test_cli_fields_are_ascii_decimals(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+

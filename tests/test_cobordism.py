@@ -11,7 +11,7 @@ from frontcalc.cobordism import (
     presentation_graph, reduce_diagram, ruling_fillability,
     search_decomposable_filling, surgery, trace_from_text, trace_to_text,
 )
-from frontcalc.diagrams import FrontDiagram, L, R, X
+from frontcalc.diagrams import DiagramError, FrontDiagram, L, R, X
 from frontcalc.moves import random_shuffle, stabilize
 from frontcalc.rulings import enumerate_rulings
 
@@ -90,6 +90,14 @@ def test_death_requires_isolation():
         death(d, outer)
     with pytest.raises(NotIsolatedUnknot):
         death(TREFOIL, 0)
+
+
+@pytest.mark.parametrize("component", [5, -1, 1.0, True, "1"])
+def test_death_checks_its_component_index(component):
+    unlink2 = FrontDiagram([L(1), R(1), L(1), R(1)])
+    with pytest.raises(DiagramError,
+                       match=r"no component .*: components are 0\.\.1"):
+        death(unlink2, component)
 
 
 def test_reduce_diagram_flattens_shuffles():
@@ -317,6 +325,17 @@ def test_move_text():
     "birth 0@1 + junk", "isotopy commute 3 0 up junk", "surgery 0@1 2",
 ])
 def test_move_lines_with_trailing_tokens_are_rejected(line):
+    with pytest.raises(CobordismError, match="bad move line"):
+        Move.parse(line)
+
+
+# int() takes all of these; a move field is ASCII digits only
+@pytest.mark.parametrize("line", [
+    "birth \u0660@\u0661", "birth 0@1_0", "pinch -1@1",
+    "pinch +1@1", "surgery 0@\uff11", "death \u0661",
+    "isotopy commute \u0663 0", "isotopy commute 3 -0",
+])
+def test_move_fields_are_ascii_decimals(line):
     with pytest.raises(CobordismError, match="bad move line"):
         Move.parse(line)
 

@@ -6,14 +6,16 @@ the whole result and give each new component the old direction at its
 first event outside the window.  Both must agree on every output.
 """
 
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from frontcalc import catalog
-from frontcalc.cobordism import birth, death, pinch, surgery
-from frontcalc.diagrams import DiagramError, FrontDiagram, to_text
+from frontcalc.cobordism import (NotIsolatedUnknot, birth, death, pinch,
+                                 surgery)
+from frontcalc.diagrams import DiagramError, Event, FrontDiagram, to_text
 from frontcalc.moves import (applicable_rewrites, apply_rewrite,
                              random_shuffle, stabilize)
 
@@ -100,6 +102,48 @@ def test_birth_death_stabilize_match_reference(seed):
                 b = assert_agree(birth, reference_birth, d, j, level, orient)
                 for c in range(b.n_components):
                     assert_agree(death, reference_death, b, c)
+
+
+# The eye is the component's cusp pair; every word is read under each
+# choice of orientation symbols.
+@pytest.mark.parametrize("word, component, want", [
+    # a left cusp above the eye, then a right cusp above it
+    ("L1 L1 R1 R1", 0, "L1 R1"),
+    # a left cusp two levels below the eye, then a right cusp there
+    ("L1 L3 R3 R1", 0, "L1 R1"),
+    # a right cusp two levels below the eye, a pair that does not commute
+    ("L1 L1 R3 R1", 1, "L1 R1"),
+    # crossings above and below the eye
+    ("L1 L1 X1 L3 X5 X1 R3 R1 R1", 2, "L1 L1 X1 X3 X1 R1 R1"),
+    ("L1 L2 R2 R1", 0, "event 1 opens inside the eye"),
+    # a crossing with the strand just below the eye, then just above it
+    ("L1 L1 X2 X2 R1 R1", 1, "event 2 touches the eye"),
+    ("L1 L3 X2 X2 R3 R1", 1, "event 2 touches the eye"),
+])
+def test_death_reads_the_eye_off_the_scan(word, component, want):
+    events = [Event.parse(t) for t in word.split()]
+    n = FrontDiagram(events).n_components
+    for symbols in itertools.product("+-", repeat=n):
+        d = FrontDiagram(events, symbols)
+        if want.startswith("event"):
+            with pytest.raises(NotIsolatedUnknot, match=want):
+                death(d, component)
+            with pytest.raises(NotIsolatedUnknot):
+                reference_death(d, component)
+        else:
+            got = assert_agree(death, reference_death, d, component)
+            assert " ".join(map(str, got.events)) == want
+
+
+@PROPERTY
+@given(SEEDS)
+def test_death_matches_reference_on_every_component(seed):
+    rng = random.Random(seed)
+    for _ in range(25):
+        d = oriented_diagram(rng, random_word(rng, max_width=8,
+                                              max_events=20))
+        for c in range(d.n_components):
+            assert_agree(death, reference_death, d, c)
 
 
 @pytest.mark.parametrize("name", catalog.names())
