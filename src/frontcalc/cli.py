@@ -73,9 +73,10 @@ def _seed(args):
         return args.seed
     env = os.environ.get("FRONTCALC_SEED")
     try:
-        return int(env) if env else 0
+        return ascii_decimal(env) if env else 0
     except ValueError:
-        raise CliParseError(f"FRONTCALC_SEED must be an integer, got {env!r}")
+        raise CliParseError(
+            f"FRONTCALC_SEED must be ASCII digits, got {env!r}")
 
 
 def cmd_invariants(args, out):
@@ -254,7 +255,7 @@ def build_parser():
 
     sp = add("shuffle", cmd_shuffle, help="random isotopy shuffle")
     sp.add_argument("--steps", type=_count, default=100)
-    sp.add_argument("--seed", type=int, default=None)
+    sp.add_argument("--seed", type=_count, default=None)
     sp.add_argument("diagram")
 
     sp = add("pinch", cmd_pinch, help="pinch at a site")

@@ -588,18 +588,24 @@ def _pinch_search(diagram, extra, max_pinches, settle, is_goal, children):
     (key, pinches left, downward moves into the state, its children), so
     no bound sets the depth of Python's stack.  One failure table serves
     every round: it maps a settled state's key to the most pinches left
-    with which it failed.  A state that fails with p pinches left fails
-    with fewer, since it then explores a subset of the same steps, so a
-    table hit prunes only failures and the first trace found is the one
-    an unpruned search finds.  A round that met no state with no pinch
-    left and pruned none searched the whole tree the next round would
-    search, so deepening stops there.
+    with which it failed, and the round in which it did.  A state that
+    fails with p pinches left fails with fewer, since it then explores a
+    subset of the same steps, so a table hit prunes only failures and the
+    first trace found is the one an unpruned search finds.
+
+    Deepening stops after a round that met no state with no pinch left
+    and whose every prune hit a state on the current path or one that
+    failed earlier in the same round: that round then visited every
+    state reachable with any number of pinches.  A prune on a failure of
+    an earlier round may hide states that more pinches reach, so it
+    keeps the deepening going.
     """
     failed = {}
     for pinches in range(max_pinches + 1):
-        cut = False   # a state ran out of pinches or was pruned
+        cut = False   # a state had no pinch left, or an older round pruned
         root = iter([(None, diagram, extra, pinches)])
         path = []
+        on_path = set()
         while True:
             for move, d, ex, left in path[-1][3] if path else root:
                 settled = settle(d)
@@ -607,28 +613,27 @@ def _pinch_search(diagram, extra, max_pinches, settle, is_goal, children):
                     continue
                 d, record = settled
                 key = (d.events, d.directions, ex)
-                if failed.get(key, -1) >= left:
-                    cut = True
+                most, round_ = failed.get(key, (-1, pinches))
+                if most >= left:
+                    cut = cut or (round_ < pinches and key not in on_path)
                     continue
                 down = record if move is None else (move, *record)
                 if is_goal(d):
                     moves = [m for _k, _l, into, _c in path for m in into]
                     return CobordismTrace(d, [*moves, *down][::-1], diagram)
                 cut = cut or left == 0
+                on_path.add(key)
                 path.append((key, left, down, children(d, ex, left)))
                 break
             else:
                 if not path:
                     break
                 key, left, _down, _children = path.pop()
-                failed[key] = left
+                on_path.discard(key)
+                failed[key] = left, pinches
         if not cut:
             return None
     return None
-
-
-# Marks a diagram the filling search's cleanup memo has not seen yet.
-_UNSEEN = object()
 
 
 def search_decomposable_filling(diagram, max_pinches=3, isotopy_budget=0):
@@ -652,14 +657,13 @@ def search_decomposable_filling(diagram, max_pinches=3, isotopy_budget=0):
 
     def settle(d):
         state = (d.events, d.directions)
-        hit = cleaned.get(state, _UNSEEN)
-        if hit is _UNSEEN:
+        if state not in cleaned:
             c, record = _downward_cleanup(d)
             # a filling gives the link, not each component, a normal
             # ruling (Ekholm-Honda-Kalman 2016; Fuchs 2003; Sabloff 2005)
             obstructed = count_rulings(c) == 0
-            hit = cleaned[state] = None if obstructed else (c, tuple(record))
-        return hit
+            cleaned[state] = None if obstructed else (c, tuple(record))
+        return cleaned[state]
 
     def children(d, budget, left):
         if left > 0:
@@ -764,11 +768,6 @@ def is_tree(p):
         return False
     # n - 1 edges on n vertices make a tree exactly when they connect
     return not any(connected_components(n, g["edges"])[0])
-
-
-def apply_presentation(p):
-    d, _sites = apply_presentation_with_sites(p)
-    return d
 
 
 def apply_presentation_with_sites(p):

@@ -81,11 +81,6 @@ def _fish_word(level, variant):
     return [L(i), X(i + 1), R(i)]
 
 
-def _fish_words(level):
-    """The two fish gadgets on a strand at ``level``: (below, above)."""
-    return (_fish_word(level, "below"), _fish_word(level, "above"))
-
-
 def _match_fish(events, j):
     """If events[j:j+3] is a fish, return (level, variant) else None."""
     if j + 3 > len(events):
@@ -400,24 +395,17 @@ def random_shuffle(diagram, steps, seed):
 def stabilize(diagram, sign):
     """Zigzag stabilization: tb drops by 1, rot shifts by ``sign``.
 
-    The zigzag is inserted on the top strand of the first left cusp; the
-    gadget (above or below the strand) is chosen from the strand direction
-    so the two new cusps are both down (+) or both up (-).
+    The zigzag is inserted at gap 1 on the top strand of the word's
+    opening ``L1``; the gadget (above or below the strand) is chosen from
+    the strand direction so the two new cusps are both down (+) or both
+    up (-).
     """
     if sign not in (1, -1):
         raise DiagramError("sign must be +1 or -1")
-    for idx, ev in enumerate(diagram.events):
-        if ev.kind == LEFT_CUSP:
-            gap = idx + 1
-            level = ev.level
-            break
-    else:
+    if not diagram.events:
         raise DiagramError("cannot stabilize an empty diagram")
-    # the zigzag sits on the cusp's top strand
-    d = diagram.directions[gap - 1][0]
+    d = diagram.directions[0][0]
     # rightward strand: below-zigzag adds two down cusps (S+)
     if (d == 1) == (sign == 1):
-        return diagram._edited(gap, gap, [L(level + 1), R(level)],
-                               ((-d, d), (d, -d)))
-    return diagram._edited(gap, gap, [L(level), R(level + 1)],
-                           ((d, -d), (-d, d)))
+        return diagram._edited(1, 1, [L(2), R(1)], ((-d, d), (d, -d)))
+    return diagram._edited(1, 1, [L(1), R(2)], ((d, -d), (-d, d)))

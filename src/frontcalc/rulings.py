@@ -310,7 +310,3 @@ def is_ruling(diagram, switches):
     except RulingError:
         return False
     return True
-
-
-def has_ruling(diagram):
-    return count_rulings(diagram) > 0

@@ -7,15 +7,15 @@ separate the upper branches from the lower ones; a right cusp is the
 mirror image; a crossing becomes a k-by-k block of crossings.
 
 A satellite splices an annular pattern word into the k-copy at one
-generic x, on the k strands that copy the companion's first cusp's upper
-branch.  Pattern words are written for rightward-parameterized strands;
-when the companion runs the other way the lower branch block is used
-instead, so the splice rows always point rightward.
+generic x, just past the gadget of the companion's opening ``L1``, on the
+k strands that copy that cusp's upper branch.  Pattern words are written
+for rightward-parameterized strands; when the companion runs the other
+way the lower branch block is used instead, so the splice rows always
+point rightward.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from .diagrams import (LEFT_CUSP, RIGHT_CUSP, DiagramError, Event,
@@ -200,15 +200,11 @@ def satellite(companion, pattern):
         raise CompanionNotKnot(companion.n_components)
     k = pattern.strands
     events, origins = _k_copy_events(companion, k)
-    first_cusp = next(i for i, ev in enumerate(companion.events)
-                      if ev.kind == LEFT_CUSP)
-    a = k * (companion.events[first_cusp].level - 1) + 1
-    # origins is sorted: splice just past the first cusp's gadget
-    splice_at = bisect_right(origins, first_cusp)
-    # the upper block runs rightward for a '+' companion; otherwise use
-    # the lower block, which runs the other way
-    upper_rightward = companion.directions[first_cusp][0] == 1
-    row = a if upper_rightward else a + k
+    # the word opens with L1, whose gadget is k cusps and k(k-1)/2
+    # crossings; its upper block runs rightward for a '+' companion,
+    # otherwise use the lower block, which runs the other way
+    splice_at = k * (k + 1) // 2
+    row = 1 if companion.directions[0][0] == 1 else 1 + k
     spliced = [event(ev.kind, ev.level + row - 1) for ev in pattern.events]
     events[splice_at:splice_at] = spliced
     origins[splice_at:splice_at] = [None] * len(spliced)

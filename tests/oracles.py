@@ -28,7 +28,10 @@ intervals.
 The reference cusp-graph labelling is what the package's one walk
 replaced: a union-find for the components, a second search that directs
 the segments from the orientation symbols, the symbols read off the
-left-cusp entries, and the k-copy's orientation rule over both.
+left-cusp entries, and the k-copy's orientation rule over both.  The
+reference satellite splices its pattern where the first left cusp
+search and the level formula put it, before the rule was fixed to the
+opening ``L1``.
 
 The reference pinch search at the end is what the one search loop
 replaced: a recursive depth-first search per deepening round, an eye
@@ -362,7 +365,8 @@ def reference_rewrite(diagram, rw):
     if rw.kind == "r1_insert":
         if not 0 <= j <= len(events) or not 1 <= rw.level <= counts[j]:
             raise InapplicableRewrite(rw, "no strand at site")
-        below, above = _moves._fish_words(rw.level)
+        below = _moves._fish_word(rw.level, "below")
+        above = _moves._fish_word(rw.level, "above")
         gadget = below if rw.variant == "below" else above
         return rewritten(diagram, events[:j] + gadget + events[j:], j, 0, 3)
     if rw.kind == "r1_remove":
@@ -639,7 +643,10 @@ def reference_reduce_diagram(diagram):
 
 # -- reference cusp-graph labelling ------------------------------------------
 
+from bisect import bisect_right  # noqa: E402
+
 from frontcalc.diagrams import _Scan  # noqa: E402
+from frontcalc.satellites import _k_copy_events  # noqa: E402
 
 
 def reference_connected_components(n, pairs):
@@ -752,6 +759,23 @@ def reference_inherit_orientations(diagram, events, origins):
             same = plus[top] == diagram.directions[src][0]
             symbols[comps[top]] = "+" if same else "-"
     return FrontDiagram(events, [s or "+" for s in symbols])
+
+
+def reference_satellite(companion, pattern):
+    """The satellite's diagram, spliced past the gadget of the first left
+    cusp found by a search, at the index found by bisecting the sorted
+    origins, on the row the cusp's level and direction give."""
+    k = pattern.strands
+    events, origins = _k_copy_events(companion, k)
+    first_cusp = next(i for i, ev in enumerate(companion.events)
+                      if ev.kind == LEFT_CUSP)
+    a = k * (companion.events[first_cusp].level - 1) + 1
+    splice_at = bisect_right(origins, first_cusp)
+    row = a if companion.directions[first_cusp][0] == 1 else a + k
+    spliced = [Event(ev.kind, ev.level + row - 1) for ev in pattern.events]
+    events[splice_at:splice_at] = spliced
+    origins[splice_at:splice_at] = [None] * len(spliced)
+    return reference_inherit_orientations(companion, events, origins)
 
 
 def reference_closure_cycles(pattern):

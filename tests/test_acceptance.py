@@ -11,7 +11,7 @@ import time
 import pytest
 
 from frontcalc import catalog
-from frontcalc.cobordism import (SurgeryPresentation, apply_presentation,
+from frontcalc.cobordism import (SurgeryPresentation,
                                  apply_presentation_with_sites, check_trace,
                                  is_tree, leaf_pinch_order, pinch,
                                  presentation_graph, ruling_fillability,

@@ -378,8 +378,13 @@ def _orient_without_colon(tmp_path):
     (lambda p: ["render", "--svg", str(p / "no" / "such" / "x.svg"),
                 "catalog:trefoil"], None),
     (lambda p: ["shuffle", "catalog:unknot"], "abc"),
+    # int() reads these as numbers; a seed is ASCII digits only
+    (lambda p: ["shuffle", "catalog:unknot"], "١"),
+    (lambda p: ["shuffle", "catalog:unknot"], "1_0"),
+    (lambda p: ["shuffle", "catalog:unknot"], "-1"),
 ], ids=["check-trace-orient", "render-orient", "render-unwritable-svg",
-        "shuffle-bad-env-seed"])
+        "shuffle-bad-env-seed", "shuffle-env-seed-arabic-indic",
+        "shuffle-env-seed-underscore", "shuffle-env-seed-negative"])
 def test_bad_input_is_one_error_line(capsys, monkeypatch, tmp_path,
                                      argv, env):
     if env is not None:
@@ -475,9 +480,13 @@ def test_stripped_trace_is_read_back(capsys, tmp_path):
     ["search-filling", "--budget", " 3", "catalog:unknot"],
     ["ruling-fillable", "--ruling", "-", "--max-pinches", "３",
      "catalog:unknot"],
+    ["shuffle", "--seed", "١", "catalog:unknot"],
+    ["shuffle", "--seed", "1_0", "catalog:unknot"],
+    ["shuffle", "--seed", "-1", "catalog:unknot"],
 ], ids=["max-pinches", "budget", "ruling-max-pinches", "steps", "steps-text",
         "steps-arabic-indic", "max-pinches-underscore", "budget-blank",
-        "ruling-max-pinches-fullwidth"])
+        "ruling-max-pinches-fullwidth", "seed-arabic-indic",
+        "seed-underscore", "seed-negative"])
 def test_negative_counts_are_parse_errors(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)

@@ -5,8 +5,7 @@ import pytest
 from frontcalc.cobordism import (
     ArcSiteInvalid, CobordismError, CobordismTrace, Move, NotAdjacent,
     NotATree, NotCuspPair, NotIsolatedUnknot, OrientationClash,
-    SurgeryPresentation,
-    apply_presentation, apply_presentation_with_sites, birth, check_trace,
+    SurgeryPresentation, apply_presentation_with_sites, birth, check_trace,
     check_trace_report, death, is_tree, leaf_pinch_order, pinch,
     presentation_graph, reduce_diagram, ruling_fillability,
     search_decomposable_filling, surgery, trace_from_text, trace_to_text,
@@ -47,7 +46,7 @@ def test_surgery_undoes_pinch():
     rng = random.Random(31)
     for _ in range(80):
         d = random_diagram(rng)
-        sites = [(j, i) for j in range(d.n_events + 1)
+        sites = [(j, i) for j in range(len(d.events) + 1)
                  for i in range(1, d.strand_counts[j])]
         if not sites:
             continue
@@ -172,7 +171,7 @@ def test_presentation_validation():
         SurgeryPresentation(base, [(0, 1)])
     p = SurgeryPresentation(base, [(1, 1)])
     assert is_tree(p)
-    assert apply_presentation(p).n_components == 1
+    assert apply_presentation_with_sites(p)[0].n_components == 1
 
 
 @pytest.mark.parametrize("level", [0, -1, 1.0, "1", True])
@@ -280,6 +279,29 @@ def test_search_cleans_each_diagram_once(monkeypatch):
     assert search_decomposable_filling(d, isotopy_budget=0) is None
     assert cleaned and len(set(cleaned)) == len(cleaned)
     assert set(cleaned) <= set(reduced)
+
+
+def test_pinch_bound_past_the_last_new_state_costs_nothing(monkeypatch):
+    # budget_demo's round with 4 pinches meets no state with none left,
+    # and each of its prunes hits a state on the current path or one that
+    # failed earlier in that round; deepening stops there, so a larger
+    # pinch bound expands no more states.
+    from frontcalc import catalog, cobordism
+    sites = cobordism._pinch_sites
+    d = catalog.get("budget_demo").diagram
+
+    def calls(max_pinches):
+        counted = []
+
+        def counting_sites(diagram):
+            counted.append(None)
+            return sites(diagram)
+
+        monkeypatch.setattr(cobordism, "_pinch_sites", counting_sites)
+        assert search_decomposable_filling(d, max_pinches) is None
+        return len(counted)
+
+    assert calls(5) == calls(200)
 
 
 def test_commute_search_runs_only_on_hits(monkeypatch):

@@ -94,7 +94,7 @@ def test_words_links_and_shuffles(seed):
 def test_codirected_pinches_and_surgeries(seed):
     rng = random.Random(seed)
     d = oriented_diagram(rng)
-    for j in range(d.n_events + 1):
+    for j in range(len(d.events) + 1):
         for i in range(1, d.strand_counts[j]):
             p = pinch(d, j, i, orientable_only=False)
             assert_walk_matches_reference(p)

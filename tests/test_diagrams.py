@@ -5,8 +5,8 @@ import pytest
 
 from frontcalc.diagrams import (
     Event, FrontDiagram, L, R, X, DiagramError, LevelOutOfBounds,
-    NonzeroFinalStrands, OrientationMissing, classical_invariants,
-    components, event, from_text, strand_counts, to_text, validate,
+    NonzeroFinalStrands, OrientationMissing, components, event, from_text,
+    to_text,
 )
 from frontcalc.satellites import k_copy
 
@@ -103,17 +103,18 @@ def test_interning_cache_is_bounded():
 
 
 def test_strand_counts():
-    assert strand_counts(TREFOIL) == [0, 2, 4, 4, 4, 4, 2, 0]
+    counts = FrontDiagram(TREFOIL).strand_counts
+    assert list(counts) == [0, 2, 4, 4, 4, 4, 2, 0]
     with pytest.raises(LevelOutOfBounds):
-        strand_counts([L(1), X(2), R(1)])
+        FrontDiagram([L(1), X(2), R(1)]).strand_counts
     with pytest.raises(NonzeroFinalStrands):
-        strand_counts([L(1)])
+        FrontDiagram([L(1)]).strand_counts
 
 
 def test_orientation_count_checked():
     with pytest.raises(OrientationMissing):
-        validate(UNKNOT, ("+", "-"))
-    d = validate(UNKNOT, ("-",))
+        FrontDiagram(UNKNOT, ("+", "-"))
+    d = FrontDiagram(UNKNOT, ("-",))
     assert d.orientations == ("-",)
 
 
@@ -183,9 +184,9 @@ def test_components_partition_segments():
 
 
 def test_classical_invariants_record():
-    inv = classical_invariants(FrontDiagram(TREFOIL))
-    assert (inv.tb, inv.rot) == (1, 0)
-    assert inv.per_component == ((1, 0),)
+    d = FrontDiagram(TREFOIL)
+    assert (d.tb, d.rot) == (1, 0)
+    assert tuple(d.per_component) == ((1, 0),)
 
 
 def test_text_roundtrip_fixed():

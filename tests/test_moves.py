@@ -29,7 +29,7 @@ def test_r1_insert_makes_fish():
 def test_r2_push_pull_roundtrip():
     rw = Rewrite("r2_push", 1, variant="down")
     d = apply_rewrite(TREFOIL, rw)
-    assert d.n_events == TREFOIL.n_events + 2
+    assert len(d.events) == len(TREFOIL.events) + 2
     assert apply_rewrite(d, inverse(TREFOIL, rw)) == TREFOIL
 
 

@@ -63,7 +63,7 @@ def assert_agree(move, reference, *args):
 
 
 def sites(d):
-    return [(j, i) for j in range(d.n_events + 1)
+    return [(j, i) for j in range(len(d.events) + 1)
             for i in range(1, d.strand_counts[j])]
 
 
@@ -96,7 +96,7 @@ def test_birth_death_stabilize_match_reference(seed):
     d = oriented_diagram(random.Random(seed))
     for sign in (1, -1):
         assert_agree(stabilize, reference_stabilize, d, sign)
-    for j in range(d.n_events + 1):
+    for j in range(len(d.events) + 1):
         for level in range(1, d.strand_counts[j] + 2):
             for orient in "+-":
                 b = assert_agree(birth, reference_birth, d, j, level, orient)

@@ -3,8 +3,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from frontcalc import catalog
 from frontcalc.diagrams import FrontDiagram, L, R, X
-from frontcalc.moves import stabilize
+from frontcalc.moves import random_shuffle, stabilize
 from frontcalc.rulings import count_rulings
 from frontcalc.satellites import (
     CompanionNotKnot, PatternError, PatternFront, UnknownPattern,
@@ -12,6 +13,7 @@ from frontcalc.satellites import (
 )
 
 from helpers import random_diagram
+from oracles import reference_satellite
 
 UNKNOT = FrontDiagram([L(1), R(1)])
 TREFOIL = FrontDiagram([L(1), L(3), X(2), X(2), X(2), R(1), R(1)])
@@ -163,6 +165,29 @@ def test_satellite_components_match_closure_cycles(p):
     # the pattern scan (closure_cycles) against the diagram scan of the
     # spliced word; satellite() also checks this itself
     assert satellite(UNKNOT, p).diagram.n_components == p.closure_cycles()
+
+
+SPLICE_PATTERNS = ([("identity", k) for k in (1, 2, 3)]
+                   + [("half_twist", m) for m in range(4)]
+                   + [("stab_core", "+"), ("stab_core", "-"),
+                      ("whitehead", None)])
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.sampled_from(["trefoil", "m9_46", "stab_plus_trefoil"]),
+       st.sampled_from("+-"), st.integers(0, 60), st.integers(0, 2 ** 16),
+       st.sampled_from(SPLICE_PATTERNS))
+def test_satellite_splice_matches_reference(name, symbol, steps, seed,
+                                            spec):
+    # a '-' companion runs leftward at its opening L1, so the splice
+    # takes the lower block of rows
+    d = random_shuffle(catalog.get(name).diagram, steps, seed)
+    companion = FrontDiagram(d.events, (symbol,))
+    pattern = builtin_pattern(*spec)
+    got = satellite(companion, pattern).diagram
+    want = reference_satellite(companion, pattern)
+    assert got.events == want.events
+    assert got.directions == want.directions
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
