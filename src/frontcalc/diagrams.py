@@ -248,6 +248,39 @@ def connected_components(n, pairs):
     return tuple(label), tuple(side)
 
 
+def window_counts(m, events):
+    """Strand counts at the gaps of ``events`` entered with ``m`` strands:
+    one more count than events, ``m`` first."""
+    out = [m]
+    for ev in events:
+        m += (2, -2, 0)[ev % 3]   # strands an L, R or X adds
+        out.append(m)
+    return out
+
+
+def strand_direction(events, directions, gap, level):
+    """+1 if the strand at ``level`` at ``gap`` runs rightward, -1 leftward.
+
+    ``events`` and ``directions`` are a valid word and its entries, as
+    tuples or lists.  Walks right from the gap to the next event that
+    touches the strand and reads its entry.  There always is one: every
+    strand ends at a right cusp.  The level is not checked.
+    """
+    p = level   # the strand's position before event idx
+    for idx in range(gap, len(events)):
+        ev = events[idx]
+        kind, lv = ev % 3, ev // 3
+        if kind == _LEFT:
+            if lv <= p:
+                p += 2
+        elif p == lv:
+            return directions[idx][0]
+        elif p == lv + 1:
+            return directions[idx][1]
+        elif kind == _RIGHT and p > lv:
+            p -= 2
+
+
 class FrontDiagram:
     """A front diagram: immutable after construction.
 
@@ -292,26 +325,29 @@ class FrontDiagram:
         self.strand_counts = tuple(len(g) for g in scan.gaps)
 
     def _edited(self, start, stop, events, directions):
-        """This diagram with ``self.events[start:stop]`` replaced by
+        """This diagram with the splice ``(start, stop, events,
+        directions)`` applied: ``self.events[start:stop]`` replaced by
         ``events``, whose direction entries are ``directions``.
 
         Nothing is validated: the caller guarantees a valid word whose
-        strand count after the window is unchanged.  Entries outside the
-        window are kept, so a move that reverses strands outside it must
-        re-sign the result, ``d._with_orientations(d.orientations)``: each
-        component keeps the direction of its first left cusp's top strand.
+        strand count after the window is unchanged.  The window's strand
+        counts come from :func:`window_counts`, the step that
+        ``moves.random_shuffle`` shares when it splices lists in place.
+        The new diagram copies the parent's three tuples, so it costs time
+        linear in the word; a walk of many splices applies them to lists
+        and calls this once, with the whole word as the window.  Entries
+        outside the window are kept, so a move that reverses strands
+        outside it must re-sign the result,
+        ``d._with_orientations(d.orientations)``: each component keeps the
+        direction of its first left cusp's top strand.
         """
         counts = self.strand_counts
-        m = counts[start]
-        window_counts = [m]
-        for ev in events:
-            m += (2, -2, 0)[ev % 3]   # strands an L, R or X adds
-            window_counts.append(m)
         new = FrontDiagram.__new__(FrontDiagram)
         new.events = self.events[:start] + tuple(events) + self.events[stop:]
         new.directions = (self.directions[:start] + tuple(directions)
                           + self.directions[stop:])
-        new.strand_counts = (counts[:start] + tuple(window_counts)
+        new.strand_counts = (counts[:start]
+                             + tuple(window_counts(counts[start], events))
                              + counts[stop + 1:])
         return new
 
@@ -393,27 +429,13 @@ class FrontDiagram:
     def direction_at(self, gap, level):
         """+1 if the strand at ``level`` runs rightward, -1 leftward.
 
-        Walks right from the gap to the next event that touches the
-        strand and reads its entry.  There always is one: every strand
-        ends at a right cusp.
+        Raises IndexError when there is no such strand; see
+        :func:`strand_direction` for the walk.
         """
         if not (0 <= gap < len(self.strand_counts)
                 and 1 <= level <= self.strand_counts[gap]):
             raise IndexError(f"no strand at level {level} at gap {gap}")
-        events, dirs = self.events, self.directions
-        p = level   # the strand's position before event idx
-        for idx in range(gap, len(events)):
-            ev = events[idx]
-            kind, lv = ev % 3, ev // 3
-            if kind == _LEFT:
-                if lv <= p:
-                    p += 2
-            elif p == lv:
-                return dirs[idx][0]
-            elif p == lv + 1:
-                return dirs[idx][1]
-            elif kind == _RIGHT and p > lv:
-                p -= 2
+        return strand_direction(self.events, self.directions, gap, level)
 
     def cusp_segments(self, index):
         """(top, bottom) segment ids of the cusp event at ``index``."""

@@ -15,15 +15,21 @@ has an inverse in the set.  Tangencies of two plain strands are never
 generated (they are not Legendrian isotopies), which is why crossing pairs
 only appear and disappear next to cusps.
 
-One kernel, ``_rewritten(diagram, kind, index, level, variant)``, matches
-a rewrite's pattern at its site and splices the new window into the
-word, or returns None on a miss; it is the only place a rewrite is
-matched and applied.  ``apply_rewrite`` wraps it for callers that name a
-``Rewrite`` and want a refusal explained: it raises InapplicableRewrite
-with the reason.  ``random_shuffle`` calls the kernel directly, so a
-missed draw costs neither a ``Rewrite`` nor an exception.  A hit still
-copies the parent's word and direction tuples (``FrontDiagram._edited``),
-so its cost grows with the length of the word.
+One kernel, ``_rewritten(events, directions, counts, kind, index, level,
+variant)``, matches a rewrite's pattern at its site and returns the splice
+that applies it, ``(start, stop, new_events, new_directions)``, or None on
+a miss; it is the only place a rewrite is matched.  It reads a word, its
+direction entries and its strand counts, as tuples or lists, and costs
+time in the window only.  A splice is applied in one of two ways, which
+share the window's strand-count step (``diagrams.window_counts``):
+
+* ``apply_rewrite`` builds the new diagram with ``FrontDiagram._edited``,
+  which copies the parent's tuples, so each call costs time linear in the
+  word.  It serves callers that name a ``Rewrite`` and want a refusal
+  explained: it raises InapplicableRewrite with the reason.
+* ``random_shuffle`` splices each hit into three lists in place and builds
+  one diagram when the walk ends, so a hit costs time in its window and a
+  list shift.  A missed draw costs neither a ``Rewrite`` nor an exception.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ import random
 from dataclasses import dataclass
 
 from .diagrams import (CROSSING, LEFT_CUSP, RIGHT_CUSP, DiagramError, L, R, X,
-                       event)
+                       event, strand_direction, window_counts)
 
 
 class InapplicableRewrite(DiagramError):
@@ -213,77 +219,78 @@ _SWAPS = _Table(lambda pair: _commute_pair(*pair))
 
 # -- public operations -----------------------------------------------------
 
-def _push_directions(diagram, j, variant):
+def _push_directions(events, directions, j, variant):
     """Direction entries of the three events replacing the cusp at j.
 
     The cusp's two strands keep their directions; s is the direction of
     the strand the cusp is pushed through, found by a local walk.
     """
-    ev = diagram.events[j]
-    t = diagram.directions[j][0]
+    ev = events[j]
+    t = directions[j][0]
     if ev.kind == LEFT_CUSP:
         if variant == "down":
-            s = diagram.direction_at(j, ev.level - 1)
+            s = strand_direction(events, directions, j, ev.level - 1)
             return ((t, -t), (-t, s), (t, s))
-        s = diagram.direction_at(j, ev.level)
+        s = strand_direction(events, directions, j, ev.level)
         return ((t, -t), (s, t), (s, -t))
     if variant == "down":
-        s = diagram.direction_at(j, ev.level - 1)
+        s = strand_direction(events, directions, j, ev.level - 1)
         return ((s, t), (s, -t), (t, -t))
-    s = diagram.direction_at(j, ev.level + 2)
+    s = strand_direction(events, directions, j, ev.level + 2)
     return ((-t, s), (t, s), (t, -t))
 
 
-def _rewritten(diagram, kind, j, level, variant):
-    """``diagram`` with the rewrite (kind, j, level, variant) applied, or
-    None when the rewrite does not match there.
+def _rewritten(events, directions, counts, kind, j, level, variant):
+    """The splice ``(start, stop, new_events, new_directions)`` that
+    applies the rewrite (kind, j, level, variant) to a word, or None when
+    the rewrite does not match there.
 
-    Orientations are preserved, and only the rewrite's window of the word
-    is rebuilt.  A variant the kind does not take is a miss.
+    ``events``, ``directions`` and ``counts`` are a diagram's word, its
+    direction entries and its strand counts, as tuples or lists; they are
+    only read.  The splice replaces ``events[start:stop]`` and the same
+    entries, and preserves orientations.  A variant the kind does not
+    take is a miss.
     """
-    events = diagram.events
     n = len(events)
     if not 0 <= j <= n or variant not in _VARIANTS.get(kind, ()):
         return None
     if kind == "commute":
         if j >= n - 1:
             return None
-        pair = _SWAPS[events[j:j + 2]]
+        pair = _SWAPS[events[j], events[j + 1]]
         if pair is None:
             return None
-        dirs = diagram.directions
-        return diagram._edited(j, j + 2, pair, (dirs[j + 1], dirs[j]))
+        return j, j + 2, pair, (directions[j + 1], directions[j])
     if kind == "r1_insert":
-        if not 1 <= level <= diagram.strand_counts[j]:
+        if not 1 <= level <= counts[j]:
             return None
-        d = diagram.direction_at(j, level)
+        d = strand_direction(events, directions, j, level)
         if variant == "below":
             dirs = ((d, -d), (d, d), (d, -d))
         else:
             dirs = ((-d, d), (d, d), (-d, d))
-        return diagram._edited(j, j, _fish_word(level, variant), dirs)
+        return j, j, _fish_word(level, variant), dirs
     if kind == "r1_remove":
         if _match_fish(events, j) is None:
             return None
-        return diagram._edited(j, j + 3, (), ())
+        return j, j + 3, (), ()
     if kind == "r2_push":
-        rep = _push_replacement(events, diagram.strand_counts, j, variant)
+        rep = _push_replacement(events, counts, j, variant)
         if rep is None:
             return None
-        return diagram._edited(j, j + 1, rep,
-                               _push_directions(diagram, j, variant))
+        return j, j + 1, rep, _push_directions(events, directions, j, variant)
     if kind == "r2_pull":
         rep = _match_pull(events, j)
         if rep is None:
             return None
         # the surviving cusp keeps its two strands
         cusp = j if events[j].kind == LEFT_CUSP else j + 2
-        return diagram._edited(j, j + 3, rep, (diagram.directions[cusp],))
+        return j, j + 3, rep, (directions[cusp],)
     rep = _match_r3(events, j)   # kind is "r3_triple"
     if rep is None:
         return None
     # the three strands cross pairwise in the opposite order
-    return diagram._edited(j, j + 3, rep, diagram.directions[j:j + 3][::-1])
+    return j, j + 3, rep, directions[j:j + 3][::-1]
 
 
 def _miss_reason(diagram, rw):
@@ -301,34 +308,44 @@ def _miss_reason(diagram, rw):
 def apply_rewrite(diagram, rw):
     """Apply a rewrite, preserving component orientations.
 
-    Only the rewrite's window of the word is touched.  Raises
+    Only the rewrite's window of the word is matched and built.  Raises
     InapplicableRewrite when the local pattern does not match, or the
     rewrite names an unknown kind or variant.
     """
-    new = _rewritten(diagram, rw.kind, rw.index, rw.level, rw.variant)
-    if new is None:
+    splice = _rewritten(diagram.events, diagram.directions,
+                        diagram.strand_counts, rw.kind, rw.index, rw.level,
+                        rw.variant)
+    if splice is None:
         raise InapplicableRewrite(rw, _miss_reason(diagram, rw))
-    return new
+    return diagram._edited(*splice)
 
 
 def inverse(diagram, rw):
-    """The rewrite undoing ``rw`` on ``apply_rewrite(diagram, rw)``."""
-    if rw.kind in ("commute", "r3_triple"):
+    """The rewrite undoing ``rw`` on ``apply_rewrite(diagram, rw)``.
+
+    Raises InapplicableRewrite, with ``apply_rewrite``'s reason, when
+    ``rw`` removes a pattern that ``diagram`` does not have at its index,
+    or names an unknown kind.
+    """
+    kind, j, events = rw.kind, rw.index, diagram.events
+    if kind in ("commute", "r3_triple"):
         return rw
-    if rw.kind == "r1_insert":
-        return Rewrite("r1_remove", rw.index)
-    if rw.kind == "r1_remove":
-        level, variant = _match_fish(diagram.events, rw.index)
-        return Rewrite("r1_insert", rw.index, level, variant)
-    if rw.kind == "r2_push":
-        return Rewrite("r2_pull", rw.index)
-    if rw.kind == "r2_pull":
-        ev = diagram.events[rw.index:rw.index + 3]
-        contracted = _match_pull(diagram.events, rw.index)[0]
-        pattern_cusp = ev[0] if ev[0].kind == LEFT_CUSP else ev[2]
-        variant = "down" if contracted.level > pattern_cusp.level else "up"
-        return Rewrite("r2_push", rw.index, variant=variant)
-    raise InapplicableRewrite(rw, "not invertible")
+    if kind == "r1_insert":
+        return Rewrite("r1_remove", j)
+    if kind == "r2_push":
+        return Rewrite("r2_pull", j)
+    # the matchers read events[j:j + 3], which a negative j would wrap
+    if kind == "r1_remove" and j >= 0:
+        fish = _match_fish(events, j)
+        if fish is not None:
+            return Rewrite("r1_insert", j, *fish)
+    if kind == "r2_pull" and j >= 0:
+        contracted = _match_pull(events, j)
+        if contracted is not None:
+            cusp = events[j] if events[j].kind == LEFT_CUSP else events[j + 2]
+            variant = "down" if contracted[0].level > cusp.level else "up"
+            return Rewrite("r2_push", j, variant=variant)
+    raise InapplicableRewrite(rw, _miss_reason(diagram, rw))
 
 
 def applicable_rewrites(diagram):
@@ -337,7 +354,7 @@ def applicable_rewrites(diagram):
     counts = diagram.strand_counts
     out = []
     for j in range(len(events) - 1):
-        if _SWAPS[events[j:j + 2]] is not None:
+        if _SWAPS[events[j], events[j + 1]] is not None:
             out.append(Rewrite("commute", j))
     for j in range(len(events) + 1):
         for level in range(1, counts[j] + 1):
@@ -365,17 +382,24 @@ def random_shuffle(diagram, steps, seed):
     pattern matches; a miss is a no-op, so the walk always terminates after
     exactly ``steps`` draws.  The result is Legendrian isotopic to the
     input by construction.
+
+    The walk splices each hit into lists of the word, its direction
+    entries and its strand counts, and builds one diagram at the end; a
+    walk with no hit returns ``diagram`` itself.
     """
     rng = random.Random(seed)
     choice, randint = rng.choice, rng.randint
-    d = diagram
+    events = list(diagram.events)
+    dirs = list(diagram.directions)
+    counts = list(diagram.strand_counts)
+    hit = False
     for _ in range(steps):
-        n = len(d.events)
+        n = len(events)
         kind = choice(KINDS)
         level, variant = 0, ""
         if kind == "r1_insert":
             j = randint(0, n)
-            m = d.strand_counts[j]
+            m = counts[j]
             if m == 0:
                 continue
             level = randint(1, m)
@@ -386,10 +410,17 @@ def random_shuffle(diagram, steps, seed):
             j = randint(0, n - 1)
             if kind == "r2_push":
                 variant = choice(("down", "up"))
-        new = _rewritten(d, kind, j, level, variant)
-        if new is not None:
-            d = new
-    return d
+        splice = _rewritten(events, dirs, counts, kind, j, level, variant)
+        if splice is not None:
+            start, stop, new_events, new_dirs = splice
+            counts[start:stop + 1] = window_counts(counts[start], new_events)
+            events[start:stop] = new_events
+            dirs[start:stop] = new_dirs
+            hit = True
+    if not hit:
+        return diagram
+    # the whole word is the window
+    return diagram._edited(0, len(diagram.events), events, dirs)
 
 
 def stabilize(diagram, sign):

@@ -1,8 +1,10 @@
+import hashlib
 import random
 
 import pytest
 
-from frontcalc.diagrams import FrontDiagram, L, R, X, event
+from frontcalc import catalog
+from frontcalc.diagrams import FrontDiagram, L, R, X, event, to_text
 from frontcalc.moves import (
     _SWAPS, InapplicableRewrite, Rewrite, _commute_pair, _Table,
     applicable_rewrites, apply_rewrite, inverse, random_shuffle, stabilize,
@@ -11,6 +13,7 @@ from frontcalc.rulings import count_rulings
 
 from helpers import random_diagram
 
+EMPTY = FrontDiagram([])
 UNKNOT = FrontDiagram([L(1), R(1)])
 TREFOIL = FrontDiagram([L(1), L(3), X(2), X(2), X(2), R(1), R(1)])
 
@@ -100,6 +103,21 @@ def test_inapplicable_reasons(diagram, rw, reason):
     assert str(exc.value) == f"rewrite {rw} does not apply: {reason}"
 
 
+@pytest.mark.parametrize("rw, reason", [
+    (Rewrite("r1_remove", 0), "no fish pattern"),
+    (Rewrite("r2_pull", 0), "no pushed-cusp pattern"),
+    (Rewrite("r1_remove", 8), "index out of range"),
+    (Rewrite("r2_pull", -1), "index out of range"),
+    (Rewrite("nonsense", 0), "unknown kind nonsense"),
+], ids=str)
+def test_inverse_refuses_what_apply_rewrite_refuses(rw, reason):
+    for call in (apply_rewrite, inverse):
+        with pytest.raises(InapplicableRewrite) as exc:
+            call(TREFOIL, rw)
+        assert exc.value.rewrite is rw
+        assert str(exc.value) == f"rewrite {rw} does not apply: {reason}"
+
+
 def test_unknown_variants_are_refused():
     # one matching site of every kind, found on random words
     rng = random.Random(13)
@@ -143,6 +161,32 @@ def test_shuffle_deterministic_and_invariant():
     assert a == b
     assert profile(a) == profile(TREFOIL)
     assert random_shuffle(TREFOIL, 60, seed=5) != a
+    # no step, no site on the empty word, and two draws that both miss
+    for d, steps, seed in ((TREFOIL, 0, 4), (EMPTY, 60, 4), (UNKNOT, 2, 0)):
+        out = random_shuffle(d, steps, seed)
+        assert out == d
+        assert out.strand_counts == d.strand_counts
+        assert out.orientations == d.orientations
+
+
+# sha256 of the shuffles' text, written before the walk spliced lists in
+# place; the reference shuffle in ``oracles`` shares the kernel's
+# matchers, so only a pin sees a fault in them.
+CATALOG_SHUFFLES_SHA256 = (
+    "0f56a9175c921816212891e5f074b81b244bca6b320f7afb9f01c728b7c46291")
+LONG_WORD_SHA256 = (
+    "3e660052d4b25cb97874ee0ea278cd1af6ce46a296624f76f38398b411dc29ba")
+
+
+def test_shuffle_bytes_are_pinned():
+    digest = hashlib.sha256()
+    for name in catalog.names():
+        d = catalog.get(name).diagram
+        digest.update(to_text(random_shuffle(d, 500, 11)).encode())
+        digest.update(to_text(random_shuffle(d, 2000, 12)).encode())
+    assert digest.hexdigest() == CATALOG_SHUFFLES_SHA256
+    long_word = to_text(random_shuffle(catalog.get("m9_46").diagram, 2000, 2))
+    assert hashlib.sha256(long_word.encode()).hexdigest() == LONG_WORD_SHA256
 
 
 def test_shuffle_preserves_profile_on_random_inputs():

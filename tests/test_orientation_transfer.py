@@ -161,8 +161,16 @@ def test_shuffle_matches_reference_on_random_links(steps, words):
         d = oriented_diagram(rng)
         while d.n_components < 2:
             d = oriented_diagram(rng)
+        before = (d.events, d.directions, d.strand_counts, d.orientations)
         got = random_shuffle(d, steps, seed)
+        assert (d.events, d.directions, d.strand_counts,
+                d.orientations) == before
         want = reference_shuffle(d, steps, seed)
         assert got.events == want.events
         assert got.directions == want.directions
         assert got.strand_counts == want.strand_counts
+        # the one diagram a walk builds agrees with a validated rebuild
+        rebuilt = FrontDiagram(got.events, got.orientations)
+        assert got.directions == rebuilt.directions
+        assert got.strand_counts == rebuilt.strand_counts
+        assert got.orientations == rebuilt.orientations
