@@ -33,11 +33,14 @@ breadth-first hunt for commutes runs on event words, which are tuples of
 int codes, and stops at the first contraction next to its last commute.
 The same hunt fills a table of short windows, which answers every word
 it would find nothing on, so the whole-word hunt runs only where it
-hits.  The rule tables fill themselves on first lookup.  Eyes are found
-on the word: a left cusp that bubbles through the commute table up to a
-right cusp at its own level heads an eye, which dies where it stands,
-with those commutes recorded; one filling search memoizes the cleanup of
-every diagram it meets, so each distinct diagram is cleaned once.
+hits.  Its commutes and contractions come from the two rule tables of
+the moves module, ``_SWAPS`` and ``_TRIPLES``, where a contraction is any
+three-event rule but a triple point; those tables and the window table
+fill themselves on first lookup.  Eyes are found on the word: a left
+cusp that bubbles through the commute table up to a right cusp at its
+own level heads an eye, which dies where it stands, with those commutes
+recorded; one filling search memoizes the cleanup of every diagram it
+meets, so each distinct diagram is cleaned once.
 """
 
 from __future__ import annotations
@@ -48,7 +51,8 @@ from . import moves as _moves
 from .diagrams import (LEFT_CUSP, RIGHT_CUSP, DiagramError, FrontDiagram, L,
                        R, ascii_decimal, connected_components, event,
                        from_lines)
-from .moves import _SWAPS, Rewrite, _Table, apply_rewrite, inverse
+from .moves import (_SWAPS, _TRIPLES, Rewrite, _Table, apply_rewrite,
+                    inverse)
 from .rulings import count_rulings, ruling_pairings
 
 
@@ -329,30 +333,21 @@ def trace_from_text(text):
 
 def _contraction_at(events, j):
     """A length-reducing rewrite at index j, if any."""
-    if _moves._match_fish(events, j) is not None:
-        return Rewrite("r1_remove", j)
-    if _moves._match_pull(events, j) is not None:
-        return Rewrite("r2_pull", j)
-    return None
-
-
-def _contraction_kind(triple):
-    rw = _contraction_at(triple, 0)
-    return None if rw is None else rw.kind
-
-
-# Event triple -> its contraction kind ("r1_remove", "r2_pull" or None),
-# filled on first lookup like the commute table ``moves._SWAPS``.
-_CONTRACTIONS = _Table(_contraction_kind)
+    if not 0 <= j <= len(events) - 3:
+        return None
+    rule = _TRIPLES[events[j], events[j + 1], events[j + 2]]
+    if rule is None or rule[0] == "r3_triple":
+        return None
+    return Rewrite(rule[0], j)
 
 
 def _first_contraction(word):
     """The leftmost length-reducing rewrite on an event word, or None."""
-    contractions = _CONTRACTIONS
+    triples = _TRIPLES
     for j in range(len(word) - 2):
-        kind = contractions[word[j:j + 3]]
-        if kind is not None:
-            return Rewrite(kind, j)
+        rule = triples[word[j:j + 3]]
+        if rule is not None and rule[0] != "r3_triple":
+            return Rewrite(rule[0], j)
     return None
 
 
@@ -376,7 +371,7 @@ def _commute_hit(start):
     None.  Only such a contraction can be new: one elsewhere is already
     in the word it was commuted from, so by induction in ``start``.
     """
-    swaps, contractions = _SWAPS, _CONTRACTIONS
+    swaps, triples = _SWAPS, _TRIPLES
     n = len(start)
     frontier = [(start, ())]
     seen = {start}
@@ -393,9 +388,9 @@ def _commute_hit(start):
                 seen.add(new)
                 path_j = path + (j,)
                 for k in range(max(0, j - 2), min(n - 2, j + 3)):
-                    kind = contractions[new[k:k + 3]]
-                    if kind is not None:
-                        return path_j, kind, k
+                    rule = triples[new[k:k + 3]]
+                    if rule is not None and rule[0] != "r3_triple":
+                        return path_j, rule[0], k
                 nxt.append((new, path_j))
         frontier = nxt
     return None

@@ -18,10 +18,15 @@ only appear and disappear next to cusps.
 One kernel, ``_rewritten(events, directions, counts, kind, index, level,
 variant)``, matches a rewrite's pattern at its site and returns the splice
 that applies it, ``(start, stop, new_events, new_directions)``, or None on
-a miss; it is the only place a rewrite is matched.  It reads a word, its
-direction entries and its strand counts, as tuples or lists, and costs
-time in the window only.  A splice is applied in one of two ways, which
-share the window's strand-count step (``diagrams.window_counts``):
+a miss.  Patterns of two and three events are matched in two rule tables
+only: ``_SWAPS`` holds each event pair's commute and ``_TRIPLES`` each
+event triple's removal, pull or triple-point rewrite, with the inverse's
+level and variant.  ``_rewritten``, ``inverse``, ``applicable_rewrites``
+and the reduction in ``cobordism`` all read them.  The kernel reads a
+word, its direction entries and its strand counts, as tuples or lists,
+and costs time in the window only.  A splice is applied in one of two
+ways, which share the window's strand-count step
+(``diagrams.window_counts``):
 
 * ``apply_rewrite`` builds the new diagram with ``FrontDiagram._edited``,
   which copies the parent's tuples, so each call costs time linear in the
@@ -87,20 +92,6 @@ def _fish_word(level, variant):
     return [L(i), X(i + 1), R(i)]
 
 
-def _match_fish(events, j):
-    """If events[j:j+3] is a fish, return (level, variant) else None."""
-    if j + 3 > len(events):
-        return None
-    a, b, c = events[j:j + 3]
-    if a.kind != LEFT_CUSP or b.kind != CROSSING or c.kind != RIGHT_CUSP:
-        return None
-    if a.level == c.level == b.level + 1:
-        return (b.level, "below")
-    if a.level == c.level == b.level - 1:
-        return (b.level - 1, "above")
-    return None
-
-
 def _push_replacement(events, counts, j, variant):
     """Cusp-through-strand expansion of the single cusp event at j."""
     if j >= len(events):
@@ -118,35 +109,6 @@ def _push_replacement(events, counts, j, variant):
             return [X(lvl - 1), X(lvl), R(lvl - 1)]
         if variant == "up" and lvl <= m - 2:
             return [X(lvl + 1), X(lvl), R(lvl + 1)]
-    return None
-
-
-def _match_pull(events, j):
-    """If events[j:j+3] is a pushed cusp, return its contraction."""
-    if j + 3 > len(events):
-        return None
-    a, b, c = events[j:j + 3]
-    if a.kind == LEFT_CUSP and b.kind == c.kind == CROSSING:
-        if b.level == a.level + 1 and c.level == a.level:
-            return [L(a.level + 1)]
-        if b.level == a.level - 1 and c.level == a.level:
-            return [L(a.level - 1)]
-    if a.kind == b.kind == CROSSING and c.kind == RIGHT_CUSP:
-        if b.level == a.level + 1 and c.level == a.level:
-            return [R(a.level + 1)]
-        if b.level == a.level - 1 and c.level == a.level:
-            return [R(a.level - 1)]
-    return None
-
-
-def _match_r3(events, j):
-    if j + 3 > len(events):
-        return None
-    a, b, c = events[j:j + 3]
-    if not (a.kind == b.kind == c.kind == CROSSING):
-        return None
-    if a.level == c.level and abs(b.level - a.level) == 1:
-        return [X(b.level), X(a.level), X(b.level)]
     return None
 
 
@@ -213,8 +175,42 @@ class _Table(dict):
         return value
 
 
+def _triple_rule(a, b, c):
+    """The rewrite that removes or rearranges events a, b, c, or None.
+
+    Returns ``(kind, new_events, kept, inverse)``.  ``kind`` is
+    ``r1_remove`` (a fish), ``r2_pull`` (a pushed cusp) or ``r3_triple``
+    (three crossings); ``new_events`` replace the three; ``kept`` holds
+    the positions (0-2) of the entries that ``new_events`` keep, in order;
+    ``inverse`` is the (level, variant) of the r1_insert or r2_push undoing
+    the rewrite.  Each pattern is a crossing between two events at one
+    level, one strand off it; the outer events' kinds tell them apart, so
+    no triple matches two.
+    """
+    la, lb = a.level, b.level
+    if b.kind != CROSSING or c.level != la or abs(lb - la) != 1:
+        return None
+    if a.kind == LEFT_CUSP and c.kind == RIGHT_CUSP:
+        fish = "above" if lb > la else "below"
+        return "r1_remove", (), (), (min(la, lb), fish)
+    # a pull keeps its cusp's two strands, and so the cusp's entry; the
+    # push undoing it takes the cusp from level lb back to la
+    pushed = "down" if lb > la else "up"
+    if a.kind == LEFT_CUSP and c.kind == CROSSING:
+        return "r2_pull", (L(lb),), (0,), (0, pushed)
+    if a.kind == CROSSING and c.kind == RIGHT_CUSP:
+        return "r2_pull", (R(lb),), (2,), (0, pushed)
+    if a.kind == c.kind == CROSSING:
+        # the three strands cross pairwise in the opposite order
+        return "r3_triple", (X(lb), X(la), X(lb)), (2, 1, 0), (0, "")
+    return None
+
+
 # Event pair -> its commute (b', a') or None: the package's commute table.
 _SWAPS = _Table(lambda pair: _commute_pair(*pair))
+# Event triple -> its ``_triple_rule`` or None: the table of every
+# three-event rewrite, read wherever one is matched.
+_TRIPLES = _Table(lambda triple: _triple_rule(*triple))
 
 
 # -- public operations -----------------------------------------------------
@@ -270,27 +266,19 @@ def _rewritten(events, directions, counts, kind, j, level, variant):
         else:
             dirs = ((-d, d), (d, d), (-d, d))
         return j, j, _fish_word(level, variant), dirs
-    if kind == "r1_remove":
-        if _match_fish(events, j) is None:
-            return None
-        return j, j + 3, (), ()
     if kind == "r2_push":
         rep = _push_replacement(events, counts, j, variant)
         if rep is None:
             return None
         return j, j + 1, rep, _push_directions(events, directions, j, variant)
-    if kind == "r2_pull":
-        rep = _match_pull(events, j)
-        if rep is None:
-            return None
-        # the surviving cusp keeps its two strands
-        cusp = j if events[j].kind == LEFT_CUSP else j + 2
-        return j, j + 3, rep, (directions[cusp],)
-    rep = _match_r3(events, j)   # kind is "r3_triple"
-    if rep is None:
+    # kind is r1_remove, r2_pull or r3_triple
+    if j + 3 > n:
         return None
-    # the three strands cross pairwise in the opposite order
-    return j, j + 3, rep, directions[j:j + 3][::-1]
+    rule = _TRIPLES[events[j], events[j + 1], events[j + 2]]
+    if rule is None or rule[0] != kind:
+        return None
+    _kind, new_events, kept, _inverse = rule
+    return j, j + 3, new_events, [directions[j + k] for k in kept]
 
 
 def _miss_reason(diagram, rw):
@@ -334,17 +322,11 @@ def inverse(diagram, rw):
         return Rewrite("r1_remove", j)
     if kind == "r2_push":
         return Rewrite("r2_pull", j)
-    # the matchers read events[j:j + 3], which a negative j would wrap
-    if kind == "r1_remove" and j >= 0:
-        fish = _match_fish(events, j)
-        if fish is not None:
-            return Rewrite("r1_insert", j, *fish)
-    if kind == "r2_pull" and j >= 0:
-        contracted = _match_pull(events, j)
-        if contracted is not None:
-            cusp = events[j] if events[j].kind == LEFT_CUSP else events[j + 2]
-            variant = "down" if contracted[0].level > cusp.level else "up"
-            return Rewrite("r2_push", j, variant=variant)
+    if kind in ("r1_remove", "r2_pull") and 0 <= j <= len(events) - 3:
+        rule = _TRIPLES[events[j], events[j + 1], events[j + 2]]
+        if rule is not None and rule[0] == kind:
+            undone = "r1_insert" if kind == "r1_remove" else "r2_push"
+            return Rewrite(undone, j, *rule[3])
     raise InapplicableRewrite(rw, _miss_reason(diagram, rw))
 
 
@@ -360,18 +342,17 @@ def applicable_rewrites(diagram):
         for level in range(1, counts[j] + 1):
             out.append(Rewrite("r1_insert", j, level, "below"))
             out.append(Rewrite("r1_insert", j, level, "above"))
-    for j in range(len(events) - 2):
-        if _match_fish(events, j) is not None:
+    triples = [_TRIPLES[events[j:j + 3]] for j in range(len(events) - 2)]
+    for j, rule in enumerate(triples):
+        if rule is not None and rule[0] == "r1_remove":
             out.append(Rewrite("r1_remove", j))
     for j in range(len(events)):
         for variant in ("down", "up"):
             if _push_replacement(events, counts, j, variant) is not None:
                 out.append(Rewrite("r2_push", j, variant=variant))
-    for j in range(len(events) - 2):
-        if _match_pull(events, j) is not None:
-            out.append(Rewrite("r2_pull", j))
-        if _match_r3(events, j) is not None:
-            out.append(Rewrite("r3_triple", j))
+    for j, rule in enumerate(triples):
+        if rule is not None and rule[0] != "r1_remove":
+            out.append(Rewrite(rule[0], j))
     return out
 
 

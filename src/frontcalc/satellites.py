@@ -18,10 +18,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .diagrams import (LEFT_CUSP, RIGHT_CUSP, DiagramError, Event,
-                       FrontDiagram, L, LevelOutOfBounds, NonzeroFinalStrands,
-                       R, X, _Scan, ascii_decimal, connected_components,
-                       event)
+from .diagrams import (CROSSING, LEFT_CUSP, RIGHT_CUSP, DiagramError,
+                       Event, FrontDiagram, L, LevelOutOfBounds,
+                       NonzeroFinalStrands, R, X, _Scan, ascii_decimal,
+                       connected_components, event, window_counts)
+
+# The most cells, gaps times the widest strand count, that the scan of a
+# pattern, k-copy or satellite may take (about 8 bytes each).  Every
+# word that the tests, CI and bench build takes at most 21,714; a spec
+# that asks for more is refused, by arithmetic, before any list is built.
+MAX_SCAN_CELLS = 1 << 22
 
 
 class PatternError(DiagramError):
@@ -36,6 +42,20 @@ class CompanionNotKnot(DiagramError):
 class UnknownPattern(DiagramError):
     def __init__(self, name):
         super().__init__(f"unknown builtin pattern {name!r}")
+
+
+class ScanTooLarge(DiagramError):
+    def __init__(self, what, cells):
+        super().__init__(f"{what} needs a scan of {cells} cells, over the "
+                         f"limit of {MAX_SCAN_CELLS}")
+
+
+def _check_scan(what, events, widest):
+    """Refuse a word of ``events`` events at most ``widest`` strands wide
+    whose scan would take more than MAX_SCAN_CELLS cells."""
+    cells = (events + 1) * widest
+    if cells > MAX_SCAN_CELLS:
+        raise ScanTooLarge(what, cells)
 
 
 @dataclass(frozen=True)
@@ -56,6 +76,8 @@ class PatternFront:
         if self.strands < 1:
             raise PatternError("pattern needs at least one strand")
         object.__setattr__(self, "events", tuple(self.events))
+        _check_scan("pattern", len(self.events),
+                    max(window_counts(self.strands, self.events)))
         try:
             scan = _Scan(self.events, self.strands)
         except LevelOutOfBounds as exc:
@@ -98,6 +120,7 @@ def builtin_pattern(name, param=None):
         m = _count_param(name, param)
         if m < 0:
             raise UnknownPattern(f"half_twist({m})")
+        _check_scan(f"half_twist({m})", m, 2)
         return PatternFront(2, [X(1)] * m)
     if name == "stab_core":
         if param in ("+", 1):
@@ -106,6 +129,8 @@ def builtin_pattern(name, param=None):
             return PatternFront(1, [L(1), R(2)])
         raise UnknownPattern(f"stab_core({param!r})")
     if name == "whitehead":
+        if param is not None:
+            raise UnknownPattern(f"whitehead({param!r})")
         return PatternFront(2, [X(1), X(1), R(1), L(1)])
     raise UnknownPattern(name)
 
@@ -130,6 +155,14 @@ def _right_gadget(a, k):
 
 def _crossing_gadget(a, k):
     return [X(a + j + l) for j in reversed(range(k)) for l in range(k)]
+
+
+def _k_copy_size(diagram, k):
+    """(events, widest strand count) of ``diagram``'s k-copy."""
+    crossings = sum(ev.kind == CROSSING for ev in diagram.events)
+    cusps = len(diagram.events) - crossings
+    return (cusps * k * (k + 1) // 2 + crossings * k * k,
+            k * max(diagram.strand_counts))
 
 
 def _k_copy_events(diagram, k):
@@ -179,6 +212,7 @@ def k_copy(diagram, k):
         raise DiagramError("k must be >= 1")
     if k == 1:
         return diagram
+    _check_scan(f"{k}-copy", *_k_copy_size(diagram, k))
     events, origins = _k_copy_events(diagram, k)
     return _inherit_orientations(diagram, events, origins)
 
@@ -199,6 +233,10 @@ def satellite(companion, pattern):
     if companion.n_components != 1:
         raise CompanionNotKnot(companion.n_components)
     k = pattern.strands
+    copied, widest = _k_copy_size(companion, k)
+    # the pattern widens the copy by as many strands as it widens itself
+    widened = max(map(len, pattern._scan.gaps)) - k
+    _check_scan("satellite", copied + len(pattern.events), widest + widened)
     events, origins = _k_copy_events(companion, k)
     # the word opens with L1, whose gadget is k cusps and k(k-1)/2
     # crossings; its upper block runs rightward for a '+' companion,

@@ -18,7 +18,9 @@ every move rebuilds the whole result with the validating constructor
 and gives each new component the direction its first event outside the
 move's window had before.  It reads directions off the full
 segment scan only, never off the per-event entries that the package's
-moves edit, so the fast moves can be compared against it.
+moves edit, so the fast moves can be compared against it.  Its fish,
+pull and triple-point matchers are the ones that ``moves._TRIPLES``
+replaced, one pattern each, so a fault in the table shows against them.
 
 The reference ruling enumerator is the recursive walk that the ruling
 DP replaced: it follows every branch of the pairing tree, including those
@@ -292,7 +294,7 @@ def jones_trefoil_check():
 import random  # noqa: E402
 
 from frontcalc.diagrams import (CROSSING, LEFT_CUSP, RIGHT_CUSP,  # noqa: E402
-                                DiagramError, Event, FrontDiagram, L, R)
+                                DiagramError, Event, FrontDiagram, L, R, X)
 from frontcalc import moves as _moves  # noqa: E402
 from frontcalc.moves import InapplicableRewrite, Rewrite  # noqa: E402
 from frontcalc.cobordism import (NotAdjacent, NotCuspPair,  # noqa: E402
@@ -350,6 +352,49 @@ def rewritten(old, new_events, old_start, old_len, new_len):
     return transfer_by_map(old, new_events, index_map)
 
 
+def reference_match_fish(events, j):
+    """If events[j:j+3] is a fish, return (level, variant) else None."""
+    if j + 3 > len(events):
+        return None
+    a, b, c = events[j:j + 3]
+    if a.kind != LEFT_CUSP or b.kind != CROSSING or c.kind != RIGHT_CUSP:
+        return None
+    if a.level == c.level == b.level + 1:
+        return (b.level, "below")
+    if a.level == c.level == b.level - 1:
+        return (b.level - 1, "above")
+    return None
+
+
+def reference_match_pull(events, j):
+    """If events[j:j+3] is a pushed cusp, return its contraction."""
+    if j + 3 > len(events):
+        return None
+    a, b, c = events[j:j + 3]
+    if a.kind == LEFT_CUSP and b.kind == c.kind == CROSSING:
+        if b.level == a.level + 1 and c.level == a.level:
+            return [L(a.level + 1)]
+        if b.level == a.level - 1 and c.level == a.level:
+            return [L(a.level - 1)]
+    if a.kind == b.kind == CROSSING and c.kind == RIGHT_CUSP:
+        if b.level == a.level + 1 and c.level == a.level:
+            return [R(a.level + 1)]
+        if b.level == a.level - 1 and c.level == a.level:
+            return [R(a.level - 1)]
+    return None
+
+
+def reference_match_r3(events, j):
+    if j + 3 > len(events):
+        return None
+    a, b, c = events[j:j + 3]
+    if not (a.kind == b.kind == c.kind == CROSSING):
+        return None
+    if a.level == c.level and abs(b.level - a.level) == 1:
+        return [X(b.level), X(a.level), X(b.level)]
+    return None
+
+
 def reference_rewrite(diagram, rw):
     events = list(diagram.events)
     counts = diagram.strand_counts
@@ -370,7 +415,7 @@ def reference_rewrite(diagram, rw):
         gadget = below if rw.variant == "below" else above
         return rewritten(diagram, events[:j] + gadget + events[j:], j, 0, 3)
     if rw.kind == "r1_remove":
-        if _moves._match_fish(events, j) is None:
+        if reference_match_fish(events, j) is None:
             raise InapplicableRewrite(rw, "no fish pattern")
         return rewritten(diagram, events[:j] + events[j + 3:], j, 3, 0)
     if rw.kind == "r2_push":
@@ -379,12 +424,12 @@ def reference_rewrite(diagram, rw):
             raise InapplicableRewrite(rw, "cusp cannot pass")
         return rewritten(diagram, events[:j] + rep + events[j + 1:], j, 1, 3)
     if rw.kind == "r2_pull":
-        rep = _moves._match_pull(events, j)
+        rep = reference_match_pull(events, j)
         if rep is None:
             raise InapplicableRewrite(rw, "no pushed-cusp pattern")
         return rewritten(diagram, events[:j] + rep + events[j + 3:], j, 3, 1)
     if rw.kind == "r3_triple":
-        rep = _moves._match_r3(events, j)
+        rep = reference_match_r3(events, j)
         if rep is None:
             raise InapplicableRewrite(rw, "no triple pattern")
         return rewritten(diagram, events[:j] + rep + events[j + 3:], j, 3, 3)

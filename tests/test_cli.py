@@ -6,6 +6,7 @@ real argument parsing and exit code paths.
 """
 
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -342,6 +343,37 @@ def test_satellite_bad_pattern_parameter_is_parse_error(capsys):
                        "catalog:unknot")
     assert code == 2
     assert err.startswith("error: ") and "half_twist" in err
+
+
+@pytest.mark.parametrize("spec", ["whitehead:5", "whitehead:xyz"])
+def test_whitehead_parameter_is_parse_error(capsys, spec):
+    code, out, err = run(capsys, "satellite", "--pattern", spec,
+                         "catalog:unknot")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "whitehead" in err
+
+
+def _cap_address_space():
+    limit = 1 << 30
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+@pytest.mark.parametrize("spec", ["half_twist:1000000000",
+                                  "identity:100000"])
+def test_amplifying_pattern_spec_is_one_error_line(spec):
+    # a billion-crossing pattern, or a 100,000-copy, would need far more
+    # than the child's 1 GiB of address space
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "frontcalc.cli", "satellite", "--pattern",
+         spec, "catalog:unknot"], capture_output=True, env=env, timeout=60,
+        preexec_fn=_cap_address_space)
+    assert proc.returncode != 0 and proc.stdout == b""
+    assert b"Traceback" not in proc.stderr
+    assert proc.stderr.startswith(b"error: ")
+    assert proc.stderr.count(b"\n") == 1
 
 
 def test_trace_without_header_is_parse_error(capsys, tmp_path):

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -6,12 +7,14 @@ import pytest
 from frontcalc import catalog
 from frontcalc.diagrams import FrontDiagram, L, R, X, event, to_text
 from frontcalc.moves import (
-    _SWAPS, InapplicableRewrite, Rewrite, _commute_pair, _Table,
+    _SWAPS, _TRIPLES, InapplicableRewrite, Rewrite, _commute_pair, _Table,
     applicable_rewrites, apply_rewrite, inverse, random_shuffle, stabilize,
 )
 from frontcalc.rulings import count_rulings
 
 from helpers import random_diagram
+from oracles import (reference_match_fish, reference_match_pull,
+                     reference_match_r3, reference_rewrite)
 
 EMPTY = FrontDiagram([])
 UNKNOT = FrontDiagram([L(1), R(1)])
@@ -55,6 +58,78 @@ def test_swap_table_is_the_commute_rule():
     for a in events:
         for b in events:
             assert _SWAPS[a, b] == _commute_pair(a, b)
+
+
+# Every event at levels 1-6, and every triple of them.
+EVENTS_TO_6 = [event(kind, level) for kind in "LRX" for level in range(1, 7)]
+TRIPLES_TO_6 = list(itertools.product(EVENTS_TO_6, repeat=3))
+
+
+def reference_triple(triple):
+    """(kind, new events, fish) from each reference matcher that matches
+    ``triple``; fish is the fish matcher's (level, variant), else None."""
+    found = []
+    fish = reference_match_fish(triple, 0)
+    if fish is not None:
+        found.append(("r1_remove", [], fish))
+    for kind, match in (("r2_pull", reference_match_pull),
+                        ("r3_triple", reference_match_r3)):
+        rep = match(triple, 0)
+        if rep is not None:
+            found.append((kind, rep, None))
+    return found
+
+
+def test_triple_table_is_the_reference_matchers():
+    matched = 0
+    for triple in TRIPLES_TO_6:
+        found = reference_triple(triple)
+        assert len(found) <= 1, triple
+        rule = _TRIPLES[triple]
+        if not found:
+            assert rule is None, triple
+            continue
+        matched += 1
+        kind, rep, fish = found[0]
+        assert rule is not None, triple
+        assert (rule[0], list(rule[1])) == (kind, rep), triple
+        if fish is not None:
+            assert rule[3] == fish, triple
+    # 10 fish, 20 pulls and 10 triple points
+    assert matched == 40
+
+
+def closed_word(triple):
+    """A valid word: opening L1s, ``triple`` at their end, closing R1s."""
+    for opened in range(1, 6):
+        m = 2 * opened
+        for ev in triple:
+            # a left cusp opens at any of m + 1 places, the rest join two
+            if ev.level > (m + 1 if ev.kind == "L" else m - 1):
+                break
+            m += {"L": 2, "R": -2, "X": 0}[ev.kind]
+        else:
+            return [L(1)] * opened + list(triple) + [R(1)] * (m // 2), opened
+    raise AssertionError(triple)
+
+
+def test_triple_splices_invert():
+    for triple in TRIPLES_TO_6:
+        if _TRIPLES[triple] is None:
+            continue
+        word, j = closed_word(triple)
+        rw = Rewrite(_TRIPLES[triple][0], j)
+        for flip in (0, 1):
+            d = FrontDiagram(word)
+            n = d.n_components
+            d = FrontDiagram(word, ["+-"[(c + flip) % 2] for c in range(n)])
+            out = apply_rewrite(d, rw)
+            want = reference_rewrite(d, rw)
+            assert out.events == want.events, (triple, flip)
+            assert out.directions == want.directions, (triple, flip)
+            back = apply_rewrite(out, inverse(d, rw))
+            assert back.events == d.events, (triple, flip)
+            assert back.directions == d.directions, (triple, flip)
 
 
 def test_rule_table_is_bounded():
@@ -170,8 +245,8 @@ def test_shuffle_deterministic_and_invariant():
 
 
 # sha256 of the shuffles' text, written before the walk spliced lists in
-# place; the reference shuffle in ``oracles`` shares the kernel's
-# matchers, so only a pin sees a fault in them.
+# place: the kernel's bytes, held fixed whatever the reference shuffle in
+# ``oracles`` does.
 CATALOG_SHUFFLES_SHA256 = (
     "0f56a9175c921816212891e5f074b81b244bca6b320f7afb9f01c728b7c46291")
 LONG_WORD_SHA256 = (

@@ -8,8 +8,9 @@ from frontcalc.diagrams import FrontDiagram, L, R, X
 from frontcalc.moves import random_shuffle, stabilize
 from frontcalc.rulings import count_rulings
 from frontcalc.satellites import (
-    CompanionNotKnot, PatternError, PatternFront, UnknownPattern,
-    builtin_pattern, k_copy, pattern_from_text, pattern_to_text, satellite,
+    MAX_SCAN_CELLS, CompanionNotKnot, PatternError, PatternFront,
+    ScanTooLarge, UnknownPattern, _k_copy_size, builtin_pattern, k_copy,
+    pattern_from_text, pattern_to_text, satellite,
 )
 
 from helpers import random_diagram
@@ -36,6 +37,47 @@ def test_builtin_patterns():
         builtin_pattern("nope")
     with pytest.raises(UnknownPattern):
         builtin_pattern("stab_core", 0)
+
+
+@pytest.mark.parametrize("param", ["5", "xyz", 0])
+def test_whitehead_takes_no_parameter(param):
+    with pytest.raises(UnknownPattern, match="whitehead"):
+        builtin_pattern("whitehead", param)
+
+
+def test_k_copy_size_is_counted_exactly():
+    for name in catalog.names():
+        d = catalog.get(name).diagram
+        for k in (2, 3):
+            c = k_copy(d, k)
+            assert _k_copy_size(d, k) == (len(c.events),
+                                          max(c.strand_counts))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: builtin_pattern("half_twist", 10 ** 9),
+    lambda: builtin_pattern("identity", MAX_SCAN_CELLS + 1),
+    lambda: PatternFront(MAX_SCAN_CELLS // 2, [X(1), X(1)]),
+    # one strand, but 1,024 nested cusps make the scan 2,049 wide
+    lambda: PatternFront(1, [L(1)] * 1024 + [R(1)] * 1024),
+    lambda: k_copy(UNKNOT, 10 ** 5),
+    lambda: satellite(UNKNOT, builtin_pattern("identity", 10 ** 5)),
+    lambda: satellite(UNKNOT, builtin_pattern("half_twist",
+                                              MAX_SCAN_CELLS // 2 - 1)),
+], ids=["half_twist", "identity", "pattern", "pattern-cusps", "k_copy",
+        "satellite", "satellite-twist"])
+def test_oversized_words_are_refused_before_they_are_built(build):
+    with pytest.raises(ScanTooLarge, match=str(MAX_SCAN_CELLS)):
+        build()
+
+
+def test_words_at_the_scan_limit_are_built():
+    # the unknot's k-copy has k(k + 1) events and 2k strands, so it
+    # takes (k(k + 1) + 1) * 2k cells: 127 fits, 128 not
+    assert len(satellite(UNKNOT, builtin_pattern("identity", 127))
+               .diagram.events) == 127 * 128
+    with pytest.raises(ScanTooLarge):
+        satellite(UNKNOT, builtin_pattern("identity", 128))
 
 
 def test_closure_cycles():
