@@ -59,7 +59,7 @@ RIGHT_CUSP = "R"
 CROSSING = "X"
 
 _KINDS = (LEFT_CUSP, RIGHT_CUSP, CROSSING)
-_LEFT, _RIGHT = 0, 1   # the cusps' kind indices: an event's code % 3
+_LEFT, _RIGHT, _CROSS = 0, 1, 2   # kind indices: an event's code % 3
 
 
 class DiagramError(ValueError):
@@ -84,6 +84,18 @@ class OrientationMissing(DiagramError):
         super().__init__(
             f"diagram has {n_components} components but {n_symbols} "
             f"orientation symbols")
+
+
+# The most cells, gaps times the widest strand count, that a segment scan
+# may take (about 8 bytes each).  Every word that the tests, CI and bench
+# build takes at most 21,714.
+MAX_SCAN_CELLS = 1 << 22
+
+
+class ScanTooLarge(DiagramError):
+    def __init__(self, what, cells):
+        super().__init__(f"{what} needs a scan of {cells} cells, over the "
+                         f"limit of {MAX_SCAN_CELLS}")
 
 
 # Far above the distinct events, 3 kinds per level, of any word handled:
@@ -178,13 +190,20 @@ class _Scan:
     pattern) and must end with as many.  Later ids are assigned in creation
     order (top strand of a left cusp first), which fixes the component
     numbering.
+
+    A word whose gaps times its widest strand count exceed MAX_SCAN_CELLS
+    is refused with ScanTooLarge at the left cusp that first widens it
+    that far, before its gaps take that much memory.
     """
 
     def __init__(self, events, strands=0):
-        self.events = tuple(events)
+        self.events = events = tuple(events)
         self.gaps = []           # segment ids at each gap, top to bottom
         self.cusp_pair = {}      # event index -> (top_seg, bottom_seg)
         self.crossing_pair = {}  # event index -> (upper_seg, lower_seg) before
+        widest = MAX_SCAN_CELLS // (len(events) + 1)
+        if strands > widest:
+            _too_wide(events, strands)
         current = list(range(strands))
         next_id = strands
         self.gaps.append(tuple(current))
@@ -194,6 +213,8 @@ class _Scan:
             if kind == _LEFT:
                 if not 0 <= i <= len(current):
                     raise LevelOutOfBounds(idx, i + 1, len(current))
+                if len(current) + 2 > widest:
+                    _too_wide(events, len(current) + 2)
                 top, bot = next_id, next_id + 1
                 next_id += 2
                 current[i:i] = [top, bot]
@@ -212,6 +233,12 @@ class _Scan:
         if len(current) != strands:
             raise NonzeroFinalStrands(len(current))
         self.n_segments = next_id
+
+
+def _too_wide(events, strands):
+    """Refuse the scan of ``events`` once it reaches ``strands`` strands."""
+    raise ScanTooLarge(f"a word of {len(events)} events at {strands} strands",
+                       (len(events) + 1) * strands)
 
 
 def connected_components(n, pairs):
@@ -314,15 +341,13 @@ class FrontDiagram:
         self.__dict__.update(_scan=scan, _walk=walk,
                              orientations=orientations)
         seg_dirs = self.segment_direction
-        directions = []
-        for idx, ev in enumerate(events):
-            if ev.kind == CROSSING:
-                a, b = scan.crossing_pair[idx]
-            else:
-                a, b = scan.cusp_pair[idx]
-            directions.append((seg_dirs[a], seg_dirs[b]))
+        # every event is a cusp or a crossing of the scan, by index
+        directions = [None] * len(events)
+        for pairs in (scan.cusp_pair, scan.crossing_pair):
+            for idx, (a, b) in pairs.items():
+                directions[idx] = (seg_dirs[a], seg_dirs[b])
         self.directions = tuple(directions)
-        self.strand_counts = tuple(len(g) for g in scan.gaps)
+        self.strand_counts = tuple(map(len, scan.gaps))
 
     def _edited(self, start, stop, events, directions):
         """This diagram with the splice ``(start, stop, events,
@@ -460,24 +485,24 @@ class FrontDiagram:
         a down cusp: leftward into a left cusp, rightward into a right cusp.
         """
         d = self.directions[index][0]
-        if self.events[index].kind == LEFT_CUSP:
+        if self.events[index] % 3 == _LEFT:
             return d == -1
         return d == 1
 
     @cached_property
     def writhe(self):
-        return sum(do * du
-                   for ev, (do, du) in zip(self.events, self.directions)
-                   if ev.kind == CROSSING)
+        """The sum of the crossing signs: ``crossing_sign`` read inline."""
+        return sum([do * du
+                    for ev, (do, du) in zip(self.events, self.directions)
+                    if ev % 3 == _CROSS])
 
     @cached_property
     def tb(self):
-        return self.writhe - sum(1 for e in self.events
-                                 if e.kind == RIGHT_CUSP)
+        return self.writhe - [ev % 3 for ev in self.events].count(_RIGHT)
 
     @cached_property
     def rot(self):
-        cusps = [i for i, e in enumerate(self.events) if e.kind != CROSSING]
+        cusps = [i for i, e in enumerate(self.events) if e % 3 != _CROSS]
         down = sum(1 for i in cusps if self.cusp_is_down(i))
         up = len(cusps) - down
         if (down - up) % 2:
@@ -492,14 +517,21 @@ class FrontDiagram:
         rcusps = [0] * self.n_components
         downup = [0] * self.n_components
         comp = self.component_of_segment
+        events, directions = self.events, self.directions
         for i, (a, b) in self._scan.crossing_pair.items():
-            if comp[a] == comp[b]:
-                writhe[comp[a]] += self.crossing_sign(i)
+            c = comp[a]
+            if c == comp[b]:
+                do, du = directions[i]
+                writhe[c] += do * du
+        # a cusp is down when its top strand runs rightward into a right
+        # cusp or leftward into a left one (see cusp_is_down)
         for i, (a, _b) in self._scan.cusp_pair.items():
             c = comp[a]
-            if self.events[i].kind == RIGHT_CUSP:
+            if events[i] % 3 == _RIGHT:
                 rcusps[c] += 1
-            downup[c] += 1 if self.cusp_is_down(i) else -1
+                downup[c] += directions[i][0]
+            else:
+                downup[c] -= directions[i][0]
         return [(writhe[c] - rcusps[c], downup[c] // 2)
                 for c in range(self.n_components)]
 

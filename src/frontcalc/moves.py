@@ -35,6 +35,17 @@ ways, which share the window's strand-count step
 * ``random_shuffle`` splices each hit into three lists in place and builds
   one diagram when the walk ends, so a hit costs time in its window and a
   list shift.  A missed draw costs neither a ``Rewrite`` nor an exception.
+
+The walk's draws cost one ``getrandbits`` call each (rarely more):
+``_drawer(seed)`` returns ``below(n)``, a copy of CPython's
+``Random._randbelow_with_getrandbits``, which ``Random.choice`` and
+``Random.randint`` call through ``randrange``.  So
+``seq[below(len(seq))]`` and ``a + below(b - a + 1)`` draw the numbers
+that ``choice(seq)`` and ``randint(a, b)`` would, in the same order, and
+every seeded walk keeps its bytes.
+
+``inverse`` matches its rewrite through ``_rewritten`` first, so it
+refuses exactly what ``apply_rewrite`` refuses.
 """
 
 from __future__ import annotations
@@ -311,23 +322,24 @@ def apply_rewrite(diagram, rw):
 def inverse(diagram, rw):
     """The rewrite undoing ``rw`` on ``apply_rewrite(diagram, rw)``.
 
-    Raises InapplicableRewrite, with ``apply_rewrite``'s reason, when
-    ``rw`` removes a pattern that ``diagram`` does not have at its index,
-    or names an unknown kind.
+    ``rw`` is matched by ``_rewritten``, as in ``apply_rewrite``, so
+    exactly the rewrites that ``apply_rewrite`` refuses raise
+    InapplicableRewrite here, with its reason.
     """
     kind, j, events = rw.kind, rw.index, diagram.events
+    if _rewritten(events, diagram.directions, diagram.strand_counts, kind,
+                  j, rw.level, rw.variant) is None:
+        raise InapplicableRewrite(rw, _miss_reason(diagram, rw))
     if kind in ("commute", "r3_triple"):
         return rw
     if kind == "r1_insert":
         return Rewrite("r1_remove", j)
     if kind == "r2_push":
         return Rewrite("r2_pull", j)
-    if kind in ("r1_remove", "r2_pull") and 0 <= j <= len(events) - 3:
-        rule = _TRIPLES[events[j], events[j + 1], events[j + 2]]
-        if rule is not None and rule[0] == kind:
-            undone = "r1_insert" if kind == "r1_remove" else "r2_push"
-            return Rewrite(undone, j, *rule[3])
-    raise InapplicableRewrite(rw, _miss_reason(diagram, rw))
+    # kind is r1_remove or r2_pull
+    rule = _TRIPLES[events[j], events[j + 1], events[j + 2]]
+    undone = "r1_insert" if kind == "r1_remove" else "r2_push"
+    return Rewrite(undone, j, *rule[3])
 
 
 def applicable_rewrites(diagram):
@@ -356,6 +368,29 @@ def applicable_rewrites(diagram):
     return out
 
 
+def _drawer(seed):
+    """``below(n)``, a draw from ``range(n)`` for n >= 1, made by
+    ``random.Random(seed)``.
+
+    ``below`` is CPython's ``Random._randbelow_with_getrandbits``: it
+    draws ``n.bit_length()`` bits until they spell a number below n.  On
+    one seed, ``seq[below(len(seq))]`` and ``a + below(b - a + 1)`` then
+    give the numbers that ``choice(seq)`` and ``randint(a, b)`` give, in
+    the same order, without their two to four Python calls per draw.
+    ``tests/test_moves.py`` compares the two on many seeds.
+    """
+    getrandbits = random.Random(seed).getrandbits
+
+    def below(n):
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return r
+
+    return below
+
+
 def random_shuffle(diagram, steps, seed):
     """Deterministic random walk in the rewrite graph.
 
@@ -364,33 +399,38 @@ def random_shuffle(diagram, steps, seed):
     exactly ``steps`` draws.  The result is Legendrian isotopic to the
     input by construction.
 
+    The draws are those of ``random.Random(seed)``'s ``choice`` and
+    ``randint``, made at ``getrandbits`` cost through ``below`` from
+    ``_drawer(seed)``, which copies the algorithm both of them call; so
+    a seed gives the walk it gave when the walk called them.
+
     The walk splices each hit into lists of the word, its direction
     entries and its strand counts, and builds one diagram at the end; a
     walk with no hit returns ``diagram`` itself.
     """
-    rng = random.Random(seed)
-    choice, randint = rng.choice, rng.randint
+    below = _drawer(seed)
+    n_kinds = len(KINDS)
     events = list(diagram.events)
     dirs = list(diagram.directions)
     counts = list(diagram.strand_counts)
     hit = False
     for _ in range(steps):
         n = len(events)
-        kind = choice(KINDS)
+        kind = KINDS[below(n_kinds)]
         level, variant = 0, ""
         if kind == "r1_insert":
-            j = randint(0, n)
+            j = below(n + 1)
             m = counts[j]
             if m == 0:
                 continue
-            level = randint(1, m)
-            variant = choice(("below", "above"))
+            level = 1 + below(m)
+            variant = ("below", "above")[below(2)]
         elif n == 0:
             continue
         else:
-            j = randint(0, n - 1)
+            j = below(n)
             if kind == "r2_push":
-                variant = choice(("down", "up"))
+                variant = ("down", "up")[below(2)]
         splice = _rewritten(events, dirs, counts, kind, j, level, variant)
         if splice is not None:
             start, stop, new_events, new_dirs = splice

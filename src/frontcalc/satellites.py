@@ -18,16 +18,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .diagrams import (CROSSING, LEFT_CUSP, RIGHT_CUSP, DiagramError,
-                       Event, FrontDiagram, L, LevelOutOfBounds,
-                       NonzeroFinalStrands, R, X, _Scan, ascii_decimal,
-                       connected_components, event, window_counts)
-
-# The most cells, gaps times the widest strand count, that the scan of a
-# pattern, k-copy or satellite may take (about 8 bytes each).  Every
-# word that the tests, CI and bench build takes at most 21,714; a spec
-# that asks for more is refused, by arithmetic, before any list is built.
-MAX_SCAN_CELLS = 1 << 22
+# MAX_SCAN_CELLS and ScanTooLarge live with the scan in ``diagrams`` and
+# are re-exported here: a pattern, k-copy or satellite spec whose scan
+# would take more cells is refused, by arithmetic, before any list is
+# built.
+from .diagrams import (CROSSING, LEFT_CUSP, MAX_SCAN_CELLS, RIGHT_CUSP,
+                       DiagramError, Event, FrontDiagram, L, LevelOutOfBounds,
+                       NonzeroFinalStrands, R, ScanTooLarge, X, _Scan,
+                       ascii_decimal, connected_components, event,
+                       window_counts)
 
 
 class PatternError(DiagramError):
@@ -42,12 +41,6 @@ class CompanionNotKnot(DiagramError):
 class UnknownPattern(DiagramError):
     def __init__(self, name):
         super().__init__(f"unknown builtin pattern {name!r}")
-
-
-class ScanTooLarge(DiagramError):
-    def __init__(self, what, cells):
-        super().__init__(f"{what} needs a scan of {cells} cells, over the "
-                         f"limit of {MAX_SCAN_CELLS}")
 
 
 def _check_scan(what, events, widest):

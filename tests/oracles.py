@@ -22,6 +22,12 @@ moves edit, so the fast moves can be compared against it.  Its fish,
 pull and triple-point matchers are the ones that ``moves._TRIPLES``
 replaced, one pattern each, so a fault in the table shows against them.
 
+The reference word facts are the writhe, tb, rot, per-component
+(tb, rot) and direction-entry formulas that ``FrontDiagram`` used before
+it decoded event codes: they read each event's ``kind`` attribute and
+ask ``crossing_sign`` and the old ``cusp_is_down`` per event, so a slip
+in the package's decoding shows against them.
+
 The reference ruling enumerator is the recursive walk that the ruling
 DP replaced: it follows every branch of the pairing tree, including those
 that die at a later right cusp, and tests normality by comparing
@@ -560,6 +566,68 @@ def reference_stabilize(diagram, sign):
         gadget = [L(level), R(level + 1)]
     events = list(diagram.events)
     return rewritten(diagram, events[:1] + gadget + events[1:], 1, 0, 2)
+
+
+# -- reference word facts -------------------------------------------------------
+
+def reference_cusp_is_down(diagram, index):
+    d = diagram.directions[index][0]
+    if diagram.events[index].kind == LEFT_CUSP:
+        return d == -1
+    return d == 1
+
+
+def reference_writhe(diagram):
+    return sum(do * du
+               for ev, (do, du) in zip(diagram.events, diagram.directions)
+               if ev.kind == CROSSING)
+
+
+def reference_tb(diagram):
+    return reference_writhe(diagram) - sum(1 for e in diagram.events
+                                           if e.kind == RIGHT_CUSP)
+
+
+def reference_rot(diagram):
+    cusps = [i for i, e in enumerate(diagram.events) if e.kind != CROSSING]
+    down = sum(1 for i in cusps if reference_cusp_is_down(diagram, i))
+    up = len(cusps) - down
+    if (down - up) % 2:
+        raise DiagramError(f"odd cusp difference {down - up}; "
+                           f"rot is not an integer")
+    return (down - up) // 2
+
+
+def reference_per_component(diagram):
+    """List of (tb, rot) per component; tb counts self-crossings only."""
+    writhe = [0] * diagram.n_components
+    rcusps = [0] * diagram.n_components
+    downup = [0] * diagram.n_components
+    comp = diagram.component_of_segment
+    for i, (a, b) in diagram._scan.crossing_pair.items():
+        if comp[a] == comp[b]:
+            writhe[comp[a]] += diagram.crossing_sign(i)
+    for i, (a, _b) in diagram._scan.cusp_pair.items():
+        c = comp[a]
+        if diagram.events[i].kind == RIGHT_CUSP:
+            rcusps[c] += 1
+        downup[c] += 1 if reference_cusp_is_down(diagram, i) else -1
+    return [(writhe[c] - rcusps[c], downup[c] // 2)
+            for c in range(diagram.n_components)]
+
+
+def reference_orient(diagram):
+    """The direction entries of ``diagram``'s word under its own symbols,
+    read off its scan and segment directions."""
+    scan, seg_dirs = diagram._scan, diagram.segment_direction
+    directions = []
+    for idx, ev in enumerate(diagram.events):
+        if ev.kind == CROSSING:
+            a, b = scan.crossing_pair[idx]
+        else:
+            a, b = scan.cusp_pair[idx]
+        directions.append((seg_dirs[a], seg_dirs[b]))
+    return tuple(directions)
 
 
 # -- reference ruling enumeration --------------------------------------------

@@ -376,6 +376,27 @@ def test_amplifying_pattern_spec_is_one_error_line(spec):
     assert proc.stderr.count(b"\n") == 1
 
 
+def test_wide_front_file_is_one_error_line(tmp_path):
+    # 20,000 nested eyes: their scan would hold 800 million segment ids,
+    # far more than the child's 1 GiB of address space
+    path = tmp_path / "wide.front"
+    path.write_text("frontdiagram v1\n" + " ".join(["L1"] * 20000
+                                                  + ["R1"] * 20000)
+                    + "\norient: " + " ".join("+" * 20000) + "\n",
+                    encoding="utf-8")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "frontcalc.cli", "invariants", str(path)],
+        capture_output=True, env=env, timeout=60,
+        preexec_fn=_cap_address_space)
+    assert proc.returncode == 2 and proc.stdout == b""
+    assert b"Traceback" not in proc.stderr
+    assert proc.stderr.startswith(b"error: ")
+    assert b"40000 events" in proc.stderr
+    assert proc.stderr.count(b"\n") == 1
+
+
 def test_trace_without_header_is_parse_error(capsys, tmp_path):
     code, out, _ = run(capsys, "search-filling", "catalog:unknot")
     assert code == 0

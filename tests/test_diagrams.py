@@ -3,10 +3,11 @@ import random
 
 import pytest
 
+from frontcalc import satellites
 from frontcalc.diagrams import (
-    Event, FrontDiagram, L, R, X, DiagramError, LevelOutOfBounds,
-    NonzeroFinalStrands, OrientationMissing, components, event, from_text,
-    to_text,
+    MAX_SCAN_CELLS, Event, FrontDiagram, L, R, X, DiagramError,
+    LevelOutOfBounds, NonzeroFinalStrands, OrientationMissing, ScanTooLarge,
+    _Scan, components, event, from_text, to_text,
 )
 from frontcalc.satellites import k_copy
 
@@ -109,6 +110,20 @@ def test_strand_counts():
         FrontDiagram([L(1), X(2), R(1)]).strand_counts
     with pytest.raises(NonzeroFinalStrands):
         FrontDiagram([L(1)]).strand_counts
+
+
+def test_scan_is_bounded():
+    # k nested eyes: 2k + 1 gaps, 2k strands at the widest
+    assert 2047 * 2046 <= MAX_SCAN_CELLS < 2049 * 2048
+    assert FrontDiagram([L(1)] * 1023 + [R(1)] * 1023).n_components == 1023
+    with pytest.raises(ScanTooLarge, match=str(MAX_SCAN_CELLS)) as exc:
+        FrontDiagram([L(1)] * 1024 + [R(1)] * 1024)
+    assert "2048 events at 2048 strands" in str(exc.value)
+    # a scan that starts wider than the bound allows builds nothing
+    with pytest.raises(ScanTooLarge):
+        _Scan([], MAX_SCAN_CELLS + 1)
+    assert satellites.ScanTooLarge is ScanTooLarge
+    assert satellites.MAX_SCAN_CELLS == MAX_SCAN_CELLS
 
 
 def test_orientation_count_checked():

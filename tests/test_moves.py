@@ -3,16 +3,18 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from frontcalc import catalog
 from frontcalc.diagrams import FrontDiagram, L, R, X, event, to_text
 from frontcalc.moves import (
-    _SWAPS, _TRIPLES, InapplicableRewrite, Rewrite, _commute_pair, _Table,
-    applicable_rewrites, apply_rewrite, inverse, random_shuffle, stabilize,
+    _SWAPS, _TRIPLES, _VARIANTS, KINDS, InapplicableRewrite, Rewrite,
+    _commute_pair, _drawer, _Table, applicable_rewrites, apply_rewrite,
+    inverse, random_shuffle, stabilize,
 )
 from frontcalc.rulings import count_rulings
 
-from helpers import random_diagram
+from helpers import random_diagram, random_word
 from oracles import (reference_match_fish, reference_match_pull,
                      reference_match_r3, reference_rewrite)
 
@@ -184,6 +186,13 @@ def test_inapplicable_reasons(diagram, rw, reason):
     (Rewrite("r1_remove", 8), "index out of range"),
     (Rewrite("r2_pull", -1), "index out of range"),
     (Rewrite("nonsense", 0), "unknown kind nonsense"),
+    # kinds with an inverse whatever the site: a commute and a
+    # triple-point rewrite where none matches, and three past the word
+    (Rewrite("commute", 2), "events interact"),
+    (Rewrite("r3_triple", 0), "no triple pattern"),
+    (Rewrite("commute", 99), "index out of range"),
+    (Rewrite("r1_insert", 99, 5, "below"), "index out of range"),
+    (Rewrite("r2_push", 99, variant="up"), "index out of range"),
 ], ids=str)
 def test_inverse_refuses_what_apply_rewrite_refuses(rw, reason):
     for call in (apply_rewrite, inverse):
@@ -191,6 +200,57 @@ def test_inverse_refuses_what_apply_rewrite_refuses(rw, reason):
             call(TREFOIL, rw)
         assert exc.value.rewrite is rw
         assert str(exc.value) == f"rewrite {rw} does not apply: {reason}"
+
+
+def random_rewrite(rng, d):
+    """A rewrite drawn over every kind, index, level and variant near the
+    word's range, so that most miss; one in four is an applicable one."""
+    if rng.random() < 0.25:
+        applicable = applicable_rewrites(d)
+        if applicable:
+            return rng.choice(applicable)
+    n = len(d.events)
+    kind = rng.choice(KINDS + ("nonsense",))
+    variants = _VARIANTS.get(kind, ("",)) + ("", "sideways")
+    return Rewrite(kind, rng.randint(-1, n + 1), rng.randint(0, 7),
+                   rng.choice(variants))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_inverse_raises_iff_apply_rewrite_raises(seed):
+    rng = random.Random(seed)
+    events = random_word(rng, max_width=6, max_events=14)
+    n = FrontDiagram(events).n_components
+    d = FrontDiagram(events, [rng.choice("+-") for _ in range(n)])
+    for _ in range(40):
+        rw = random_rewrite(rng, d)
+        try:
+            out = apply_rewrite(d, rw)
+        except InapplicableRewrite as exc:
+            with pytest.raises(InapplicableRewrite) as refused:
+                inverse(d, rw)
+            assert str(refused.value) == str(exc)
+            continue
+        back = apply_rewrite(out, inverse(d, rw))
+        assert back == d, str(rw)
+        assert back.strand_counts == d.strand_counts
+        assert back.orientations == d.orientations
+
+
+def test_draws_match_choice_and_randint():
+    # the draws of random_shuffle depend on CPython's private
+    # _randbelow: a Python that changes it fails here, not in a sha256 pin
+    sizes = [len(KINDS), 2] + list(range(1, 3001))
+    for seed in range(12):
+        below, rng = _drawer(seed), random.Random(seed)
+        for n in sizes:
+            assert KINDS[below(len(KINDS))] == rng.choice(KINDS)
+            assert below(n) == rng.choice(range(n))
+            assert below(n) == rng.randint(0, n - 1)
+            assert 1 + below(n) == rng.randint(1, n)
+            assert below(n + 1) == rng.randint(0, n)
+        assert below(1 << 40) == rng.randrange(1 << 40)
 
 
 def test_unknown_variants_are_refused():

@@ -20,9 +20,12 @@ from frontcalc.moves import (applicable_rewrites, apply_rewrite,
                              random_shuffle, stabilize)
 
 from helpers import random_word
-from oracles import (reference_birth, reference_death, reference_pinch,
-                     reference_rewrite, reference_shuffle,
-                     reference_stabilize, reference_surgery, scan_direction)
+from oracles import (reference_birth, reference_death, reference_directions,
+                     reference_orient, reference_per_component,
+                     reference_pinch, reference_rewrite, reference_rot,
+                     reference_shuffle, reference_stabilize,
+                     reference_surgery, reference_tb, reference_writhe,
+                     scan_direction)
 
 PROPERTY = settings(derandomize=True, max_examples=40, deadline=None)
 SEEDS = st.integers(min_value=0, max_value=2 ** 32 - 1)
@@ -174,3 +177,34 @@ def test_shuffle_matches_reference_on_random_links(steps, words):
         assert got.directions == rebuilt.directions
         assert got.strand_counts == rebuilt.strand_counts
         assert got.orientations == rebuilt.orientations
+
+
+def assert_word_facts(d):
+    """Every word fact of ``d`` against the formulas that read ``kind``."""
+    assert d.writhe == reference_writhe(d)
+    assert (d.tb, d.rot) == (reference_tb(d), reference_rot(d))
+    assert d.per_component == reference_per_component(d)
+    assert d.directions == reference_orient(d)
+    # the entries that the validating constructor and a re-signing set
+    assert FrontDiagram(d.events, d.orientations).directions == d.directions
+    flipped = tuple("+-"[s == "+"] for s in d.orientations)
+    assert (d._with_orientations(flipped).directions
+            == reference_directions(d, flipped))
+
+
+@PROPERTY
+@given(SEEDS)
+def test_word_facts_match_reference(seed):
+    rng = random.Random(seed)
+    for _ in range(10):
+        d = oriented_diagram(rng, random_word(rng, max_width=8,
+                                              max_events=20))
+        assert_word_facts(d)
+        assert_word_facts(random_shuffle(d, 200, rng.getrandbits(32)))
+
+
+@pytest.mark.parametrize("name", catalog.names())
+def test_word_facts_match_reference_on_shuffles(name):
+    d = catalog.get(name).diagram
+    for seed in range(3):
+        assert_word_facts(random_shuffle(d, 500, seed))
