@@ -29,20 +29,31 @@ pairings at the meeting gap.  ``enumerate_rulings`` keeps every
 frontier of the pass, then continues the suffix pass from the meeting
 gap leftward, keeping at each gap only the states some prefix reached:
 those are the live states, with exact suffix counts.  It then emits
-switch sets forward with an explicit stack, visiting live states only
-and stepping each live state once: no branch that dies at a later
-right cusp is followed, and the depth of the word costs no recursion.
+switch sets in one forward pass over the live states, stepping each
+once: every live state carries the list of switch-set prefixes that
+reach it, a follow shares its predecessor's list, a switch extends each
+prefix by its index, and states that merge concatenate their lists.  No
+branch that dies at a later right cusp is followed, and the depth of
+the word costs no recursion.
 
 The pass steps a whole frontier at a time through ``_advance``, which
 maps a dict of pairing -> count to the next gap's and reads the event's
 kind once per event; counts combine through ``+`` only.  A single
-pairing steps through ``_step``, its successors at one event: ``_walk``
-(which follows one switch set for ``ruling_pairings`` and
-``is_ruling``), ``is_normal_switch`` and emission use it.  The two
-encode the same crossing rule, and the tests hold them equal.  Inside
-the DP a pairing is a ``bytes`` object (its hash is cached, and a
-cusp's shift of the partner indices is one ``bytes.translate``), so at
-most 256 strands are supported.
+pairing steps through ``_step``, its successors at one event, which the
+emission and ``is_normal_switch`` use.  Inside the DP a pairing is a
+``bytes`` object (its hash is cached, and a cusp's shift of the partner
+indices is one ``bytes.translate``), so at most 256 strands are
+supported.
+
+``is_ruling`` and ``ruling_pairings`` follow one switch set through
+``_walk_in_place``, on a single partner ``bytearray`` edited in place: a
+crossing's follow is four item writes, a switch reads two partners for
+the normality test, and a cusp is one ``translate`` and one slice
+insert or delete.  ``ruling_pairings`` takes a tuple at every gap;
+``is_ruling`` takes none.  The crossing rule, follow by conjugation and
+the normality test, is written out three times, in ``_advance``,
+``_step`` and ``_walk_in_place``, since each loop inlines it; the tests
+hold the three equal.
 """
 
 from __future__ import annotations
@@ -228,7 +239,6 @@ def enumerate_rulings(diagram):
     if not live:
         return []
     steps = diagram.kinds_and_levels
-    n = len(steps)
     m = len(left) - 1
     # Each gap's live states: reached by a ruling prefix and left by a
     # ruling suffix.  Right of m every state some prefix reaches is
@@ -240,58 +250,76 @@ def enumerate_rulings(diagram):
         reached = left[k]
         live = _advance(live, _MIRROR[kind], level - 1)
         live = gaps[k] = {p: c for p, c in live.items() if p in reached}
-    # Forward from the empty pairing: every state on the stack is reached
-    # by a ruling prefix and extends to at least one ruling.  ``memo[k]``
-    # holds each state's live successors at event k, stepped once.
-    rulings = []
-    memo = [{} for _ in range(n)]
-    stack = [(0, _EMPTY, ())]
-    while stack:
-        k, pairing, switches = stack.pop()
-        if k == n:
-            rulings.append(switches)
-            continue
-        known = memo[k]
-        succ = known.get(pairing)
-        if succ is None:
-            kind, level = steps[k]
+    # Forward from the empty pairing over live states only, each with
+    # the switch-set prefixes reaching it: a follow shares its
+    # predecessor's list, a switch extends each prefix by k, and states
+    # that merge concatenate their lists.
+    front = {_EMPTY: [()]}
+    for k, (kind, level) in enumerate(steps):
+        after = gaps[k + 1]
+        nxt = {}
+        get = nxt.get
+        for pairing, prefixes in front.items():
             follow, switch = _step(pairing, kind, level - 1)
-            after = gaps[k + 1]
-            succ = known[pairing] = (follow if follow in after else None,
-                                     switch and pairing in after)
-        follow, switch = succ
-        if follow is not None:
-            stack.append((k + 1, follow, switches))
-        if switch:
-            stack.append((k + 1, pairing, switches + (k,)))
-    rulings.sort()
-    return rulings
+            if follow in after:
+                old = get(follow)
+                nxt[follow] = prefixes if old is None else old + prefixes
+            if switch and pairing in after:
+                grown = [t + (k,) for t in prefixes]
+                old = get(pairing)
+                nxt[pairing] = grown if old is None else old + grown
+        front = nxt
+    return sorted(front[_EMPTY])
 
 
-def _walk(diagram, switches):
-    """Yield the pairing at every gap of the ruling with the given switch
-    set, as ``bytes``.
+def _walk_in_place(diagram, switches, gaps=None):
+    """Follow the ruling with the given switch set through the word on
+    one partner ``bytearray``, appending each later gap's pairing to
+    ``gaps`` as a tuple when a list is given.
 
-    Raises RulingError if a switch index is not an event of the word or
-    the switch set is not a normal ruling.
+    A crossing's follow is four item writes and a switch reads the two
+    partners for the normality test; a cusp is one ``translate`` and one
+    slice insert or delete.  The caller checks the width.  Raises
+    RulingError if a switch index is not an event of the word or the
+    switch set is not a normal ruling.
     """
-    _check_width(diagram)
     steps = diagram.kinds_and_levels
     switches = set(switches)
     for idx in sorted(switches):
         if not 0 <= idx < len(steps):
             raise RulingError(
                 f"switch index {idx} is out of range 0..{len(steps) - 1}")
-    pairing = _EMPTY
-    yield pairing
-    for idx, (kind, level) in enumerate(steps):
-        follow, switch = _step(pairing, kind, level - 1)
-        if idx in switches:
-            follow = pairing if switch else None
-        if follow is None:
-            raise RulingError(f"switch set fails at event {idx}")
-        pairing = follow
-        yield pairing
+    pairing = bytearray()
+    for idx, (kind, j) in enumerate(steps):
+        i = j - 1
+        if kind == CROSSING:
+            a = pairing[i]
+            if a == j:
+                break
+            b = pairing[j]
+            if idx not in switches:
+                pairing[i] = b
+                pairing[j] = a
+                pairing[a] = j
+                pairing[b] = i
+            elif not ((b < a or b > j) if a < i else i < b < a):
+                break
+        elif idx in switches:
+            break
+        elif kind == LEFT_CUSP:
+            up, _down, born = _cusp_tables(i)
+            pairing = pairing.translate(up)
+            pairing[i:i] = born
+        elif pairing[i] == j:
+            del pairing[i:j + 1]
+            pairing = pairing.translate(_cusp_tables(i)[1])
+        else:
+            break
+        if gaps is not None:
+            gaps.append(tuple(pairing))
+    else:
+        return
+    raise RulingError(f"switch set fails at event {idx}")
 
 
 def ruling_pairings(diagram, switches):
@@ -300,13 +328,21 @@ def ruling_pairings(diagram, switches):
     Raises RulingError if a switch index is not an event of the word or
     the switch set is not a normal ruling.
     """
-    return [tuple(pairing) for pairing in _walk(diagram, switches)]
+    _check_width(diagram)
+    gaps = [()]
+    _walk_in_place(diagram, switches, gaps)
+    return gaps
 
 
 def is_ruling(diagram, switches):
+    """Whether the switch set is a normal ruling of the diagram.
+
+    Raises RulingError, like the rest of the module, on a front with
+    more than ``MAX_STRANDS`` strands at a gap.
+    """
+    _check_width(diagram)
     try:
-        for _pairing in _walk(diagram, switches):
-            pass
+        _walk_in_place(diagram, switches)
     except RulingError:
         return False
     return True

@@ -33,6 +33,11 @@ DP replaced: it follows every branch of the pairing tree, including those
 that die at a later right cusp, and tests normality by comparing
 intervals.
 
+The reference single-ruling walk is the generator that the in-place
+walk replaced: it steps one pairing per event through the DP's
+``_step``, as a fresh ``bytes``, and yields it.  Its ``is_ruling``
+turns every RulingError into False, the width limit's included.
+
 The reference cusp-graph labelling is what the package's one walk
 replaced: a union-find for the components, a second search that directs
 the segments from the orientation symbols, the symbols read off the
@@ -688,6 +693,47 @@ def reference_enumerate_rulings(diagram):
 
     walk(0, (), [])
     return sorted(results)
+
+
+# -- reference single-ruling walk --------------------------------------------
+
+from frontcalc.rulings import (_EMPTY, RulingError, _check_width,  # noqa: E402
+                               _step)
+
+
+def reference_walk(diagram, switches):
+    """Yield the pairing at every gap of the ruling with the given switch
+    set, as ``bytes``.
+
+    Raises RulingError if a switch index is not an event of the word or
+    the switch set is not a normal ruling.
+    """
+    _check_width(diagram)
+    steps = diagram.kinds_and_levels
+    switches = set(switches)
+    for idx in sorted(switches):
+        if not 0 <= idx < len(steps):
+            raise RulingError(
+                f"switch index {idx} is out of range 0..{len(steps) - 1}")
+    pairing = _EMPTY
+    yield pairing
+    for idx, (kind, level) in enumerate(steps):
+        follow, switch = _step(pairing, kind, level - 1)
+        if idx in switches:
+            follow = pairing if switch else None
+        if follow is None:
+            raise RulingError(f"switch set fails at event {idx}")
+        pairing = follow
+        yield pairing
+
+
+def reference_is_ruling(diagram, switches):
+    try:
+        for _pairing in reference_walk(diagram, switches):
+            pass
+    except RulingError:
+        return False
+    return True
 
 
 # -- reference reduction -------------------------------------------------------

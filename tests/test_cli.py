@@ -5,6 +5,7 @@ captures stdout, which keeps the tests fast while still exercising the
 real argument parsing and exit code paths.
 """
 
+import hashlib
 import os
 import resource
 import subprocess
@@ -287,6 +288,45 @@ def test_render_with_ruling(capsys, tmp_path):
                      "catalog:trefoil")
     assert code == 0
     assert 'r="4"' in svg.read_text(encoding="utf-8")
+
+
+# sha256 of the output bytes, written before the single-ruling walk and
+# the enumeration's emission were rewritten in place
+TREFOIL_3COPY_RULINGS_SHA256 = (
+    "39e5a9a3717c5f99865a9451330e3b518f74f24aed83a432476fb67df62516ee")
+LONG_WORD_RULINGS_SHA256 = (
+    "84af6664aa832243b602c7914e6b4eb3e61ef2d9c6f79dd210a487dc0d5c68c1")
+LONG_WORD_RULING_SVG_SHA256 = (
+    "1bb0344ed9fbb7f702c4ee41d4dd55ad563e68d9c71a146f1d139258f6e01c8c")
+
+
+def test_ruling_outputs_are_pinned(capsys, tmp_path):
+    def write(name, *argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        path = tmp_path / name
+        path.write_text(out, encoding="utf-8")
+        return str(path)
+
+    def digest(data):
+        return hashlib.sha256(data).hexdigest()
+
+    copy = write("trefoil_3copy.front", "satellite", "--pattern",
+                 "identity:3", "catalog:trefoil")
+    code, out, _ = run(capsys, "rulings", "--list", copy)
+    assert code == 0
+    assert digest(out.encode()) == TREFOIL_3COPY_RULINGS_SHA256
+    long_word = write("m9_46_long.front", "shuffle", "--steps", "2000",
+                      "--seed", "2", "catalog:m9_46")
+    code, out, _ = run(capsys, "rulings", "--list", long_word)
+    assert code == 0
+    assert digest(out.encode()) == LONG_WORD_RULINGS_SHA256
+    first = ",".join(out.splitlines()[0].split())
+    svg = tmp_path / "long.svg"
+    code, _, _ = run(capsys, "render", "--svg", str(svg), "--ruling", first,
+                     long_word)
+    assert code == 0
+    assert digest(svg.read_bytes()) == LONG_WORD_RULING_SVG_SHA256
 
 
 def test_render_trace(capsys, tmp_path):

@@ -20,7 +20,7 @@ from frontcalc.diagrams import (CROSSING, LEFT_CUSP, RIGHT_CUSP,
                                 FrontDiagram, L, R)
 from frontcalc.moves import random_shuffle
 from frontcalc.rulings import (MAX_STRANDS, RulingError, count_rulings,
-                               enumerate_rulings, ruling_pairings)
+                               enumerate_rulings, is_ruling, ruling_pairings)
 from frontcalc.satellites import builtin_pattern, satellite
 
 from helpers import mirror, random_word
@@ -184,3 +184,12 @@ def test_width_limit():
             fn(too_wide)
     with pytest.raises(RulingError, match="at most 256 strands"):
         ruling_pairings(too_wide, ())
+
+
+def test_is_ruling_width_limit():
+    """Past the width limit ``is_ruling`` raises, as the rest of the
+    module does, rather than answer that the unlink's one normal ruling,
+    the empty switch set, is none."""
+    assert is_ruling(nested_unknots(MAX_STRANDS // 2), ())
+    with pytest.raises(RulingError, match="at most 256 strands"):
+        is_ruling(nested_unknots(MAX_STRANDS // 2 + 1), ())
