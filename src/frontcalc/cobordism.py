@@ -41,6 +41,15 @@ cusp that bubbles through the commute table up to a right cusp at its
 own level heads an eye, which dies where it stands, with those commutes
 recorded; one filling search memoizes the cleanup of every diagram it
 meets, so each distinct diagram is cleaned once.
+
+Each search call also decides a fact that reads the event word only once
+per word, in a dict that lives as long as the call.  The filling search
+keeps "no normal ruling" per cleaned word, since ``count_rulings``
+reads only the events and their width, and distinct diagrams clean to
+one word.  The ruling certificate keeps its goal, ``_is_max_tb_unlink``,
+per word: reversing a component keeps its tb and negates its rot, so
+(tb, rot) = (-1, 0) holds in every orientation of a word or in none,
+and the reduction and the components' words ignore directions.
 """
 
 from __future__ import annotations
@@ -649,6 +658,9 @@ def search_decomposable_filling(diagram, max_pinches=3, isotopy_budget=0):
     # diagram, downward record), or None when the cleaned diagram has no
     # normal ruling; so each distinct diagram is cleaned once.
     cleaned = {}
+    # cleaned events -> whether they have no normal ruling: the count
+    # reads the word only, so each cleaned word is counted once
+    obstructed = {}
 
     def settle(d):
         state = (d.events, d.directions)
@@ -656,8 +668,10 @@ def search_decomposable_filling(diagram, max_pinches=3, isotopy_budget=0):
             c, record = _downward_cleanup(d)
             # a filling gives the link, not each component, a normal
             # ruling (Ekholm-Honda-Kalman 2016; Fuchs 2003; Sabloff 2005)
-            obstructed = count_rulings(c) == 0
-            cleaned[state] = None if obstructed else (c, tuple(record))
+            if c.events not in obstructed:
+                obstructed[c.events] = count_rulings(c) == 0
+            cleaned[state] = (None if obstructed[c.events]
+                              else (c, tuple(record)))
         return cleaned[state]
 
     def children(d, budget, left):
@@ -707,8 +721,18 @@ def ruling_fillability(diagram, switches, max_pinches=None):
                 shifted = tuple(s if s < j else s + 2 for s in sw)
                 yield Move("surgery", j, i), pinch(d, j, i), shifted, left - 1
 
+    # events -> whether every component is a max-tb unknot: reversing a
+    # component keeps its tb and negates its rot, and the reduction
+    # ignores directions, so each word is tested once
+    unlinks = {}
+
+    def is_goal(d):
+        if d.events not in unlinks:
+            unlinks[d.events] = _is_max_tb_unlink(d)
+        return unlinks[d.events]
+
     return _pinch_search(diagram, switches, max_pinches,
-                         lambda d: (d, ()), _is_max_tb_unlink, children)
+                         lambda d: (d, ()), is_goal, children)
 
 
 # -- surgery presentations -------------------------------------------------

@@ -572,10 +572,18 @@ class FrontDiagram:
         return sorted(out)
 
     def component_subdiagram(self, c):
-        """The front of component c alone, with other strands deleted."""
+        """The front of component c alone, with other strands deleted.
+
+        Each kept event keeps its direction entry from this diagram: the
+        component's strands run as they did, and its first left cusp is
+        the new front's first, so the entries are those that
+        ``FrontDiagram(events, (self.orientations[c],))`` would set.
+        The new front is spliced with :meth:`_edited`, without a scan.
+        """
         self._check_component(c)
         comp = self.component_of_segment
         events = []
+        directions = []
         for idx, ev in enumerate(self.events):
             gap = self._scan.gaps[idx]
             if ev.kind == LEFT_CUSP:
@@ -585,7 +593,8 @@ class FrontDiagram:
             if mine:
                 above = sum(1 for s in gap[:ev.level - 1] if comp[s] != c)
                 events.append(event(ev.kind, ev.level - above))
-        return FrontDiagram(events, (self.orientations[c],))
+                directions.append(self.directions[idx])
+        return self._edited(0, len(self.events), events, directions)
 
 
 def components(diagram):

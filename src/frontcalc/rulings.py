@@ -43,7 +43,8 @@ pairing steps through ``_step``, its successors at one event, which the
 emission and ``is_normal_switch`` use.  Inside the DP a pairing is a
 ``bytes`` object (its hash is cached, and a cusp's shift of the partner
 indices is one ``bytes.translate``), so at most 256 strands are
-supported.
+supported; every public function raises RulingError on a wider front
+or pairing.
 
 ``is_ruling`` and ``ruling_pairings`` follow one switch set through
 ``_walk_in_place``, on a single partner ``bytearray`` edited in place: a
@@ -163,8 +164,9 @@ def _advance(front, kind, i):
     return nxt
 
 
-def _check_width(diagram):
-    if max(diagram.strand_counts) > MAX_STRANDS:
+def _check_width(strands):
+    """Refuse a front, or a pairing, of more than MAX_STRANDS strands."""
+    if strands > MAX_STRANDS:
         raise RulingError(
             f"normal rulings are computed on at most {MAX_STRANDS} strands")
 
@@ -175,8 +177,10 @@ def is_normal_switch(pairing, level):
     ``pairing`` is the 0-based partner array just before the crossing.
     The companion intervals of the two crossing strands must be disjoint
     or nested; interleaving rules the switch out.  Raises RulingError
+    on more than MAX_STRANDS strands, as the rest of the module does, and
     unless 1 <= level <= len(pairing) - 1.
     """
+    _check_width(len(pairing))
     if not 1 <= level <= len(pairing) - 1:
         raise RulingError(f"switch level {level} is out of range "
                           f"1..{len(pairing) - 1}")
@@ -196,7 +200,7 @@ def _meet(diagram):
     states, the left one on a tie, until both sides reach one gap or a
     side's frontier is empty.
     """
-    _check_width(diagram)
+    _check_width(max(diagram.strand_counts))
     steps = diagram.kinds_and_levels
     fronts = [{_EMPTY: 1}, {_EMPTY: 1}]
     yield 0, fronts[0]
@@ -328,7 +332,7 @@ def ruling_pairings(diagram, switches):
     Raises RulingError if a switch index is not an event of the word or
     the switch set is not a normal ruling.
     """
-    _check_width(diagram)
+    _check_width(max(diagram.strand_counts))
     gaps = [()]
     _walk_in_place(diagram, switches, gaps)
     return gaps
@@ -340,7 +344,7 @@ def is_ruling(diagram, switches):
     Raises RulingError, like the rest of the module, on a front with
     more than ``MAX_STRANDS`` strands at a gap.
     """
-    _check_width(diagram)
+    _check_width(max(diagram.strand_counts))
     try:
         _walk_in_place(diagram, switches)
     except RulingError:

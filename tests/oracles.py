@@ -28,6 +28,10 @@ it decoded event codes: they read each event's ``kind`` attribute and
 ask ``crossing_sign`` and the old ``cusp_is_down`` per event, so a slip
 in the package's decoding shows against them.
 
+The reference component front is what ``component_subdiagram`` built
+before it kept the parent's direction entries: the component's word
+through the validating constructor, with the component's symbol.
+
 The reference ruling enumerator is the recursive walk that the ruling
 DP replaced: it follows every branch of the pairing tree, including those
 that die at a later right cusp, and tests normality by comparing
@@ -305,7 +309,8 @@ def jones_trefoil_check():
 import random  # noqa: E402
 
 from frontcalc.diagrams import (CROSSING, LEFT_CUSP, RIGHT_CUSP,  # noqa: E402
-                                DiagramError, Event, FrontDiagram, L, R, X)
+                                DiagramError, Event, FrontDiagram, L, R, X,
+                                event)
 from frontcalc import moves as _moves  # noqa: E402
 from frontcalc.moves import InapplicableRewrite, Rewrite  # noqa: E402
 from frontcalc.cobordism import (NotAdjacent, NotCuspPair,  # noqa: E402
@@ -635,6 +640,26 @@ def reference_orient(diagram):
     return tuple(directions)
 
 
+# -- reference component front -------------------------------------------------
+
+def reference_component_subdiagram(diagram, c):
+    """The front of component c alone, with other strands deleted, built
+    by the validating constructor from the component's symbol."""
+    diagram._check_component(c)
+    comp = diagram.component_of_segment
+    events = []
+    for idx, ev in enumerate(diagram.events):
+        gap = diagram._scan.gaps[idx]
+        if ev.kind == LEFT_CUSP:
+            mine = comp[diagram._scan.cusp_pair[idx][0]] == c
+        else:
+            mine = comp[gap[ev.level - 1]] == comp[gap[ev.level]] == c
+        if mine:
+            above = sum(1 for s in gap[:ev.level - 1] if comp[s] != c)
+            events.append(event(ev.kind, ev.level - above))
+    return FrontDiagram(events, (diagram.orientations[c],))
+
+
 # -- reference ruling enumeration --------------------------------------------
 
 def _interleaved(lo1, hi1, lo2, hi2):
@@ -708,7 +733,7 @@ def reference_walk(diagram, switches):
     Raises RulingError if a switch index is not an event of the word or
     the switch set is not a normal ruling.
     """
-    _check_width(diagram)
+    _check_width(max(diagram.strand_counts))
     steps = diagram.kinds_and_levels
     switches = set(switches)
     for idx in sorted(switches):

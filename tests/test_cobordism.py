@@ -431,3 +431,41 @@ def test_long_shuffle_search_ends_after_few_cleanups(monkeypatch):
     assert len(d.events) == 110
     assert search_decomposable_filling(d) is None
     assert len(cleanups) < 10_000
+
+
+def _words_of_calls(monkeypatch, name):
+    """Record the event word of every diagram ``cobordism.<name>`` sees."""
+    from frontcalc import cobordism
+    real, words = getattr(cobordism, name), []
+
+    def noting(diagram):
+        words.append(diagram.events)
+        return real(diagram)
+
+    monkeypatch.setattr(cobordism, name, noting)
+    return words
+
+
+def test_filling_search_counts_each_cleaned_word_once(monkeypatch):
+    # The ruling count reads the word only, and distinct diagrams clean
+    # to one word, so the prune counts each cleaned word once.
+    from frontcalc import catalog
+    demo = catalog.get("budget_demo").diagram
+    shuffled = random_shuffle(catalog.get("trefoil").diagram, 50, seed=0)
+    for d, found in ((demo, False), (shuffled, True)):
+        words = _words_of_calls(monkeypatch, "count_rulings")
+        trace = search_decomposable_filling(d)
+        assert (trace is not None) == found
+        assert len(words) > 1 and len(set(words)) == len(words)
+
+
+@pytest.mark.parametrize("name", ["trefoil", "m9_46"])
+def test_ruling_certificate_tests_each_word_once(monkeypatch, name):
+    # Whether every component is a max-tb unknot reads the word only, so
+    # the certificate's goal is tested once per word reached.
+    from frontcalc import catalog
+    d = catalog.get(name).diagram
+    for sw in enumerate_rulings(d):
+        words = _words_of_calls(monkeypatch, "_is_max_tb_unlink")
+        assert ruling_fillability(d, sw) is not None
+        assert len(words) > 1 and len(set(words)) == len(words)

@@ -3,7 +3,9 @@
 Every move edits only its window of the event word and of the per-event
 direction entries.  ``oracles`` keeps the rule the moves replaced: rebuild
 the whole result and give each new component the old direction at its
-first event outside the window.  Both must agree on every output.
+first event outside the window.  Both must agree on every output.  A
+component's front keeps the parent's entries of its events; the
+reference builds it through the validating constructor instead.
 """
 
 import itertools
@@ -20,7 +22,8 @@ from frontcalc.moves import (applicable_rewrites, apply_rewrite,
                              random_shuffle, stabilize)
 
 from helpers import random_word
-from oracles import (reference_birth, reference_death, reference_directions,
+from oracles import (reference_birth, reference_component_subdiagram,
+                     reference_death, reference_directions,
                      reference_orient, reference_per_component,
                      reference_pinch, reference_rewrite, reference_rot,
                      reference_shuffle, reference_stabilize,
@@ -208,3 +211,14 @@ def test_word_facts_match_reference_on_shuffles(name):
     d = catalog.get(name).diagram
     for seed in range(3):
         assert_word_facts(random_shuffle(d, 500, seed))
+
+
+@PROPERTY
+@given(SEEDS)
+def test_component_fronts_match_reference(seed):
+    d = oriented_diagram(random.Random(seed))
+    for c in range(d.n_components):
+        got = d.component_subdiagram(c)
+        want = reference_component_subdiagram(d, c)
+        assert got.directions == want.directions
+        assert_same(got, want)

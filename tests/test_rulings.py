@@ -83,6 +83,14 @@ def test_switch_level_out_of_range_rejected(pairing, level):
         is_normal_switch(pairing, level)
 
 
+def test_switch_on_a_wide_pairing_is_a_width_error():
+    # 258 strands: refused as the rest of the module refuses them,
+    # before a level is read
+    pairing = tuple(257 - k for k in range(258))
+    with pytest.raises(RulingError, match="at most 256 strands"):
+        is_normal_switch(pairing, 1)
+
+
 def test_normality_blocks_interleaving():
     # partners 0-3, 1-4, 2-5: the crossing of strands 2,3 (levels 3,4)
     # has companions 5 and 0, giving interleaved intervals
