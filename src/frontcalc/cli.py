@@ -188,6 +188,9 @@ def cmd_render(args, out):
     if not args.diagram.startswith("catalog:") and os.path.exists(args.diagram):
         text = _read(args.diagram)
     if text is not None and text.startswith(cob.TRACE_HEADER):
+        if args.ruling is not None:
+            raise CliParseError(f"{args.diagram}: --ruling applies to a "
+                                f"front, not to a trace")
         svg = render_trace_svg(_parse(args.diagram, cob.trace_from_text,
                                       text))
     else:
@@ -285,7 +288,9 @@ def build_parser():
 
     sp = add("render", cmd_render, help="render a front or trace to SVG")
     sp.add_argument("--svg", required=True, metavar="OUT")
-    sp.add_argument("--ruling", default=None)
+    sp.add_argument("--ruling", default=None,
+                    help="switched crossing indices of a ruling to overlay "
+                         "on a front (not a trace), comma separated")
     sp.add_argument("diagram")
 
     sp = add("catalog", cmd_catalog, help="catalog operations")

@@ -57,9 +57,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import moves as _moves
-from .diagrams import (LEFT_CUSP, RIGHT_CUSP, DiagramError, FrontDiagram, L,
-                       R, ascii_decimal, connected_components, event,
-                       from_lines)
+from .diagrams import (LEFT_CUSP, MAX_SCAN_CELLS, RIGHT_CUSP, DiagramError,
+                       FrontDiagram, L, R, ScanTooLarge, ascii_decimal,
+                       connected_components, event, from_lines)
 from .moves import (_SWAPS, _TRIPLES, Rewrite, _Table, apply_rewrite,
                     inverse)
 from .rulings import count_rulings, ruling_pairings
@@ -272,10 +272,23 @@ class CobordismTrace:
         return sum(1 for m in self.moves if m.kind == kind)
 
     def replay(self):
-        """Intermediate diagrams, from bottom to the replayed top."""
+        """Intermediate diagrams, from bottom to the replayed top.
+
+        Stages grow with the word, so a short trace can ask for far more
+        than memory holds: ScanTooLarge, before the next stage is built,
+        once the stages so far have more than ``MAX_SCAN_CELLS`` strand
+        points (one per strand at every gap, the points a filmstrip of
+        them draws).
+        """
         out = [self.bottom]
+        points = sum(self.bottom.strand_counts)
         for m in self.moves:
             out.append(apply_move(out[-1], m))
+            points += sum(out[-1].strand_counts)
+            if points > MAX_SCAN_CELLS:
+                raise ScanTooLarge(
+                    f"replaying a trace up to stage {len(out) - 1}", points,
+                    "{} strand points")
         return out
 
     @property

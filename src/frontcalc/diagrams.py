@@ -40,19 +40,31 @@ An event is an ``int`` whose value is its code, ``3 * level`` plus the
 index of its kind in ``_KINDS``, with ``kind`` and ``level`` as
 attributes: a word is a tuple of small ints, and events order by level,
 then kind.  Only this module does arithmetic on codes: in its loops over
-whole words, where decoding costs less than reading the attributes, and
-in ``kinds_and_levels``, the decoded word the ruling DP reads.
+whole words, where decoding costs less than reading the attributes, in
+``kinds_and_levels``, the decoded word the ruling DP reads, and in
+``levels_and_kinds``, which decodes a word lazily for the renderer's one
+pass per filmstrip frame.
 Events are interned: every event the package builds comes from
 ``event(kind, level)`` (or ``L``, ``R``, ``X``, ``Event.parse``), a
 bounded cache of at most ``_INTERNED_MAX`` validated events, so a rewrite
 reuses the events it writes; ``Event.parse`` keeps as many tokens.
 ``Event(kind, level)`` still builds a fresh, equal event.
+
+The segment scan is for callers that need segment ids.  The renderer
+follows strand positions on the word itself, as ``_walk_in_place`` in
+``rulings`` and ``strand_direction`` here do: it carries each segment's
+point list down the positions, and colors segments with
+``connected_components`` on the cusps it meets.  Building and caching a
+full ``_Scan`` and its cusp walk per frame, only to learn which segment
+sits at each position, took about a third of the time that drawing the
+filmstrips of the ``filling`` bench took.
 """
 
 from __future__ import annotations
 
 from dataclasses import FrozenInstanceError
 from functools import cached_property, lru_cache
+from itertools import repeat
 
 LEFT_CUSP = "L"
 RIGHT_CUSP = "R"
@@ -93,8 +105,11 @@ MAX_SCAN_CELLS = 1 << 22
 
 
 class ScanTooLarge(DiagramError):
-    def __init__(self, what, cells):
-        super().__init__(f"{what} needs a scan of {cells} cells, over the "
+    """Over ``MAX_SCAN_CELLS`` cells, a cell being one strand at one gap:
+    of one segment scan, or of every stage of a trace together."""
+
+    def __init__(self, what, cells, amount="a scan of {} cells"):
+        super().__init__(f"{what} needs {amount.format(cells)}, over the "
                          f"limit of {MAX_SCAN_CELLS}")
 
 
@@ -239,6 +254,12 @@ def _too_wide(events, strands):
     """Refuse the scan of ``events`` once it reaches ``strands`` strands."""
     raise ScanTooLarge(f"a word of {len(events)} events at {strands} strands",
                        (len(events) + 1) * strands)
+
+
+def levels_and_kinds(events):
+    """(level, kind index) of every event, decoded lazily from its code:
+    for a single pass over a word built once, such as a filmstrip frame."""
+    return map(divmod, events, repeat(3))
 
 
 def connected_components(n, pairs):

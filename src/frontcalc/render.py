@@ -8,13 +8,27 @@ output depends only on the input diagram, so files are byte-stable.
 Every coordinate lies on a grid of half columns and half levels.  One
 render call formats that grid once, in a ``_Grid`` that every front of
 the call shares: a filmstrip's frames look their points up instead of
-formatting them.
+formatting them, and no point is formatted twice.
+
+A frame reads only the front's events, its strand counts and the grid.
+It follows strand positions on the word itself, as ``rulings`` and
+``diagrams.strand_direction`` do, and builds no segment scan.  A
+segment is a strand piece between two cusps, numbered as the scan
+numbers it: in the order the left cusps open them, top first.  Each
+segment is colored by its component, numbered by least segment in one
+``diagrams.connected_components`` walk of the cusps met.
+
+A filmstrip draws one point per strand at every gap of every stage, so
+``CobordismTrace.replay`` refuses it with ScanTooLarge once those points
+pass ``MAX_SCAN_CELLS``: frames grow with the word, so a short trace can
+ask for far more points than memory holds.
 """
 
 from __future__ import annotations
 
 from itertools import zip_longest
 
+from .diagrams import _CROSS, _LEFT, connected_components, levels_and_kinds
 from .rulings import ruling_pairings
 
 X0 = 30.0
@@ -47,9 +61,9 @@ class _Grid:
 
     ``x[h]`` and ``y[h]`` are grid line h.  ``gaps[g][p]`` is the "x y"
     point of the strand at 0-based position p in gap g (after event
-    g - 1), for the most strands any of the fronts has there; ``tips``
-    maps (event index, level) to the point of a cusp tip, filled as
-    cusps are met.  So a grid holds only points its fronts use.
+    g - 1), for the most strands any of the fronts has there.  As
+    they are met, ``tips`` maps (event index, 0-based level) to the point
+    of a cusp tip, so a grid holds only the tips its fronts use.
     """
 
     def __init__(self, diagrams):
@@ -69,32 +83,45 @@ class _Grid:
 def _front_group(grid, diagram, ruling=None):
     """SVG fragment for one front; returns (markup lines, w, h).
 
-    One pass over the diagram's scan puts every point on its segment's
-    list: a cusp's tip on both its segments, then the gap after the
-    event down its strands.
+    One pass over the word carries the point list of the segment at each
+    strand position: a left cusp opens two lists at its tip, top first, a
+    right cusp puts its tip on the two it closes, a crossing swaps two
+    and records the upper one, and each gap's points go down the
+    positions.  Segments are numbered as the lists open, and colored by
+    their component in the walk of the cusp pairs met.
     """
     x, y, tips = grid.x, grid.y, grid.tips
-    scan = diagram._scan
-    cusps = scan.cusp_pair
-    counts = diagram.strand_counts
-    comp = diagram.component_of_segment
-    points = [[] for _ in range(scan.n_segments)]
-    add = [pts.append for pts in points]
-    crossings = []          # (event index, level, over segment)
-    for idx, (ev, gap, col) in enumerate(zip(diagram.events, scan.gaps[1:],
-                                             grid.gaps[1:])):
-        pair = cusps.get(idx)
-        if pair is None:
-            crossings.append((idx, ev.level, scan.crossing_pair[idx][0]))
+    points = []             # point lists, by segment
+    at = []                 # the point list at each strand position
+    seg = []                # the segment at each strand position
+    cusps = []              # (top, bottom) segment of every cusp
+    crossings = []          # (event index, 0-based level, upper segment)
+    steps = zip(levels_and_kinds(diagram.events), grid.gaps[1:])
+    for idx, ((level, kind), col) in enumerate(steps):
+        i = level - 1
+        if kind == _CROSS:
+            crossings.append((idx, i, seg[i]))
+            at[i], at[i + 1] = at[i + 1], at[i]
+            seg[i], seg[i + 1] = seg[i + 1], seg[i]
         else:
-            key = (idx, ev.level)
-            tip = tips.get(key)
+            tip = tips.get((idx, i))
             if tip is None:
-                tip = tips[key] = f"{x[2 * idx + 1]} {y[2 * ev.level - 1]}"
-            add[pair[0]](tip)
-            add[pair[1]](tip)
-        for s, pt in zip(gap, col):
-            add[s](pt)
+                tip = tips[idx, i] = f"{x[2 * idx + 1]} {y[2 * i + 1]}"
+            if kind == _LEFT:
+                n = len(points)
+                pair = [tip], [tip]
+                points += pair
+                at[i:i] = pair
+                seg[i:i] = n, n + 1
+                cusps.append((n, n + 1))
+            else:
+                at[i].append(tip)
+                at[i + 1].append(tip)
+                cusps.append((seg[i], seg[i + 1]))
+                del at[i:i + 2], seg[i:i + 2]
+        for pts, pt in zip(at, col):
+            pts.append(pt)
+    comp = connected_components(len(points), cusps)[0]
     out = []
     if ruling is not None:
         for g, pairing in enumerate(ruling_pairings(diagram, ruling)):
@@ -111,11 +138,12 @@ def _front_group(grid, diagram, ruling=None):
     out += ['<path d="M ' + " L ".join(pts) + _STRAND_END[c % ends]
             for pts, c in zip(points, comp)]
     gaps = grid.gaps
-    for idx, level, over in crossings:
-        out.append(f'<circle cx="{x[2 * idx + 1]}" cy="{y[2 * level - 1]}" '
+    for idx, i, over in crossings:
+        out.append(f'<circle cx="{x[2 * idx + 1]}" cy="{y[2 * i + 1]}" '
                    f'r="5" fill="#ffffff"/>')
-        out.append('<path d="M ' + gaps[idx][level - 1] + " L "
-                   + gaps[idx + 1][level] + _STRAND_END[comp[over] % ends])
+        out.append('<path d="M ' + gaps[idx][i] + " L " + gaps[idx + 1][i + 1]
+                   + _STRAND_END[comp[over] % ends])
+    counts = diagram.strand_counts
     return out, X0 + len(counts) * DX, Y0 + max(1, *counts) * DY
 
 

@@ -339,6 +339,22 @@ def test_render_trace(capsys, tmp_path):
     assert svg.read_text(encoding="utf-8").startswith("<svg")
 
 
+def test_render_ruling_on_trace_is_parse_error(capsys, tmp_path):
+    # a ruling overlay belongs to one front: on a trace it is refused,
+    # not dropped
+    code, out, _ = run(capsys, "search-filling", "catalog:trefoil")
+    assert code == 0
+    trace_path = tmp_path / "fill.trace"
+    trace_path.write_text(out, encoding="utf-8")
+    svg = tmp_path / "film.svg"
+    code, out, err = run(capsys, "render", "--svg", str(svg), "--ruling",
+                         "1,2", str(trace_path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "--ruling applies to a front" in err
+    assert not svg.exists()
+
+
 def test_catalog_list(capsys):
     code, out, _ = run(capsys, "catalog", "list")
     assert code == 0
@@ -435,6 +451,31 @@ def test_wide_front_file_is_one_error_line(tmp_path):
     assert proc.stderr.startswith(b"error: ")
     assert b"40000 events" in proc.stderr
     assert proc.stderr.count(b"\n") == 1
+
+
+def test_growing_filmstrip_is_one_error_line(tmp_path):
+    # 1,500 births, each inside the last eye but one: the trace is 26 KB,
+    # but its stages hold about 6.8 million strand points, so the replay
+    # is refused once they pass MAX_SCAN_CELLS
+    words = ["L1"] + ["L1", "R1"] * 1499 + ["R1"]
+    path = tmp_path / "births.trace"
+    path.write_text("\n".join(["trace v1", "bottom:", "orient:", "birth 0@1"]
+                              + ["birth 1@1"] * 1499
+                              + ["top: " + " ".join(words),
+                                 "orient: " + " ".join("+" * 1500)]) + "\n",
+                    encoding="utf-8")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "frontcalc.cli", "render", "--svg",
+         str(tmp_path / "births.svg"), str(path)],
+        capture_output=True, env=env, timeout=60,
+        preexec_fn=_cap_address_space)
+    assert proc.returncode == 1 and proc.stdout == b""
+    assert b"Traceback" not in proc.stderr
+    assert proc.stderr.startswith(b"error: replaying a trace up to stage ")
+    assert proc.stderr.count(b"\n") == 1
+    assert not (tmp_path / "births.svg").exists()
 
 
 def test_trace_without_header_is_parse_error(capsys, tmp_path):

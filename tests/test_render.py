@@ -2,9 +2,11 @@
 
 The pins are sha256 digests of SVG bytes, so a change to the layout
 code cannot alter any rendered file unnoticed.  ``oracles`` keeps the
-renderer that formatted every front afresh; on shuffled catalog fronts,
-with and without a ruling, and on search traces of shuffled fronts the
-renderer must produce the same bytes.
+renderer that formatted every front afresh and read its segments off the
+scan; on shuffled catalog fronts, with and without a ruling, on search
+traces and ruling certificates of shuffled fronts, on filmstrips that
+pinch, give birth and die, and on fronts of more components than the
+palette has colors, the renderer must produce the same bytes.
 """
 
 import hashlib
@@ -13,12 +15,14 @@ import xml.etree.ElementTree as ET
 
 from hypothesis import given, settings, strategies as st
 
-from frontcalc import catalog
-from frontcalc.cobordism import (ruling_fillability,
-                                 search_decomposable_filling)
+from frontcalc import catalog, diagrams
+from frontcalc.cobordism import (CobordismError, CobordismTrace, Move,
+                                 apply_move, death, ruling_fillability,
+                                 search_decomposable_filling, trace_from_text,
+                                 trace_to_text)
 from frontcalc.diagrams import FrontDiagram, L, R, X
 from frontcalc.moves import random_shuffle
-from frontcalc.render import render_svg, render_trace_svg
+from frontcalc.render import PALETTE, render_svg, render_trace_svg
 from frontcalc.rulings import enumerate_rulings
 from frontcalc.satellites import builtin_pattern, satellite
 
@@ -209,3 +213,94 @@ def test_trace_svg_matches_reference(name, steps, seed, budget):
     tr = search_decomposable_filling(d, isotopy_budget=budget)
     if tr is not None:
         assert render_trace_svg(tr) == reference_render_trace_svg(tr)
+
+
+RULED = ("trefoil", "m9_46")
+
+
+def _births_and_deaths(d, steps, rng):
+    """(moves, top) of a seeded walk from ``d``: at each step the death of
+    an isolated eye, when a coin says so and one is found, else a birth
+    at a random site."""
+    moves = []
+    for _ in range(steps):
+        move = None
+        if rng.random() < 0.5:
+            for c in rng.sample(range(d.n_components), d.n_components):
+                try:
+                    death(d, c)
+                except CobordismError:
+                    continue
+                move = Move("death", c)
+                break
+        if move is None:
+            index = rng.randint(0, len(d.events))
+            move = Move("birth", index,
+                        rng.randint(1, d.strand_counts[index] + 1),
+                        rng.choice("+-"))
+        d = apply_move(d, move)
+        moves.append(move)
+    return moves, d
+
+
+@settings(PROPERTY, max_examples=30)
+@given(st.sampled_from(RULED), st.integers(0, 60), SEEDS, st.integers(0, 12))
+def test_certificate_and_pinch_svg_match_reference(name, steps, seed, walk):
+    # a ruling certificate's filmstrip, then the same saddles read
+    # downward as pinches from the front, followed by births and deaths
+    d = random_shuffle(catalog.get(name).diagram, steps, seed)
+    rng = random.Random(seed)
+    cert = ruling_fillability(d, rng.choice(enumerate_rulings(d)))
+    pinches = []
+    bottom = d
+    if cert is not None:
+        assert render_trace_svg(cert) == reference_render_trace_svg(cert)
+        pinches = [Move("pinch", m.index, m.level)
+                   for m in reversed(cert.moves)]
+        bottom = cert.bottom
+    more, top = _births_and_deaths(bottom, walk, rng)
+    tr = CobordismTrace(d, pinches + more, top)
+    assert tr.replay()[len(pinches)] == bottom
+    assert render_trace_svg(tr) == reference_render_trace_svg(tr)
+
+
+def test_fronts_of_more_components_than_colors_match_reference():
+    # the trefoil's 9-copy has 9 components, so the palette wraps; a
+    # filmstrip from it gives birth past 9 and kills eyes again
+    d = satellite(catalog.get("trefoil").diagram,
+                  builtin_pattern("identity", "9")).diagram
+    assert d.n_components > len(PALETTE)
+    assert render_svg(d) == reference_render_svg(d)
+    moves, top = _births_and_deaths(d, 12, random.Random(9))
+    kinds = [m.kind for m in moves]
+    assert "birth" in kinds and "death" in kinds
+    tr = CobordismTrace(d, moves, top)
+    assert render_trace_svg(tr) == reference_render_trace_svg(tr)
+
+
+def test_drawing_builds_no_segment_scan(monkeypatch):
+    # parsed traces (births, surgeries, isotopies; surgeries only) and a
+    # shuffled front, with and without a ruling, are drawn without a
+    # single diagrams._Scan
+    d = catalog.get("m9_46").diagram
+    traces = [trace_from_text(trace_to_text(tr)) for tr in
+              (search_decomposable_filling(d),
+               ruling_fillability(d, enumerate_rulings(d)[0]))]
+    front = random_shuffle(d, 50, seed=3)
+    ruling = enumerate_rulings(front)[0]
+    built = []
+
+    class CountingScan(diagrams._Scan):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(diagrams, "_Scan", CountingScan)
+    FrontDiagram(d.events)
+    assert len(built) == 1     # the count sees the constructor's scan
+    built.clear()
+    for tr in traces:
+        render_trace_svg(tr)
+    render_svg(front)
+    render_svg(front, ruling=ruling)
+    assert built == []
