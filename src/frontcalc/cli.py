@@ -4,7 +4,10 @@ Diagrams are referenced either as ``catalog:<name>`` or as a path to a
 ``frontdiagram v1`` file.  Output is deterministic; ``--format tsv``
 switches to tab-separated key/value rows.  Exit codes: 0 success, 1
 domain error (invalid move, no filling, failed check) or standard output
-closed by its reader, 2 parse error.
+closed by its reader, 2 parse error.  Input too large to handle
+(``ScanTooLarge``) follows the same rule: exit 2 while input is parsed
+(a front or trace file, a pattern spec), exit 1 once it is (a satellite
+too large to build, a trace too large to replay).
 """
 
 from __future__ import annotations

@@ -49,7 +49,16 @@ reads only the events and their width, and distinct diagrams clean to
 one word.  The ruling certificate keeps its goal, ``_is_max_tb_unlink``,
 per word: reversing a component keeps its tb and negates its rot, so
 (tb, rot) = (-1, 0) holds in every orientation of a word or in none,
-and the reduction and the components' words ignore directions.
+and the reduction and the components' words ignore directions.  It
+also keeps, per component word, whether that word reduces to ``L1 R1``.
+
+Neither search builds a segment scan for a state.  Its pinch sites, and
+the directions of their two strands, come from one pass down the word
+that carries each position's direction from the entries; each child is
+spliced with those directions.  The goal reads the components' (tb,
+rot) off one ``diagrams.segment_steps`` walk, and writes their words in
+a second pass only when every component is (-1, 0).  ``death`` finds
+its eye on the same walk.
 """
 
 from __future__ import annotations
@@ -57,9 +66,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import moves as _moves
-from .diagrams import (LEFT_CUSP, MAX_SCAN_CELLS, RIGHT_CUSP, DiagramError,
-                       FrontDiagram, L, R, ScanTooLarge, ascii_decimal,
-                       connected_components, event, from_lines)
+from .diagrams import (_CROSS, _KINDS, _LEFT, _RIGHT, CROSSING, LEFT_CUSP,
+                       MAX_SCAN_CELLS, RIGHT_CUSP, DiagramError, FrontDiagram,
+                       L, R, ScanTooLarge, ascii_decimal,
+                       check_component_index, connected_components, event,
+                       from_lines, levels_and_kinds, segment_steps)
 from .moves import (_SWAPS, _TRIPLES, Rewrite, _Table, apply_rewrite,
                     inverse)
 from .rulings import count_rulings, ruling_pairings
@@ -117,7 +128,13 @@ def pinch(diagram, index, level, orientable_only=True):
     down = diagram.direction_at(index, level + 1)
     if orientable_only and up == down:
         raise OrientationClash(index, level)
-    d = diagram._edited(index, index, [R(level), L(level)],
+    return _pinched(diagram, index, level, up, down)
+
+
+def _pinched(diagram, index, level, up, down):
+    """``pinch`` once checked: a ")(" pair spliced in at ``index`` between
+    strands level, level + 1, which run the ways ``up`` and ``down``."""
+    d = diagram._edited(index, index, (R(level), L(level)),
                         ((up, down), (up, down)))
     # A band between strands running the same way reverses part of the
     # merged component; it keeps the direction at its first left cusp.
@@ -160,24 +177,30 @@ def death(diagram, component):
 
     The component must consist of exactly one left and one right cusp,
     and no other event may touch its two strands anywhere between them
-    (strands passing entirely above or below are fine).  The eye's
-    position at each gap in between is read off the scan.
+    (strands passing entirely above or below are fine).  The component's
+    events and the eye's position at each gap in between are read off
+    segment walks of the word, with no scan.
     """
-    diagram._check_component(component)
-    own = diagram.component_events(component)
+    events = diagram.events
+    label, touched = _components_of_word(events)
+    check_component_index(component, max(label, default=-1) + 1)
+    own = [(idx, kind, top) for idx, kind, _i, top, bottom in touched
+           if label[top] == label[bottom] == component]
     if len(own) != 2:
         raise NotIsolatedUnknot(component, f"{len(own)} events, wanted 2")
-    j_left, j_right = own
-    ev_l, ev_r = diagram.events[j_left], diagram.events[j_right]
-    if ev_l.kind != LEFT_CUSP or ev_r.kind != RIGHT_CUSP:
+    (j_left, kind_l, top), (j_right, kind_r, _top) = own
+    if kind_l != _LEFT or kind_r != _RIGHT:
         raise NotIsolatedUnknot(component, "events are not a cusp pair")
-    top = diagram.cusp_segments(j_left)[0]
     window = []
-    for idx in range(j_left + 1, j_right):
-        ev = diagram.events[idx]
+    for idx, _kind, _i, _a, _b, segments in segment_steps(events):
+        if idx <= j_left:
+            continue
+        if idx == j_right:
+            break
+        ev = events[idx]
         l = ev.level
         # the eye holds positions k, k+1 before event idx
-        k = diagram.segments_at_gap(idx).index(top) + 1
+        k = segments.index(top) + 1
         if ev.kind == LEFT_CUSP:
             if l == k + 1:
                 raise NotIsolatedUnknot(component,
@@ -558,38 +581,66 @@ def _slid_level(level, ev):
     return left.level
 
 
-def _run_predecessor(diagram, j, i):
-    """The level i' at gap j - 1 of the pinch site (j, i) it repeats, or None.
-
-    Site (j, i) repeats (j - 1, i') when its top segment lies at level
-    i' at gap j - 1 and two commutes slide the ")(" of
-    ``pinch(diagram, j - 1, i')`` past event j - 1 into the word of
-    ``pinch(diagram, j, i)``: one front, so both searches pinch only
-    where a run of adjacency starts.  Such a slide passes an event that
+def _repeats(level, ev):
+    """Whether the pinch site at ``level`` just after event ``ev`` repeats
+    the one before it: its top strand lies at level i' just before the
+    event, and ``_slid_level(i', ev)`` is ``level``.  Two commutes then
+    slide the ")(" pinched at i' before the event into the word pinched
+    at ``level`` after it, one front.  Such a slide passes an event that
     touches neither strand of the pair, so the same two segments are
-    adjacent at both gaps.  Runs split by other strands stay apart,
-    since only neighbouring gaps are compared.
+    adjacent at both gaps.
     """
-    if j == 0:
-        return None
-    top = diagram.segments_at_gap(j)[i - 1]
-    before = diagram.segments_at_gap(j - 1)
-    if top not in before:
-        return None
-    level = before.index(top) + 1
-    return level if _slid_level(level, diagram.events[j - 1]) == i else None
+    lv = ev.level
+    # the top strand's level before the event, or 0 when the event opens it
+    if ev.kind == CROSSING:
+        before = lv + 1 if level == lv else lv if level == lv + 1 else level
+    elif ev.kind == RIGHT_CUSP:
+        before = level + 2 if level >= lv else level
+    else:
+        before = level - 2 if level > lv + 1 else 0 if level >= lv else level
+    return before > 0 and _slid_level(before, ev) == level
+
+
+# (level, event) -> ``_repeats(level, event)``
+_REPEATS = _Table(lambda key: _repeats(*key))
 
 
 def _pinch_sites(diagram):
-    """Every (index, level) where an orientable pinch applies and does
-    not repeat the site before it (``_run_predecessor``)."""
-    seg_dir = diagram.segment_direction
-    for j in range(len(diagram.events) + 1):
-        gap = diagram.segments_at_gap(j)
-        for i in range(1, len(gap)):
-            if (seg_dir[gap[i - 1]] != seg_dir[gap[i]]
-                    and _run_predecessor(diagram, j, i) is None):
-                yield j, i
+    """Every orientable pinch site that starts its run, in word order and
+    top first, as a dict from (index, level) to the directions (top,
+    bottom) of the site's two strands.
+
+    One pass down the word carries the direction of the strand at each
+    position, from the entries: a left cusp inserts its entry, a crossing
+    swaps two, and a right cusp deletes two.  Site (j, i), whose two
+    strands run opposite ways, is skipped when it repeats the site before
+    it (``_repeats(i, event j - 1)``, read from ``_REPEATS``), so both
+    searches pinch only where a run of adjacency starts; runs split by
+    other strands stay apart.  Only a pair at a level next to event
+    j - 1 can start a run at gap j: with lv the event's level, levels
+    lv - 1 .. lv + 2 after a left cusp, lv - 2 and lv - 1 after a right
+    cusp, and lv - 1 .. lv + 1 after a crossing.  Any other pair repeats
+    across it, so only those levels are read; gap 0 has no strands.
+    """
+    events, repeats = diagram.events, _REPEATS
+    sites = {}
+    dirs = []     # the direction of the strand at each position
+    steps = zip(events, levels_and_kinds(events), diagram.directions)
+    for j, (ev, (lv, kind), entry) in enumerate(steps, 1):
+        if kind == _LEFT:
+            dirs[lv - 1:lv - 1] = entry
+            low, high = lv - 1, lv + 3
+        elif kind == _RIGHT:
+            del dirs[lv - 1:lv + 1]
+            low, high = lv - 2, lv
+        else:
+            dirs[lv - 1], dirs[lv] = dirs[lv], dirs[lv - 1]
+            low, high = lv - 1, lv + 2
+        for i in range(max(1, low), min(len(dirs), high)):
+            up, down = dirs[i - 1], dirs[i]
+            if up != down and not repeats[i, ev]:
+                sites[j, i] = up, down
+    return sites
 
 
 def _pinch_search(diagram, extra, max_pinches, settle, is_goal, children):
@@ -689,8 +740,9 @@ def search_decomposable_filling(diagram, max_pinches=3, isotopy_budget=0):
 
     def children(d, budget, left):
         if left > 0:
-            for j, i in _pinch_sites(d):
-                yield Move("surgery", j, i), pinch(d, j, i), budget, left - 1
+            for (j, i), (up, down) in _pinch_sites(d).items():
+                yield (Move("surgery", j, i), _pinched(d, j, i, up, down),
+                       budget, left - 1)
         if budget > 0:
             for rw in _moves.applicable_rewrites(d):
                 if rw.kind in ("r3_triple", "r2_push"):
@@ -701,11 +753,71 @@ def search_decomposable_filling(diagram, max_pinches=3, isotopy_budget=0):
                          lambda d: not d.events, children)
 
 
-def _is_max_tb_unlink(d):
-    if any((tb, rot) != (-1, 0) for tb, rot in d.per_component):
+def _components_of_word(events):
+    """(component of every segment, (index, kind index, 0-based level,
+    top, bottom) of every event): one ``segment_steps`` walk, whose cusps
+    the cusp-graph walk ``connected_components`` labels.  Segments and
+    components are numbered as the diagram's scan and walk number them."""
+    touched = [step[:5] for step in segment_steps(events)]
+    cusps = [(top, bottom) for _idx, kind, _i, top, bottom in touched
+             if kind != _CROSS]
+    return connected_components(len(cusps), cusps)[0], touched
+
+
+def _is_max_tb_unlink(diagram, unknots=None):
+    """Whether every component of ``diagram`` is a max-tb unknot.
+
+    One segment walk labels the segments by component, and each
+    component's (tb, rot), which must be (-1, 0), is read off the entries
+    of the events it meets.  Only when all pass does a second pass, with
+    the component at each strand position, write each component's word;
+    each word must reduce to ``L1 R1`` (a 2-event word is that already).
+    ``unknots`` memoizes that verdict per component word for a caller
+    that tests many diagrams.
+    """
+    events, directions = diagram.events, diagram.directions
+    label, touched = _components_of_word(events)
+    n = max(label, default=-1) + 1
+    tb, down_up = [0] * n, [0] * n
+    for idx, kind, _i, top, bottom in touched:
+        c = label[top]
+        if kind == _CROSS:
+            if label[bottom] == c:
+                do, du = directions[idx]
+                tb[c] += do * du
+        elif kind == _RIGHT:
+            tb[c] -= 1
+            down_up[c] += directions[idx][0]
+        else:
+            down_up[c] -= directions[idx][0]
+    # rot is half the down cusps less the up ones (see per_component)
+    if tb.count(-1) != n or any(down_up):
         return False
-    return all(len(reduce_diagram(d.component_subdiagram(c))[0].events) == 2
-               for c in range(d.n_components))
+    words = [[] for _ in range(n)]
+    entries = [[] for _ in range(n)]
+    at = []       # the component at each strand position
+    for idx, kind, i, top, bottom in touched:
+        c = label[top]
+        if label[bottom] == c:
+            words[c].append(event(_KINDS[kind], at[:i].count(c) + 1))
+            entries[c].append(directions[idx])
+        if kind == _LEFT:
+            at[i:i] = c, c
+        elif kind == _RIGHT:
+            del at[i:i + 2]
+        else:
+            at[i], at[i + 1] = at[i + 1], at[i]
+    if unknots is None:
+        unknots = {}
+    for word, own in zip(map(tuple, words), entries):
+        if len(word) == 2:
+            continue
+        if word not in unknots:
+            front = diagram._edited(0, len(events), word, own)
+            unknots[word] = len(reduce_diagram(front)[0].events) == 2
+        if not unknots[word]:
+            return False
+    return True
 
 
 def ruling_fillability(diagram, switches, max_pinches=None):
@@ -729,19 +841,22 @@ def ruling_fillability(diagram, switches, max_pinches=None):
         if left == 0:
             return
         pairings = ruling_pairings(d, sw)
-        for j, i in _pinch_sites(d):
+        for (j, i), (up, down) in _pinch_sites(d).items():
             if pairings[j][i - 1] == i:
                 shifted = tuple(s if s < j else s + 2 for s in sw)
-                yield Move("surgery", j, i), pinch(d, j, i), shifted, left - 1
+                yield (Move("surgery", j, i), _pinched(d, j, i, up, down),
+                       shifted, left - 1)
 
     # events -> whether every component is a max-tb unknot: reversing a
     # component keeps its tb and negates its rot, and the reduction
     # ignores directions, so each word is tested once
     unlinks = {}
+    # a component's word -> whether it reduces to L1 R1
+    unknots = {}
 
     def is_goal(d):
         if d.events not in unlinks:
-            unlinks[d.events] = _is_max_tb_unlink(d)
+            unlinks[d.events] = _is_max_tb_unlink(d, unknots)
         return unlinks[d.events]
 
     return _pinch_search(diagram, switches, max_pinches,

@@ -41,23 +41,29 @@ index of its kind in ``_KINDS``, with ``kind`` and ``level`` as
 attributes: a word is a tuple of small ints, and events order by level,
 then kind.  Only this module does arithmetic on codes: in its loops over
 whole words, where decoding costs less than reading the attributes, in
-``kinds_and_levels``, the decoded word the ruling DP reads, and in
+``kinds_and_levels``, the decoded word the ruling DP reads, in
 ``levels_and_kinds``, which decodes a word lazily for the renderer's one
-pass per filmstrip frame.
+pass per filmstrip frame and the pinch search's pass for sites, and in
+``segment_steps``.
 Events are interned: every event the package builds comes from
 ``event(kind, level)`` (or ``L``, ``R``, ``X``, ``Event.parse``), a
 bounded cache of at most ``_INTERNED_MAX`` validated events, so a rewrite
 reuses the events it writes; ``Event.parse`` keeps as many tokens.
 ``Event(kind, level)`` still builds a fresh, equal event.
 
-The segment scan is for callers that need segment ids.  The renderer
-follows strand positions on the word itself, as ``_walk_in_place`` in
-``rulings`` and ``strand_direction`` here do: it carries each segment's
-point list down the positions, and colors segments with
-``connected_components`` on the cusps it meets.  Building and caching a
-full ``_Scan`` and its cusp walk per frame, only to learn which segment
-sits at each position, took about a third of the time that drawing the
-filmstrips of the ``filling`` bench took.
+The segment scan is for callers that keep segment ids for a whole
+diagram: its cached facts, satellites and the oracles.  Readers of a
+word built once follow strand positions on the word itself, as
+``_walk_in_place`` in ``rulings`` and ``strand_direction`` here do.  The
+renderer carries each segment's point list down the positions, and
+colors segments with ``connected_components`` on the cusps it meets.
+``segment_steps`` carries the segment ids alone, numbered as the scan
+numbers them: the ruling certificate's goal and ``death`` in
+``cobordism`` read components, (tb, rot) and an eye's position off it,
+and the pinch search's sites carry only directions.  Building and
+caching a full ``_Scan`` and its cusp walk per frame, only to learn which
+segment sits at each position, took about a third of the time that
+drawing the filmstrips of the ``filling`` bench took.
 """
 
 from __future__ import annotations
@@ -260,6 +266,36 @@ def levels_and_kinds(events):
     """(level, kind index) of every event, decoded lazily from its code:
     for a single pass over a word built once, such as a filmstrip frame."""
     return map(divmod, events, repeat(3))
+
+
+def segment_steps(events):
+    """Follow the segment at each strand position along a valid word.
+
+    Yields ``(index, kind index, 0-based level, top, bottom, segments)``
+    for every event, in one pass and with no scan.  ``top`` and
+    ``bottom`` are the two segments the event touches, top first: a left
+    cusp's two new ones, numbered as ``_Scan`` numbers them (in the order
+    left cusps open them, top first), a right cusp's two closed ones, a
+    crossing's two before it swaps them.  ``segments`` is one list, the
+    segment at each position at the gap before the event; it changes in
+    place once the next step is asked for.  Nothing is validated.
+    """
+    segments = []
+    opened = 0
+    for idx, ev in enumerate(events):
+        level, kind = divmod(ev, 3)
+        i = level - 1
+        if kind == _LEFT:
+            yield idx, kind, i, opened, opened + 1, segments
+            segments[i:i] = opened, opened + 1
+            opened += 2
+            continue
+        a, b = segments[i], segments[i + 1]
+        yield idx, kind, i, a, b, segments
+        if kind == _RIGHT:
+            del segments[i:i + 2]
+        else:
+            segments[i], segments[i + 1] = b, a
 
 
 def connected_components(n, pairs):
@@ -557,9 +593,7 @@ class FrontDiagram:
                 for c in range(self.n_components)]
 
     def _check_component(self, c):
-        if not (type(c) is int and 0 <= c < self.n_components):
-            raise DiagramError(f"no component {c!r}: components are "
-                               f"0..{self.n_components - 1}")
+        check_component_index(c, self.n_components)
 
     def linking_number(self, c1, c2):
         """Half the signed count of crossings between components c1, c2."""
@@ -616,6 +650,13 @@ class FrontDiagram:
                 events.append(event(ev.kind, ev.level - above))
                 directions.append(self.directions[idx])
         return self._edited(0, len(self.events), events, directions)
+
+
+def check_component_index(c, n_components):
+    """Raise DiagramError unless ``c`` numbers one of ``n_components``."""
+    if not (type(c) is int and 0 <= c < n_components):
+        raise DiagramError(f"no component {c!r}: components are "
+                           f"0..{n_components - 1}")
 
 
 def components(diagram):

@@ -2,6 +2,7 @@
 
 from pathlib import Path
 
+from frontcalc import diagrams
 from frontcalc.diagrams import (Event, FrontDiagram, L, R, X, DiagramError,
                                 from_text)
 
@@ -11,6 +12,20 @@ FRONTS = Path(__file__).parent / "fronts"
 def front_fixture(name):
     """The diagram stored in ``tests/fronts/<name>.front``."""
     return from_text((FRONTS / f"{name}.front").read_text(encoding="utf-8"))
+
+
+def count_scans(monkeypatch):
+    """A list that gets the arguments of every ``diagrams._Scan`` built
+    from now on, while ``monkeypatch`` lasts."""
+    built = []
+
+    class CountingScan(diagrams._Scan):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(diagrams, "_Scan", CountingScan)
+    return built
 
 
 def random_word(rng, max_width=6, max_events=24):

@@ -1024,6 +1024,47 @@ def reference_pinch_search(diagram, extra, max_pinches, settle, is_goal,
     return None
 
 
+def reference_run_predecessor(diagram, j, i):
+    """The level i' at gap j - 1 of the pinch site (j, i) it repeats, or
+    None: its top segment lies at level i' at gap j - 1, read off the
+    scan, and two commutes slide the ")(" of ``pinch(diagram, j - 1,
+    i')`` past event j - 1 into the word of ``pinch(diagram, j, i)``."""
+    if j == 0:
+        return None
+    top = diagram.segments_at_gap(j)[i - 1]
+    before = diagram.segments_at_gap(j - 1)
+    if top not in before:
+        return None
+    level = before.index(top) + 1
+    return (level if _cobordism._slid_level(level, diagram.events[j - 1]) == i
+            else None)
+
+
+def reference_pinch_sites(diagram):
+    """Every (index, level) where an orientable pinch applies and does not
+    repeat the site before it, with the directions (top, bottom) of its
+    strands, read off the scan's segment directions."""
+    seg_dir = diagram.segment_direction
+    sites = {}
+    for j in range(len(diagram.events) + 1):
+        gap = diagram.segments_at_gap(j)
+        for i in range(1, len(gap)):
+            up, down = seg_dir[gap[i - 1]], seg_dir[gap[i]]
+            if up != down and reference_run_predecessor(diagram, j, i) is None:
+                sites[j, i] = up, down
+    return sites
+
+
+def reference_is_max_tb_unlink(diagram):
+    """Every component's (tb, rot) is (-1, 0), read off the scan, and its
+    front reduces to a 2-event word."""
+    if any((tb, rot) != (-1, 0) for tb, rot in diagram.per_component):
+        return False
+    return all(len(_cobordism.reduce_diagram(
+        diagram.component_subdiagram(c))[0].events) == 2
+        for c in range(diagram.n_components))
+
+
 def reference_kill_eye(diagram, component):
     """Kill ``component`` when it is an eye whose cusps commute together.
 
@@ -1101,7 +1142,7 @@ def reference_ruling_fillability(diagram, switches, max_pinches=None):
         for j, pairing in enumerate(ruling_pairings(d, sw)):
             for i in range(1, len(pairing)):
                 if (pairing[i - 1] != i
-                        or _cobordism._run_predecessor(d, j, i) is not None):
+                        or reference_run_predecessor(d, j, i) is not None):
                     continue
                 try:
                     d2 = _cobordism.pinch(d, j, i)

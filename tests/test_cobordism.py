@@ -438,9 +438,9 @@ def _words_of_calls(monkeypatch, name):
     from frontcalc import cobordism
     real, words = getattr(cobordism, name), []
 
-    def noting(diagram):
+    def noting(diagram, *rest):
         words.append(diagram.events)
-        return real(diagram)
+        return real(diagram, *rest)
 
     monkeypatch.setattr(cobordism, name, noting)
     return words
@@ -469,3 +469,28 @@ def test_ruling_certificate_tests_each_word_once(monkeypatch, name):
         words = _words_of_calls(monkeypatch, "_is_max_tb_unlink")
         assert ruling_fillability(d, sw) is not None
         assert len(words) > 1 and len(set(words)) == len(words)
+
+
+def test_searches_build_no_segment_scan(monkeypatch):
+    # Pinch sites, children and the certificate's goal are read off each
+    # state's word in one pass, so no search builds a diagrams._Scan:
+    # the certificates of m9_46's rulings, the trefoil 2-copy's ruling
+    # 2,5,18,21 within 5 pinches, and the filling of every catalog entry.
+    from frontcalc import catalog
+    from frontcalc.satellites import builtin_pattern, satellite
+    from helpers import count_scans
+    m9_46 = catalog.get("m9_46").diagram
+    rulings = enumerate_rulings(m9_46)
+    copy2 = satellite(catalog.get("trefoil").diagram,
+                      builtin_pattern("identity", "2")).diagram
+    fronts = [e.diagram for e in catalog.entries()]
+    built = count_scans(monkeypatch)
+    FrontDiagram(m9_46.events)
+    assert len(built) == 1     # the count sees the constructor's scan
+    built.clear()
+    for sw in rulings:
+        assert ruling_fillability(m9_46, sw) is not None
+    assert ruling_fillability(copy2, (2, 5, 18, 21), max_pinches=5) is None
+    found = [search_decomposable_filling(d) is not None for d in fronts]
+    assert any(found) and not all(found)
+    assert built == []

@@ -15,7 +15,7 @@ import xml.etree.ElementTree as ET
 
 from hypothesis import given, settings, strategies as st
 
-from frontcalc import catalog, diagrams
+from frontcalc import catalog
 from frontcalc.cobordism import (CobordismError, CobordismTrace, Move,
                                  apply_move, death, ruling_fillability,
                                  search_decomposable_filling, trace_from_text,
@@ -26,7 +26,9 @@ from frontcalc.render import PALETTE, render_svg, render_trace_svg
 from frontcalc.rulings import enumerate_rulings
 from frontcalc.satellites import builtin_pattern, satellite
 
-from oracles import reference_render_svg, reference_render_trace_svg
+from helpers import count_scans
+from oracles import (reference_death, reference_render_svg,
+                     reference_render_trace_svg)
 
 UNKNOT = FrontDiagram([L(1), R(1)])
 TREFOIL = FrontDiagram([L(1), L(3), X(2), X(2), X(2), R(1), R(1)])
@@ -288,14 +290,7 @@ def test_drawing_builds_no_segment_scan(monkeypatch):
                ruling_fillability(d, enumerate_rulings(d)[0]))]
     front = random_shuffle(d, 50, seed=3)
     ruling = enumerate_rulings(front)[0]
-    built = []
-
-    class CountingScan(diagrams._Scan):
-        def __init__(self, *args):
-            built.append(args)
-            super().__init__(*args)
-
-    monkeypatch.setattr(diagrams, "_Scan", CountingScan)
+    built = count_scans(monkeypatch)
     FrontDiagram(d.events)
     assert len(built) == 1     # the count sees the constructor's scan
     built.clear()
@@ -303,4 +298,21 @@ def test_drawing_builds_no_segment_scan(monkeypatch):
         render_trace_svg(tr)
     render_svg(front)
     render_svg(front, ruling=ruling)
+    assert built == []
+
+
+def test_deaths_build_no_segment_scan(monkeypatch):
+    # a filmstrip of 40 births and deaths from m9_46 replays each of its
+    # 17 deaths on walks of the stage's word, so it is drawn without a
+    # single diagrams._Scan; every death agrees with the scan-based one
+    d = catalog.get("m9_46").diagram
+    moves, top = _births_and_deaths(d, 40, random.Random(5))
+    trace = CobordismTrace(d, moves, top)
+    deaths = [(stage, m.index) for stage, m in zip(trace.replay(), moves)
+              if m.kind == "death"]
+    assert len(deaths) == 17
+    for stage, c in deaths:
+        assert death(stage, c) == reference_death(stage, c)
+    built = count_scans(monkeypatch)
+    render_trace_svg(trace)
     assert built == []

@@ -13,20 +13,26 @@ be two commutes from the site before it.  ``oracles`` also keeps the
 recursive search, the per-component eye rule and the ruling
 certificate's own site loop that the one search loop replaced; on fronts
 with births, whose eyes the cleanup kills, both must find the same
-traces and kill the same eyes.
+traces and kill the same eyes.  It keeps the scan-based site rule and
+certificate goal too: the passes over the word that replaced them must
+give the same sites, strand directions and verdicts, on random pinched
+words and on every state the certificate searches test.
 """
 
+import functools
 import random
 from itertools import accumulate
+from unittest import mock
 
 from hypothesis import assume, given, settings, strategies as st
 
-from frontcalc import catalog
+from frontcalc import catalog, cobordism
 from frontcalc.cobordism import (_COMMUTE_DEPTH, _WINDOW, _WINDOWS,
                                  CobordismTrace, _contraction_at,
                                  _downward_cleanup,
-                                 _find_reducing_commutes, _kill_eye,
-                                 _pinch_sites, _run_predecessor, _slid_level,
+                                 _find_reducing_commutes, _is_max_tb_unlink,
+                                 _kill_eye, _pinch_sites, _pinched,
+                                 _repeats, _slid_level,
                                  birth, check_trace, pinch,
                                  reduce_diagram, ruling_fillability,
                                  search_decomposable_filling,
@@ -34,12 +40,17 @@ from frontcalc.cobordism import (_COMMUTE_DEPTH, _WINDOW, _WINDOWS,
 from frontcalc.diagrams import FrontDiagram, L, R, X, event
 from frontcalc.moves import (Rewrite, _commute_pair, apply_rewrite,
                              random_shuffle)
+from frontcalc.rulings import enumerate_rulings
+from frontcalc.satellites import builtin_pattern, satellite
 
 from helpers import front_fixture, random_word
 from oracles import (reference_enumerate_rulings,
                      reference_find_reducing_commutes,
-                     reference_kill_eye, reference_reduce_diagram,
+                     reference_is_max_tb_unlink, reference_kill_eye,
+                     reference_pinch, reference_pinch_sites,
+                     reference_reduce_diagram,
                      reference_ruling_fillability,
+                     reference_run_predecessor,
                      reference_search_decomposable_filling)
 
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
@@ -157,7 +168,7 @@ def test_a_skipped_pinch_site_is_a_slide_of_the_one_before(seed):
     d = oriented_diagram(random.Random(seed), max_width=8)
     heads = []
     for j, i in orientable_sites(d):
-        before = _run_predecessor(d, j, i)
+        before = reference_run_predecessor(d, j, i)
         if before is None:
             heads.append((j, i))
             continue
@@ -182,6 +193,77 @@ def test_slides_keep_the_two_cusp_cases_apart():
     assert _slid_level(1, R(3)) is None
     # a left cusp at the pair's own level commutes to another word
     assert _slid_level(2, L(2)) is None
+
+
+def test_only_pairs_next_to_an_event_can_start_a_run():
+    # _pinch_sites reads, after an event at level lv, only the pairs at
+    # lv - 1 .. lv + 2 after a left cusp, lv - 2 and lv - 1 after a right
+    # cusp and lv - 1 .. lv + 1 after a crossing; every other pair
+    # repeats across the event.  Commutes read level differences only,
+    # so levels up to 20 cover every case.
+    starts = {kind: set() for kind in (L, R, X)}
+    for kind in starts:
+        for lv in range(1, 21):
+            for level in range(1, 24):
+                if not _repeats(level, kind(lv)):
+                    starts[kind].add(level - lv)
+    assert starts == {L: {-1, 0, 1, 2}, R: {-2, -1}, X: {-1, 0, 1}}
+
+
+def assert_sites_and_goal_match_the_scan(d, unknots=None):
+    """The one-pass sites, with their directions, and the goal agree with
+    the scan-based references on ``d``; returns the goal's verdict."""
+    sites = _pinch_sites(d)
+    assert list(sites.items()) == list(reference_pinch_sites(d).items())
+    verdict = _is_max_tb_unlink(d, unknots)
+    assert verdict == reference_is_max_tb_unlink(d)
+    return verdict
+
+
+@settings(PROPERTY, max_examples=200)
+@given(SEEDS, st.integers(0, 3))
+def test_sites_and_goal_match_the_scan_on_pinched_words(seed, pinches):
+    rng = random.Random(seed)
+    d = oriented_diagram(rng, max_width=8)
+    for _ in range(pinches):
+        d = pinch(d, *rng.choice(orientable_sites(d)))
+    assert_sites_and_goal_match_the_scan(d)
+    # a search's child is spliced with the directions the pass read
+    for (j, i), (up, down) in _pinch_sites(d).items():
+        assert _pinched(d, j, i, up, down) == reference_pinch(d, j, i)
+
+
+@functools.cache
+def certificate_states():
+    """Every diagram whose goal a certificate search tests, per input:
+    each ruling of the trefoil and m9_46, and the first ruling of the
+    trefoil's 2-copy within 4 pinches."""
+    copy2 = satellite(catalog.get("trefoil").diagram,
+                      builtin_pattern("identity", "2")).diagram
+    searches = [(catalog.get(name).diagram, sw, None)
+                for name in ("trefoil", "m9_46")
+                for sw in enumerate_rulings(catalog.get(name).diagram)]
+    searches.append((copy2, (2, 5, 18, 21), 4))
+    states = []
+
+    def noting(d, *rest):
+        states[-1].append(d)
+        return _is_max_tb_unlink(d, *rest)
+
+    for d, sw, bound in searches:
+        states.append([])
+        with mock.patch.object(cobordism, "_is_max_tb_unlink", noting):
+            ruling_fillability(d, sw, bound)
+    return states
+
+
+def test_sites_and_goal_match_the_scan_on_certificate_states():
+    verdicts = []
+    for states in certificate_states():
+        unknots = {}
+        for d in states:
+            verdicts.append(assert_sites_and_goal_match_the_scan(d, unknots))
+    assert True in verdicts and False in verdicts
 
 
 def test_pinch_site_counts():
