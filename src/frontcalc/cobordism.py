@@ -52,13 +52,18 @@ per word: reversing a component keeps its tb and negates its rot, so
 and the reduction and the components' words ignore directions.  It
 also keeps, per component word, whether that word reduces to ``L1 R1``.
 
-Neither search builds a segment scan for a state.  Its pinch sites, and
-the directions of their two strands, come from one pass down the word
-that carries each position's direction from the entries; each child is
-spliced with those directions.  The goal reads the components' (tb,
-rot) off one ``diagrams.segment_steps`` walk, and writes their words in
-a second pass only when every component is (-1, 0).  ``death`` finds
-its eye on the same walk.
+Neither search builds a segment scan for a state, and neither does
+writing a trace.  Pinch sites, and the directions of their two strands,
+come from one pass down the word that carries each position's direction
+from the entries; each child is spliced with those directions.  The
+goal takes what each event touches from one ``diagrams.segment_steps``
+walk, the package's one segment numbering, and reads the components'
+(tb, rot) off it with ``diagrams.per_component``.  Only when every
+component is (-1, 0) does it write their words with
+``diagrams.split_components``, the split that ``component_subdiagram``
+reads.  It calls both on lists of its own, not through a diagram's
+cached facts.  ``death`` takes its component's events from the
+diagram's list and finds its eye on a walk of the word.
 """
 
 from __future__ import annotations
@@ -66,11 +71,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import moves as _moves
-from .diagrams import (_CROSS, _KINDS, _LEFT, _RIGHT, CROSSING, LEFT_CUSP,
+from .diagrams import (_KINDS, _LEFT, _RIGHT, CROSSING, LEFT_CUSP,
                        MAX_SCAN_CELLS, RIGHT_CUSP, DiagramError, FrontDiagram,
                        L, R, ScanTooLarge, ascii_decimal,
-                       check_component_index, connected_components, event,
-                       from_lines, levels_and_kinds, segment_steps)
+                       check_component_index, connected_components,
+                       cusp_walk, event, from_lines, levels_and_kinds,
+                       per_component, segment_steps, split_components)
 from .moves import (_SWAPS, _TRIPLES, Rewrite, _Table, apply_rewrite,
                     inverse)
 from .rulings import count_rulings, ruling_pairings
@@ -178,36 +184,37 @@ def death(diagram, component):
     The component must consist of exactly one left and one right cusp,
     and no other event may touch its two strands anywhere between them
     (strands passing entirely above or below are fine).  The component's
-    events and the eye's position at each gap in between are read off
-    segment walks of the word, with no scan.
+    events are the diagram's ``component_events``, and the eye's position
+    at each gap in between is read off a segment walk of the word, with
+    no scan.
     """
     events = diagram.events
-    label, touched = _components_of_word(events)
-    check_component_index(component, max(label, default=-1) + 1)
-    own = [(idx, kind, top) for idx, kind, _i, top, bottom in touched
-           if label[top] == label[bottom] == component]
+    check_component_index(component, diagram.n_components)
+    own = diagram.component_events(component)
     if len(own) != 2:
         raise NotIsolatedUnknot(component, f"{len(own)} events, wanted 2")
-    (j_left, kind_l, top), (j_right, kind_r, _top) = own
-    if kind_l != _LEFT or kind_r != _RIGHT:
+    j_left, j_right = own
+    if (events[j_left].kind != LEFT_CUSP
+            or events[j_right].kind != RIGHT_CUSP):
         raise NotIsolatedUnknot(component, "events are not a cusp pair")
+    top = diagram.cusp_segments(j_left)[0]
     window = []
-    for idx, _kind, _i, _a, _b, segments in segment_steps(events):
+    steps, segments = segment_steps(events)
+    for idx, (kind, i, _top, _bottom) in enumerate(steps):
         if idx <= j_left:
             continue
         if idx == j_right:
             break
-        ev = events[idx]
-        l = ev.level
+        ev, l = events[idx], i + 1
         # the eye holds positions k, k+1 before event idx
         k = segments.index(top) + 1
-        if ev.kind == LEFT_CUSP:
+        if kind == _LEFT:
             if l == k + 1:
                 raise NotIsolatedUnknot(component,
                                         f"event {idx} opens inside the eye")
         elif k - 1 <= l <= k + 1:
             raise NotIsolatedUnknot(component, f"event {idx} touches the eye")
-        window.append(event(ev.kind, l - 2) if l > k else ev)
+        window.append(event(_KINDS[kind], l - 2) if l > k else ev)
     # the events in between keep their strands, only their levels move
     return diagram._edited(j_left, j_right + 1, window,
                            diagram.directions[j_left + 1:j_right])
@@ -753,60 +760,26 @@ def search_decomposable_filling(diagram, max_pinches=3, isotopy_budget=0):
                          lambda d: not d.events, children)
 
 
-def _components_of_word(events):
-    """(component of every segment, (index, kind index, 0-based level,
-    top, bottom) of every event): one ``segment_steps`` walk, whose cusps
-    the cusp-graph walk ``connected_components`` labels.  Segments and
-    components are numbered as the diagram's scan and walk number them."""
-    touched = [step[:5] for step in segment_steps(events)]
-    cusps = [(top, bottom) for _idx, kind, _i, top, bottom in touched
-             if kind != _CROSS]
-    return connected_components(len(cusps), cusps)[0], touched
-
-
 def _is_max_tb_unlink(diagram, unknots=None):
     """Whether every component of ``diagram`` is a max-tb unknot.
 
-    One segment walk labels the segments by component, and each
-    component's (tb, rot), which must be (-1, 0), is read off the entries
-    of the events it meets.  Only when all pass does a second pass, with
-    the component at each strand position, write each component's word;
-    each word must reduce to ``L1 R1`` (a 2-event word is that already).
-    ``unknots`` memoizes that verdict per component word for a caller
-    that tests many diagrams.
+    One segment walk gives what each event touches, the cusp-graph walk
+    labels the segments by component, and ``diagrams.per_component``
+    reads each component's (tb, rot), which must be (-1, 0), off the
+    entries.  Only when all pass does ``diagrams.split_components``, the
+    split that ``component_subdiagram`` reads, write each component's
+    word; each word must reduce to ``L1 R1`` (a 2-event word is that
+    already).  ``unknots`` memoizes that verdict per component word for
+    a caller that tests many diagrams.  The goal calls these functions
+    on lists of its own rather than filling the diagram's cached facts.
     """
     events, directions = diagram.events, diagram.directions
-    label, touched = _components_of_word(events)
+    touched = list(segment_steps(events)[0])
+    label = cusp_walk(touched)[0]
     n = max(label, default=-1) + 1
-    tb, down_up = [0] * n, [0] * n
-    for idx, kind, _i, top, bottom in touched:
-        c = label[top]
-        if kind == _CROSS:
-            if label[bottom] == c:
-                do, du = directions[idx]
-                tb[c] += do * du
-        elif kind == _RIGHT:
-            tb[c] -= 1
-            down_up[c] += directions[idx][0]
-        else:
-            down_up[c] -= directions[idx][0]
-    # rot is half the down cusps less the up ones (see per_component)
-    if tb.count(-1) != n or any(down_up):
+    if per_component(touched, label, n, directions).count((-1, 0)) != n:
         return False
-    words = [[] for _ in range(n)]
-    entries = [[] for _ in range(n)]
-    at = []       # the component at each strand position
-    for idx, kind, i, top, bottom in touched:
-        c = label[top]
-        if label[bottom] == c:
-            words[c].append(event(_KINDS[kind], at[:i].count(c) + 1))
-            entries[c].append(directions[idx])
-        if kind == _LEFT:
-            at[i:i] = c, c
-        elif kind == _RIGHT:
-            del at[i:i + 2]
-        else:
-            at[i], at[i + 1] = at[i + 1], at[i]
+    words, entries = split_components(touched, label, n, directions)
     if unknots is None:
         unknots = {}
     for word, own in zip(map(tuple, words), entries):

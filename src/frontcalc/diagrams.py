@@ -18,7 +18,7 @@ ways, so a cusp's entry is fixed by its top strand; a crossing's entry
 gives both of its strands.  A local rewrite therefore edits the entries of
 its window only, and the direction of any strand can be read off the
 next event to its right that touches it: every strand ends at a right
-cusp.  The segment scan, the component numbering and the per-component
+cusp.  The segment ids, the component numbering and the per-component
 orientation symbols are derived on first use; the symbol '+' directs the
 top strand of a component's first left cusp rightward, and a component's
 symbol is read off that cusp's entry.
@@ -40,30 +40,36 @@ An event is an ``int`` whose value is its code, ``3 * level`` plus the
 index of its kind in ``_KINDS``, with ``kind`` and ``level`` as
 attributes: a word is a tuple of small ints, and events order by level,
 then kind.  Only this module does arithmetic on codes: in its loops over
-whole words, where decoding costs less than reading the attributes, in
-``kinds_and_levels``, the decoded word the ruling DP reads, in
-``levels_and_kinds``, which decodes a word lazily for the renderer's one
-pass per filmstrip frame and the pinch search's pass for sites, and in
-``segment_steps``.
+whole words, where decoding costs less than reading the attributes (the
+scan's check and ``segment_steps`` among them), in ``kinds_and_levels``,
+the decoded word the ruling DP reads, and in ``levels_and_kinds``, which
+decodes a word lazily for the pinch search's pass for sites.
 Events are interned: every event the package builds comes from
 ``event(kind, level)`` (or ``L``, ``R``, ``X``, ``Event.parse``), a
 bounded cache of at most ``_INTERNED_MAX`` validated events, so a rewrite
 reuses the events it writes; ``Event.parse`` keeps as many tokens.
 ``Event(kind, level)`` still builds a fresh, equal event.
 
-The segment scan is for callers that keep segment ids for a whole
-diagram: its cached facts, satellites and the oracles.  Readers of a
-word built once follow strand positions on the word itself, as
-``_walk_in_place`` in ``rulings`` and ``strand_direction`` here do.  The
-renderer carries each segment's point list down the positions, and
-colors segments with ``connected_components`` on the cusps it meets.
-``segment_steps`` carries the segment ids alone, numbered as the scan
-numbers them: the ruling certificate's goal and ``death`` in
-``cobordism`` read components, (tb, rot) and an eye's position off it,
-and the pinch search's sites carry only directions.  Building and
-caching a full ``_Scan`` and its cusp walk per frame, only to learn which
-segment sits at each position, took about a third of the time that
-drawing the filmstrips of the ``filling`` bench took.
+Segments are numbered in one place, ``segment_steps``: one walk down
+the word that carries the segment at each strand position, opening two
+ids at each left cusp, top first.  Every other reader takes its ids
+from that walk.  A diagram keeps one list of what each event touches,
+``(kind index, 0-based level, top, bottom)``: the constructor's
+``_Scan`` records it, and a spliced diagram walks its word on first
+use.  The cusp walk, the orientation symbols, the direction entries,
+``per_component``, ``component_events``, ``linking_number``,
+``cusp_segments`` and ``component_subdiagram`` read that list, and
+``per_component`` and ``split_components`` are module functions, so the
+ruling certificate's goal in ``cobordism`` calls them on a walk of its
+own.  The renderer appends each gap's points to the point lists of the
+segments the walk puts there, ``death`` finds an eye's position on it,
+and a pattern's seam glues the walk's last gap to its first.  What
+``_Scan`` holds beyond that list, the segment ids at every gap, is
+built on first use, for ``segments_at_gap``, ``component_at`` and the
+test oracles.  Readers that follow strand positions without segment
+ids, such as ``_walk_in_place`` in ``rulings``, ``strand_direction``
+here and the pinch search's sites, carry what they need on the word
+itself.
 """
 
 from __future__ import annotations
@@ -203,57 +209,73 @@ def X(level):
 
 
 class _Scan:
-    """Single left-to-right pass assigning segment ids and cusp data.
+    """A checked word's segment walk: what each event touches.
 
     A segment is a maximal strand piece between two cusps; segments persist
     through crossings.  The scan starts from ``strands`` strands (segments
     0 .. strands-1, top to bottom; none for a diagram, k for an annular
-    pattern) and must end with as many.  Later ids are assigned in creation
-    order (top strand of a left cusp first), which fixes the component
-    numbering.
+    pattern) and must end with as many.  ``segment_steps`` numbers the
+    others, which fixes the component numbering.
 
-    A word whose gaps times its widest strand count exceed MAX_SCAN_CELLS
-    is refused with ScanTooLarge at the left cusp that first widens it
-    that far, before its gaps take that much memory.
+    One integer pass over the strand counts checks the word before any
+    segment is followed: LevelOutOfBounds at the first event off the
+    strands, ScanTooLarge at the left cusp that first widens the word past
+    MAX_SCAN_CELLS (gaps times its widest strand count), then
+    NonzeroFinalStrands.  ``counts`` is the strand count at every gap,
+    ``touched`` the ``(kind index, 0-based level, top, bottom)`` of every
+    event, read off one ``segment_steps`` walk.  The segment ids at each
+    gap, ``gaps``, and the dicts ``cusp_pair`` (event index -> (top,
+    bottom) segment) and ``crossing_pair`` (event index -> (upper, lower)
+    segment before it) are built on first use: only ``segments_at_gap``,
+    ``component_at`` and the test oracles read them.
     """
 
     def __init__(self, events, strands=0):
         self.events = events = tuple(events)
-        self.gaps = []           # segment ids at each gap, top to bottom
-        self.cusp_pair = {}      # event index -> (top_seg, bottom_seg)
-        self.crossing_pair = {}  # event index -> (upper_seg, lower_seg) before
+        self.strands = strands
         widest = MAX_SCAN_CELLS // (len(events) + 1)
         if strands > widest:
             _too_wide(events, strands)
-        current = list(range(strands))
-        next_id = strands
-        self.gaps.append(tuple(current))
+        self.counts = counts = [strands]
+        m = opened = strands
         for idx, ev in enumerate(events):
-            i = ev // 3 - 1
-            kind = ev % 3
+            level, kind = ev // 3, ev % 3
             if kind == _LEFT:
-                if not 0 <= i <= len(current):
-                    raise LevelOutOfBounds(idx, i + 1, len(current))
-                if len(current) + 2 > widest:
-                    _too_wide(events, len(current) + 2)
-                top, bot = next_id, next_id + 1
-                next_id += 2
-                current[i:i] = [top, bot]
-                self.cusp_pair[idx] = (top, bot)
+                if not 1 <= level <= m + 1:
+                    raise LevelOutOfBounds(idx, level, m)
+                m += 2
+                opened += 2
+                if m > widest:
+                    _too_wide(events, m)
             else:
-                if not 0 <= i <= len(current) - 2:
-                    raise LevelOutOfBounds(idx, i + 1, len(current))
-                a, b = current[i], current[i + 1]
+                if not 1 <= level <= m - 1:
+                    raise LevelOutOfBounds(idx, level, m)
                 if kind == _RIGHT:
-                    del current[i:i + 2]
-                    self.cusp_pair[idx] = (a, b)
-                else:
-                    current[i], current[i + 1] = b, a
-                    self.crossing_pair[idx] = (a, b)
-            self.gaps.append(tuple(current))
-        if len(current) != strands:
-            raise NonzeroFinalStrands(len(current))
-        self.n_segments = next_id
+                    m -= 2
+            counts.append(m)
+        if m != strands:
+            raise NonzeroFinalStrands(m)
+        self.touched = list(segment_steps(events, strands)[0])
+        self.n_segments = opened
+
+    @cached_property
+    def gaps(self):
+        steps, segments = segment_steps(self.events, self.strands)
+        gaps = [tuple(segments) for _step in steps]
+        gaps.append(tuple(segments))   # the gap after the last event
+        return gaps
+
+    @cached_property
+    def cusp_pair(self):
+        return {idx: (top, bottom)
+                for idx, (kind, _i, top, bottom) in enumerate(self.touched)
+                if kind != _CROSS}
+
+    @cached_property
+    def crossing_pair(self):
+        return {idx: (top, bottom)
+                for idx, (kind, _i, top, bottom) in enumerate(self.touched)
+                if kind == _CROSS}
 
 
 def _too_wide(events, strands):
@@ -264,34 +286,43 @@ def _too_wide(events, strands):
 
 def levels_and_kinds(events):
     """(level, kind index) of every event, decoded lazily from its code:
-    for a single pass over a word built once, such as a filmstrip frame."""
+    for a single pass outside this module that follows strand
+    directions, not segment ids, such as the pinch search's sites."""
     return map(divmod, events, repeat(3))
 
 
-def segment_steps(events):
-    """Follow the segment at each strand position along a valid word.
+def segment_steps(events, strands=0):
+    """The package's one segment numbering: follow the segment at each
+    strand position along a valid word entered with ``strands`` strands.
 
-    Yields ``(index, kind index, 0-based level, top, bottom, segments)``
-    for every event, in one pass and with no scan.  ``top`` and
-    ``bottom`` are the two segments the event touches, top first: a left
-    cusp's two new ones, numbered as ``_Scan`` numbers them (in the order
-    left cusps open them, top first), a right cusp's two closed ones, a
-    crossing's two before it swaps them.  ``segments`` is one list, the
-    segment at each position at the gap before the event; it changes in
-    place once the next step is asked for.  Nothing is validated.
+    Segments 0 .. strands - 1 are the entering strands, top to bottom;
+    every left cusp opens the next two, top first.  Returns ``(steps,
+    segments)``.  ``steps`` yields ``(kind index, 0-based level, top,
+    bottom)`` for every event, lazily and in one pass: ``top`` and
+    ``bottom`` are the two segments the event touches, top first, a left
+    cusp's two new ones, a right cusp's two closed ones, a crossing's two
+    before it swaps them.  ``segments`` is one list, the segment at each
+    position at the gap before the event just yielded; it changes in
+    place once the next step is asked for, and once ``steps`` is
+    exhausted it holds the segments at the last gap.  Nothing is
+    validated: ``_Scan`` checks a word before it walks it.
     """
-    segments = []
-    opened = 0
-    for idx, ev in enumerate(events):
-        level, kind = divmod(ev, 3)
-        i = level - 1
+    segments = list(range(strands))
+    return _steps(events, strands, segments), segments
+
+
+def _steps(events, opened, segments):
+    """The steps of ``segment_steps``, editing ``segments`` in place."""
+    for ev in events:
+        i = ev // 3 - 1
+        kind = ev % 3
         if kind == _LEFT:
-            yield idx, kind, i, opened, opened + 1, segments
+            yield kind, i, opened, opened + 1
             segments[i:i] = opened, opened + 1
             opened += 2
             continue
         a, b = segments[i], segments[i + 1]
-        yield idx, kind, i, a, b, segments
+        yield kind, i, a, b
         if kind == _RIGHT:
             del segments[i:i + 2]
         else:
@@ -384,27 +415,24 @@ class FrontDiagram:
                 if s not in ("+", "-"):
                     raise DiagramError(f"bad orientation symbol {s!r}")
         scan = _Scan(events)
-        walk = connected_components(scan.n_segments, scan.cusp_pair.values())
+        walk = cusp_walk(scan.touched)
         n_components = max(walk[0], default=-1) + 1
         if orientations is None:
             orientations = ("+",) * n_components
         if len(orientations) != n_components:
             raise OrientationMissing(n_components, len(orientations))
-        self._orient(events, scan, walk, orientations)
+        self._scan = scan
+        self._orient(events, scan.counts, scan.touched, walk, orientations)
 
-    def _orient(self, events, scan, walk, orientations):
+    def _orient(self, events, counts, touched, walk, orientations):
         """Set every entry from the walk and one symbol per component."""
         self.events = events
-        self.__dict__.update(_scan=scan, _walk=walk,
+        self.strand_counts = tuple(counts)
+        self.__dict__.update(_touched=touched, _walk=walk,
                              orientations=orientations)
         seg_dirs = self.segment_direction
-        # every event is a cusp or a crossing of the scan, by index
-        directions = [None] * len(events)
-        for pairs in (scan.cusp_pair, scan.crossing_pair):
-            for idx, (a, b) in pairs.items():
-                directions[idx] = (seg_dirs[a], seg_dirs[b])
-        self.directions = tuple(directions)
-        self.strand_counts = tuple(map(len, scan.gaps))
+        self.directions = tuple([(seg_dirs[a], seg_dirs[b])
+                                 for _kind, _i, a, b in touched])
 
     def _edited(self, start, stop, events, directions):
         """This diagram with the splice ``(start, stop, events,
@@ -437,20 +465,27 @@ class FrontDiagram:
         """The same word with every component directed by its symbol,
         re-signed from this diagram's walk."""
         new = FrontDiagram.__new__(FrontDiagram)
-        new._orient(self.events, self._scan, self._walk, tuple(orientations))
+        new._orient(self.events, self.strand_counts, self._touched,
+                    self._walk, tuple(orientations))
         return new
 
     # -- derived data, computed on first use ------------------------------
 
     @cached_property
     def _scan(self):
+        """The word's scan, for its per-gap segment ids."""
         return _Scan(self.events)
+
+    @cached_property
+    def _touched(self):
+        """(kind index, 0-based level, top, bottom) of every event: the
+        constructor's scan keeps it, a spliced diagram walks its word."""
+        return list(segment_steps(self.events)[0])
 
     @cached_property
     def _walk(self):
         """(component label, side) of every segment: one cusp-graph walk."""
-        scan = self._scan
-        return connected_components(scan.n_segments, scan.cusp_pair.values())
+        return cusp_walk(self._touched)
 
     @cached_property
     def component_of_segment(self):
@@ -477,13 +512,15 @@ class FrontDiagram:
         """One symbol per component, read off its first left cusp's entry.
 
         That cusp creates the component's least segment as its top one,
-        and first left cusps come in component order.
+        and first left cusps come in component order, so it is the first
+        event whose top segment lies on the next component.
         """
         comp = self.component_of_segment
         out = []
-        for idx, (top, _bot) in self._scan.cusp_pair.items():
+        for (_kind, _i, top, _bottom), entry in zip(self._touched,
+                                                    self.directions):
             if comp[top] == len(out):
-                out.append("+" if self.directions[idx][0] == 1 else "-")
+                out.append("+" if entry[0] == 1 else "-")
         return tuple(out)
 
     # -- basic queries ----------------------------------------------------
@@ -521,7 +558,11 @@ class FrontDiagram:
 
     def cusp_segments(self, index):
         """(top, bottom) segment ids of the cusp event at ``index``."""
-        return self._scan.cusp_pair[index]
+        if 0 <= index < len(self.events):
+            kind, _i, top, bottom = self._touched[index]
+            if kind != _CROSS:
+                return top, bottom
+        raise KeyError(index)
 
     # -- invariants -------------------------------------------------------
 
@@ -570,27 +611,8 @@ class FrontDiagram:
     @cached_property
     def per_component(self):
         """List of (tb, rot) per component; tb counts self-crossings only."""
-        writhe = [0] * self.n_components
-        rcusps = [0] * self.n_components
-        downup = [0] * self.n_components
-        comp = self.component_of_segment
-        events, directions = self.events, self.directions
-        for i, (a, b) in self._scan.crossing_pair.items():
-            c = comp[a]
-            if c == comp[b]:
-                do, du = directions[i]
-                writhe[c] += do * du
-        # a cusp is down when its top strand runs rightward into a right
-        # cusp or leftward into a left one (see cusp_is_down)
-        for i, (a, _b) in self._scan.cusp_pair.items():
-            c = comp[a]
-            if events[i] % 3 == _RIGHT:
-                rcusps[c] += 1
-                downup[c] += directions[i][0]
-            else:
-                downup[c] -= directions[i][0]
-        return [(writhe[c] - rcusps[c], downup[c] // 2)
-                for c in range(self.n_components)]
+        return per_component(self._touched, self.component_of_segment,
+                             self.n_components, self.directions)
 
     def _check_component(self, c):
         check_component_index(c, self.n_components)
@@ -603,8 +625,8 @@ class FrontDiagram:
             raise DiagramError("linking number needs distinct components")
         comp = self.component_of_segment
         total = 0
-        for i, (a, b) in self._scan.crossing_pair.items():
-            if {comp[a], comp[b]} == {c1, c2}:
+        for i, (kind, _i, a, b) in enumerate(self._touched):
+            if kind == _CROSS and {comp[a], comp[b]} == {c1, c2}:
                 total += self.crossing_sign(i)
         if total % 2:
             raise DiagramError(f"odd signed crossing count {total} between "
@@ -617,14 +639,8 @@ class FrontDiagram:
     def component_events(self, c):
         """Sorted event indices whose strands all belong to component c."""
         comp = self.component_of_segment
-        out = []
-        for i, pair in self._scan.cusp_pair.items():
-            if comp[pair[0]] == c:
-                out.append(i)
-        for i, (a, b) in self._scan.crossing_pair.items():
-            if comp[a] == c and comp[b] == c:
-                out.append(i)
-        return sorted(out)
+        return [i for i, (_kind, _i, a, b) in enumerate(self._touched)
+                if comp[a] == comp[b] == c]
 
     def component_subdiagram(self, c):
         """The front of component c alone, with other strands deleted.
@@ -633,23 +649,72 @@ class FrontDiagram:
         component's strands run as they did, and its first left cusp is
         the new front's first, so the entries are those that
         ``FrontDiagram(events, (self.orientations[c],))`` would set.
-        The new front is spliced with :meth:`_edited`, without a scan.
+        The new front is spliced with :meth:`_edited`, without a scan,
+        from the split of every component that the ruling certificate's
+        goal also reads.
         """
         self._check_component(c)
-        comp = self.component_of_segment
-        events = []
-        directions = []
-        for idx, ev in enumerate(self.events):
-            gap = self._scan.gaps[idx]
-            if ev.kind == LEFT_CUSP:
-                mine = comp[self._scan.cusp_pair[idx][0]] == c
-            else:
-                mine = comp[gap[ev.level - 1]] == comp[gap[ev.level]] == c
-            if mine:
-                above = sum(1 for s in gap[:ev.level - 1] if comp[s] != c)
-                events.append(event(ev.kind, ev.level - above))
-                directions.append(self.directions[idx])
-        return self._edited(0, len(self.events), events, directions)
+        words, entries = split_components(
+            self._touched, self.component_of_segment, self.n_components,
+            self.directions)
+        return self._edited(0, len(self.events), words[c], entries[c])
+
+
+def cusp_walk(touched):
+    """``connected_components`` of the cusp graph of a word entered with
+    no strands, from what its events touch: (component, side) of every
+    segment.  Its segments are those its cusps touch, two per cusp."""
+    cusps = [(top, bottom) for kind, _i, top, bottom in touched
+             if kind != _CROSS]
+    return connected_components(len(cusps), cusps)
+
+
+def per_component(touched, label, n, directions):
+    """(tb, rot) of each of the ``n`` components, labelled ``label`` by
+    segment, of a word whose events touch ``touched`` and have the entries
+    ``directions``; tb counts self-crossings only.
+
+    A cusp is down when its top strand runs rightward into a right cusp
+    or leftward into a left one (see ``FrontDiagram.cusp_is_down``), and
+    rot is half the down cusps less the up ones.
+    """
+    tb, down_up = [0] * n, [0] * n
+    for (kind, _i, top, bottom), (do, du) in zip(touched, directions):
+        c = label[top]
+        if kind == _CROSS:
+            if label[bottom] == c:
+                tb[c] += do * du
+        elif kind == _RIGHT:
+            tb[c] -= 1
+            down_up[c] += do
+        else:
+            down_up[c] -= do
+    return [(t, d // 2) for t, d in zip(tb, down_up)]
+
+
+def split_components(touched, label, n, directions):
+    """(words, entries): the word of each of the ``n`` components alone,
+    other strands deleted, and the direction entries of its events.
+
+    One pass over what the events touch keeps the component at each
+    strand position; an event of component c goes to c's word at one
+    more than the strands of c above it.
+    """
+    words = [[] for _ in range(n)]
+    entries = [[] for _ in range(n)]
+    at = []       # the component at each strand position
+    for (kind, i, top, bottom), entry in zip(touched, directions):
+        c = label[top]
+        if label[bottom] == c:
+            words[c].append(event(_KINDS[kind], at[:i].count(c) + 1))
+            entries[c].append(entry)
+        if kind == _LEFT:
+            at[i:i] = c, c
+        elif kind == _RIGHT:
+            del at[i:i + 2]
+        else:
+            at[i], at[i + 1] = at[i + 1], at[i]
+    return words, entries
 
 
 def check_component_index(c, n_components):

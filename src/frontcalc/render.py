@@ -10,13 +10,13 @@ render call formats that grid once, in a ``_Grid`` that every front of
 the call shares: a filmstrip's frames look their points up instead of
 formatting them, and no point is formatted twice.
 
-A frame reads only the front's events, its strand counts and the grid.
-It follows strand positions on the word itself, as ``rulings`` and
-``diagrams.strand_direction`` do, and builds no segment scan.  A
-segment is a strand piece between two cusps, numbered as the scan
-numbers it: in the order the left cusps open them, top first.  Each
-segment is colored by its component, numbered by least segment in one
-``diagrams.connected_components`` walk of the cusps met.
+A frame reads only the front's events, its strand counts and the grid,
+and builds no segment scan.  A segment is a strand piece between two
+cusps, drawn as one polyline.  The frame takes its segments from one
+``diagrams.segment_steps`` walk of the word, the package's one segment
+numbering, which says which segment sits at each strand position at
+each gap.  Each segment is colored by its component, numbered by least
+segment in one ``diagrams.connected_components`` walk of the cusps met.
 
 A filmstrip draws one point per strand at every gap of every stage, so
 ``CobordismTrace.replay`` refuses it with ScanTooLarge once those points
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from itertools import zip_longest
 
-from .diagrams import _CROSS, _LEFT, connected_components, levels_and_kinds
+from .diagrams import _CROSS, _LEFT, connected_components, segment_steps
 from .rulings import ruling_pairings
 
 X0 = 30.0
@@ -83,44 +83,34 @@ class _Grid:
 def _front_group(grid, diagram, ruling=None):
     """SVG fragment for one front; returns (markup lines, w, h).
 
-    One pass over the word carries the point list of the segment at each
-    strand position: a left cusp opens two lists at its tip, top first, a
-    right cusp puts its tip on the two it closes, a crossing swaps two
-    and records the upper one, and each gap's points go down the
-    positions.  Segments are numbered as the lists open, and colored by
-    their component in the walk of the cusp pairs met.
+    One ``diagrams.segment_steps`` walk of the word gives, at each gap,
+    the segment at each strand position, and each gap's points go onto
+    the point lists of those segments.  A left cusp opens the lists of
+    its two segments at its tip, top first; a right cusp puts its tip on
+    the two it closes; a crossing records its upper segment.  Segments
+    are colored by their component in the walk of the cusp pairs met.
     """
     x, y, tips = grid.x, grid.y, grid.tips
     points = []             # point lists, by segment
-    at = []                 # the point list at each strand position
-    seg = []                # the segment at each strand position
     cusps = []              # (top, bottom) segment of every cusp
     crossings = []          # (event index, 0-based level, upper segment)
-    steps = zip(levels_and_kinds(diagram.events), grid.gaps[1:])
-    for idx, ((level, kind), col) in enumerate(steps):
-        i = level - 1
+    walk, segments = segment_steps(diagram.events)
+    steps = zip(walk, grid.gaps)
+    for idx, ((kind, i, top, bottom), col) in enumerate(steps):
+        for s, pt in zip(segments, col):
+            points[s].append(pt)
         if kind == _CROSS:
-            crossings.append((idx, i, seg[i]))
-            at[i], at[i + 1] = at[i + 1], at[i]
-            seg[i], seg[i + 1] = seg[i + 1], seg[i]
+            crossings.append((idx, i, top))
+            continue
+        tip = tips.get((idx, i))
+        if tip is None:
+            tip = tips[idx, i] = f"{x[2 * idx + 1]} {y[2 * i + 1]}"
+        if kind == _LEFT:
+            points += [tip], [tip]
         else:
-            tip = tips.get((idx, i))
-            if tip is None:
-                tip = tips[idx, i] = f"{x[2 * idx + 1]} {y[2 * i + 1]}"
-            if kind == _LEFT:
-                n = len(points)
-                pair = [tip], [tip]
-                points += pair
-                at[i:i] = pair
-                seg[i:i] = n, n + 1
-                cusps.append((n, n + 1))
-            else:
-                at[i].append(tip)
-                at[i + 1].append(tip)
-                cusps.append((seg[i], seg[i + 1]))
-                del at[i:i + 2], seg[i:i + 2]
-        for pts, pt in zip(at, col):
-            pts.append(pt)
+            points[top].append(tip)
+            points[bottom].append(tip)
+        cusps.append((top, bottom))
     comp = connected_components(len(points), cusps)[0]
     out = []
     if ruling is not None:

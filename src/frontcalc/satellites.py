@@ -24,9 +24,9 @@ from dataclasses import dataclass, field
 # built.
 from .diagrams import (CROSSING, LEFT_CUSP, MAX_SCAN_CELLS, RIGHT_CUSP,
                        DiagramError, Event, FrontDiagram, L, LevelOutOfBounds,
-                       NonzeroFinalStrands, R, ScanTooLarge, X, _Scan,
-                       ascii_decimal, connected_components, event,
-                       window_counts)
+                       NonzeroFinalStrands, R, ScanTooLarge, X, _CROSS,
+                       _Scan, ascii_decimal, connected_components,
+                       cusp_walk, event, segment_steps, window_counts)
 
 
 class PatternError(DiagramError):
@@ -82,11 +82,17 @@ class PatternFront:
         object.__setattr__(self, "_scan", scan)
 
     def closure_cycles(self):
-        """Number of closed curves after gluing the seam by position."""
-        scan = self._scan
-        seam = zip(scan.gaps[0], scan.gaps[-1])
+        """Number of closed curves after gluing the seam by position.
+
+        One segment walk gives the cusps; once it is done, its list holds
+        the segments at the last gap, which the seam glues to the
+        entering strands 0 .. k-1.
+        """
+        steps, ends = segment_steps(self.events, self.strands)
+        cusps = [(top, bottom) for kind, _i, top, bottom in steps
+                 if kind != _CROSS]
         labels, _sides = connected_components(
-            scan.n_segments, [*scan.cusp_pair.values(), *seam])
+            self.strands + len(cusps), [*cusps, *enumerate(ends)])
         return max(labels) + 1
 
 
@@ -182,20 +188,21 @@ def _inherit_orientations(diagram, events, origins):
     of ``diagram``; components with no such cusp are directed '+'.  A
     cusp's origin is a cusp of ``diagram``, or None for a pattern's cusp.
     Under '+' a strand runs the way its side says, so the symbols are
-    read off one scan and one walk of the word, which then set every
-    direction entry once.
+    read off the scan's segment walk and one cusp-graph walk, which then
+    set every direction entry once; the scan's counts are the strand
+    counts.
     """
     scan = _Scan(events)
-    walk = label, side = connected_components(scan.n_segments,
-                                              scan.cusp_pair.values())
+    walk = label, side = cusp_walk(scan.touched)
     symbols = [None] * (max(label, default=-1) + 1)
-    for new_idx, (top, _bot) in scan.cusp_pair.items():
-        src = origins[new_idx]
-        if src is not None and symbols[label[top]] is None:
+    for (kind, _i, top, _bottom), src in zip(scan.touched, origins):
+        if (kind != _CROSS and src is not None
+                and symbols[label[top]] is None):
             same = side[top] == diagram.directions[src][0]
             symbols[label[top]] = "+" if same else "-"
     d = FrontDiagram.__new__(FrontDiagram)
-    d._orient(scan.events, scan, walk, tuple(s or "+" for s in symbols))
+    d._orient(scan.events, scan.counts, scan.touched, walk,
+              tuple(s or "+" for s in symbols))
     return d
 
 
@@ -228,7 +235,7 @@ def satellite(companion, pattern):
     k = pattern.strands
     copied, widest = _k_copy_size(companion, k)
     # the pattern widens the copy by as many strands as it widens itself
-    widened = max(map(len, pattern._scan.gaps)) - k
+    widened = max(pattern._scan.counts) - k
     _check_scan("satellite", copied + len(pattern.events), widest + widened)
     events, origins = _k_copy_events(companion, k)
     # the word opens with L1, whose gadget is k cusps and k(k-1)/2

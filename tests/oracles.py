@@ -42,6 +42,12 @@ walk replaced: it steps one pairing per event through the DP's
 ``_step``, as a fresh ``bytes``, and yields it.  Its ``is_ruling``
 turns every RulingError into False, the width limit's included.
 
+The reference segment scan is the loop that ``diagrams._Scan`` ran
+before it took its segment ids from ``segment_steps``: it numbers,
+checks and keeps the segment ids at every gap in one pass.  The
+reference word facts, labelling and component fronts read it, not the
+package's scan.
+
 The reference cusp-graph labelling is what the package's one walk
 replaced: a union-find for the components, a second search that directs
 the segments from the orientation symbols, the symbols read off the
@@ -310,7 +316,7 @@ import random  # noqa: E402
 
 from frontcalc.diagrams import (CROSSING, LEFT_CUSP, RIGHT_CUSP,  # noqa: E402
                                 DiagramError, Event, FrontDiagram, L, R, X,
-                                event)
+                                LevelOutOfBounds, NonzeroFinalStrands, event)
 from frontcalc import moves as _moves  # noqa: E402
 from frontcalc.moves import InapplicableRewrite, Rewrite  # noqa: E402
 from frontcalc.cobordism import (NotAdjacent, NotCuspPair,  # noqa: E402
@@ -614,10 +620,11 @@ def reference_per_component(diagram):
     rcusps = [0] * diagram.n_components
     downup = [0] * diagram.n_components
     comp = diagram.component_of_segment
-    for i, (a, b) in diagram._scan.crossing_pair.items():
+    scan = reference_scan(diagram.events)
+    for i, (a, b) in scan.crossing_pair.items():
         if comp[a] == comp[b]:
             writhe[comp[a]] += diagram.crossing_sign(i)
-    for i, (a, _b) in diagram._scan.cusp_pair.items():
+    for i, (a, _b) in scan.cusp_pair.items():
         c = comp[a]
         if diagram.events[i].kind == RIGHT_CUSP:
             rcusps[c] += 1
@@ -629,7 +636,8 @@ def reference_per_component(diagram):
 def reference_orient(diagram):
     """The direction entries of ``diagram``'s word under its own symbols,
     read off its scan and segment directions."""
-    scan, seg_dirs = diagram._scan, diagram.segment_direction
+    scan = reference_scan(diagram.events)
+    seg_dirs = diagram.segment_direction
     directions = []
     for idx, ev in enumerate(diagram.events):
         if ev.kind == CROSSING:
@@ -647,11 +655,12 @@ def reference_component_subdiagram(diagram, c):
     by the validating constructor from the component's symbol."""
     diagram._check_component(c)
     comp = diagram.component_of_segment
+    scan = reference_scan(diagram.events)
     events = []
     for idx, ev in enumerate(diagram.events):
-        gap = diagram._scan.gaps[idx]
+        gap = scan.gaps[idx]
         if ev.kind == LEFT_CUSP:
-            mine = comp[diagram._scan.cusp_pair[idx][0]] == c
+            mine = comp[scan.cusp_pair[idx][0]] == c
         else:
             mine = comp[gap[ev.level - 1]] == comp[gap[ev.level]] == c
         if mine:
@@ -829,8 +838,59 @@ def reference_reduce_diagram(diagram):
 
 from bisect import bisect_right  # noqa: E402
 
-from frontcalc.diagrams import _Scan  # noqa: E402
+from types import SimpleNamespace  # noqa: E402
+
+from frontcalc import diagrams as _diagrams  # noqa: E402
 from frontcalc.satellites import _k_copy_events  # noqa: E402
+
+
+def reference_scan(events, strands=0):
+    """The segment scan as one loop that numbers segments and checks the
+    word as it goes, keeping the segment ids at every gap: what
+    ``diagrams._Scan`` was before it took its numbering from
+    ``segment_steps``.  ``MAX_SCAN_CELLS`` is read from ``diagrams`` at
+    each call, so a test can lower it for both."""
+    MAX_SCAN_CELLS = _diagrams.MAX_SCAN_CELLS
+    _LEFT, _RIGHT = _diagrams._LEFT, _diagrams._RIGHT
+    _too_wide = _diagrams._too_wide
+    self = SimpleNamespace()
+    self.events = events = tuple(events)
+    self.gaps = []           # segment ids at each gap, top to bottom
+    self.cusp_pair = {}      # event index -> (top_seg, bottom_seg)
+    self.crossing_pair = {}  # event index -> (upper_seg, lower_seg) before
+    widest = MAX_SCAN_CELLS // (len(events) + 1)
+    if strands > widest:
+        _too_wide(events, strands)
+    current = list(range(strands))
+    next_id = strands
+    self.gaps.append(tuple(current))
+    for idx, ev in enumerate(events):
+        i = ev // 3 - 1
+        kind = ev % 3
+        if kind == _LEFT:
+            if not 0 <= i <= len(current):
+                raise LevelOutOfBounds(idx, i + 1, len(current))
+            if len(current) + 2 > widest:
+                _too_wide(events, len(current) + 2)
+            top, bot = next_id, next_id + 1
+            next_id += 2
+            current[i:i] = [top, bot]
+            self.cusp_pair[idx] = (top, bot)
+        else:
+            if not 0 <= i <= len(current) - 2:
+                raise LevelOutOfBounds(idx, i + 1, len(current))
+            a, b = current[i], current[i + 1]
+            if kind == _RIGHT:
+                del current[i:i + 2]
+                self.cusp_pair[idx] = (a, b)
+            else:
+                current[i], current[i + 1] = b, a
+                self.crossing_pair[idx] = (a, b)
+        self.gaps.append(tuple(current))
+    if len(current) != strands:
+        raise NonzeroFinalStrands(len(current))
+    self.n_segments = next_id
+    return self
 
 
 def reference_connected_components(n, pairs):
@@ -883,7 +943,7 @@ def reference_propagate(scan, component_of_segment, orientations):
 
 def reference_labels(diagram):
     """(scan, union-find component of every segment) of a diagram's word."""
-    scan = _Scan(diagram.events)
+    scan = reference_scan(diagram.events)
     return scan, reference_connected_components(scan.n_segments,
                                                 scan.cusp_pair.values())
 
@@ -891,7 +951,7 @@ def reference_labels(diagram):
 def reference_segment_direction(diagram):
     """Direction of every segment, read off the entry of the left cusp
     creating it."""
-    scan = _Scan(diagram.events)
+    scan = reference_scan(diagram.events)
     dirs = [0] * scan.n_segments
     for idx, (top, bot) in scan.cusp_pair.items():
         if diagram.events[idx].kind == LEFT_CUSP:
@@ -926,7 +986,7 @@ def reference_directions(diagram, orientations):
 def reference_inherit_orientations(diagram, events, origins):
     """A k-copy's orientation: each component takes the direction of its
     first cusp copied from a cusp of ``diagram``, else '+'."""
-    scan = _Scan(events)
+    scan = reference_scan(events)
     comps = reference_connected_components(scan.n_segments,
                                            scan.cusp_pair.values())
     n = max(comps, default=-1) + 1
@@ -964,7 +1024,7 @@ def reference_satellite(companion, pattern):
 
 def reference_closure_cycles(pattern):
     """Closed curves of a pattern glued at its seam, by the union-find."""
-    scan = _Scan(pattern.events, pattern.strands)
+    scan = reference_scan(pattern.events, pattern.strands)
     seam = zip(scan.gaps[0], scan.gaps[-1])
     return max(reference_connected_components(
         scan.n_segments, [*scan.cusp_pair.values(), *seam])) + 1

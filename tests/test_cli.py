@@ -329,6 +329,26 @@ def test_ruling_outputs_are_pinned(capsys, tmp_path):
     assert digest(svg.read_bytes()) == LONG_WORD_RULING_SVG_SHA256
 
 
+# sha256 of the satellite's frontdiagram text, its orient: line included,
+# written before orientation inheritance read the segment walk
+SATELLITE_TEXT_SHA256 = {
+    ("whitehead", "catalog:m9_46"):
+        "670a75abaef415b94124f1e863241f1e36b8c451304356e3e9a8852cab30b761",
+    ("half_twist:3", "catalog:stab_plus_trefoil"):
+        "778b30d11fffc391aa324a117b092a3ed7db25f0b6c4c0a1a868c039baa3bba6",
+    ("identity:2", "catalog:trefoil"):
+        "e5dbe70970a08e61cc7ed3bcb3a2ccb48f692baf25a13ab812045356303774f6",
+}
+
+
+@pytest.mark.parametrize("pattern, companion", sorted(SATELLITE_TEXT_SHA256))
+def test_satellite_text_is_pinned(capsys, pattern, companion):
+    code, out, _ = run(capsys, "satellite", "--pattern", pattern, companion)
+    assert code == 0
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == SATELLITE_TEXT_SHA256[pattern, companion])
+
+
 def test_render_trace(capsys, tmp_path):
     code, out, _ = run(capsys, "search-filling", "catalog:unknot")
     trace_path = tmp_path / "fill.trace"

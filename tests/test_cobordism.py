@@ -476,6 +476,8 @@ def test_searches_build_no_segment_scan(monkeypatch):
     # state's word in one pass, so no search builds a diagrams._Scan:
     # the certificates of m9_46's rulings, the trefoil 2-copy's ruling
     # 2,5,18,21 within 5 pinches, and the filling of every catalog entry.
+    # Writing a certificate reads its bottom's orientation symbols off a
+    # segment walk, so that builds none either.
     from frontcalc import catalog
     from frontcalc.satellites import builtin_pattern, satellite
     from helpers import count_scans
@@ -488,8 +490,10 @@ def test_searches_build_no_segment_scan(monkeypatch):
     FrontDiagram(m9_46.events)
     assert len(built) == 1     # the count sees the constructor's scan
     built.clear()
-    for sw in rulings:
-        assert ruling_fillability(m9_46, sw) is not None
+    certificates = [ruling_fillability(m9_46, sw) for sw in rulings]
+    assert len(certificates) == 2 and None not in certificates
+    for tr in certificates:
+        assert trace_to_text(tr).startswith("trace v1\n")
     assert ruling_fillability(copy2, (2, 5, 18, 21), max_pinches=5) is None
     found = [search_decomposable_filling(d) is not None for d in fronts]
     assert any(found) and not all(found)
