@@ -42,8 +42,10 @@ attributes: a word is a tuple of small ints, and events order by level,
 then kind.  Only this module does arithmetic on codes: in its loops over
 whole words, where decoding costs less than reading the attributes (the
 scan's check and ``segment_steps`` among them), in ``kinds_and_levels``,
-the decoded word the ruling DP reads, and in ``levels_and_kinds``, which
-decodes a word lazily for the pinch search's pass for sites.
+the decoded word the single-ruling walk reads, in ``slot_walk``, the
+strand slots the ruling DP keys its pairings by, and in
+``levels_and_kinds``, which decodes a word lazily for the pinch search's
+pass for sites.
 Events are interned: every event the package builds comes from
 ``event(kind, level)`` (or ``L``, ``R``, ``X``, ``Event.parse``), a
 bounded cache of at most ``_INTERNED_MAX`` validated events, so a rewrite
@@ -497,8 +499,64 @@ class FrontDiagram:
 
     @cached_property
     def kinds_and_levels(self):
-        """(kind, level) of every event, decoded once for the ruling DP."""
+        """(kind, level) of every event, decoded once for the single-ruling
+        walk behind ``rulings.is_ruling`` and ``rulings.ruling_pairings``,
+        and for the tests' positional ruling DP."""
         return tuple((_KINDS[ev % 3], ev // 3) for ev in self.events)
+
+    @cached_property
+    def slot_walk(self):
+        """The strand slots of the word, for the ruling DP's keys:
+        ``(steps, mirror, first, last)``.
+
+        Every strand holds a slot while it lives.  A right cusp frees
+        its two slots as a pair; a left cusp takes the pair freed last
+        of those still free, whole and in its (top, bottom) order, or
+        else opens the next two slots s, s + 1 (s even).  So there are
+        as many slots as strands at the widest gap.  ``steps`` has one
+        ``(kind, 0-based level, top, bottom, positions)`` per event: the
+        slots of the two strands it touches, top first before it, and
+        at a crossing the position of every slot before it, as
+        ``bytes`` (None at a cusp).  ``mirror`` has the same event as the mirror word reads
+        it, right to left: a left cusp as a right cusp and back, and a
+        crossing's slots after the swap.  ``first`` holds each slot's
+        mate in its first pair, ``s ^ 1``, and ``last`` its mate at its
+        last right cusp.  At most 256 strands: the positions are bytes.
+        """
+        width = max(self.strand_counts)
+        slots = []                    # the slot at each position
+        positions = bytearray(width)  # the position of each live slot
+        mates = bytearray(s ^ 1 for s in range(width))
+        first = bytes(mates)
+        freed = []
+        steps = []
+        mirror = []
+        for ev in self.events:
+            i = ev // 3 - 1
+            kind = ev % 3
+            if kind == _CROSS:
+                top, bottom = slots[i], slots[i + 1]
+                before = bytes(positions)
+                steps.append((CROSSING, i, top, bottom, before))
+                mirror.append((CROSSING, i, bottom, top, before))
+                slots[i], slots[i + 1] = bottom, top
+                positions[top], positions[bottom] = i + 1, i
+                continue
+            if kind == _LEFT:
+                top, bottom = freed.pop() if freed else (len(slots),
+                                                         len(slots) + 1)
+                slots[i:i] = top, bottom
+            else:
+                top, bottom = slots[i], slots[i + 1]
+                del slots[i:i + 2]
+                freed.append((top, bottom))
+                mates[top], mates[bottom] = bottom, top
+            # the mirror swaps the cusp kinds, _LEFT 0 and _RIGHT 1
+            steps.append((_KINDS[kind], i, top, bottom, None))
+            mirror.append((_KINDS[1 - kind], i, top, bottom, None))
+            for p in range(i, len(slots)):
+                positions[slots[p]] = p
+        return tuple(steps), tuple(mirror), first, bytes(mates)
 
     @cached_property
     def segment_direction(self):

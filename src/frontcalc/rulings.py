@@ -36,37 +36,60 @@ prefix by its index, and states that merge concatenate their lists.  No
 branch that dies at a later right cusp is followed, and the depth of
 the word costs no recursion.
 
-The pass steps a whole frontier at a time through ``_advance``, which
-maps a dict of pairing -> count to the next gap's and reads the event's
-kind once per event; counts combine through ``+`` only.  A single
-pairing steps through ``_step``, its successors at one event, which the
-emission and ``is_normal_switch`` use.  Inside the DP a pairing is a
-``bytes`` object (its hash is cached, and a cusp's shift of the partner
-indices is one ``bytes.translate``), so at most 256 strands are
+Inside the pass a pairing is keyed by strand slot, not by position.
+``FrontDiagram.slot_walk`` gives every strand a slot for its life and
+every event the slots of its two strands: a right cusp frees its two
+slots as a pair, and a left cusp takes the pair freed last of those
+still free, whole and in its (top, bottom) order, or opens the next two
+slots s, s + 1.  A key is a ``bytes`` whose entry at each slot is its
+partner's slot (its hash is cached), so at most 256 strands are
 supported; every public function raises RulingError on a wider front
-or pairing.
+or pairing.  A dead slot, one whose strand has died or is not yet
+born, holds its mate at its last right cusp before the gap, or
+``s ^ 1`` if it has none; that is also its mate at the next left cusp
+after the gap, which takes the pair whole.  So the dead slots depend
+on the gap alone, and a pairing has one key at every gap, whichever
+side reached it: the prefix side starts from ``s ^ 1``, the suffix
+side from every slot's mate at its last right cusp.
 
-``is_ruling`` and ``ruling_pairings`` follow one switch set through
-``_walk_in_place``, on a single partner ``bytearray`` edited in place: a
+An event then costs little.  A left cusp leaves every key as it is,
+since its slots already hold the born pair; a right cusp keeps the keys
+whose two slots are paired.  A crossing's follow moves two strands, not
+their partners, so it keeps its key object.  Only an admitted switch
+builds a key: the two slots exchange partners, and the normality test
+reads the partners' positions from the crossing's table in the walk.
+The mirror reads each event as ``slot_walk`` mirrors it.
+
+The pass steps a whole frontier at a time through ``_advance``, which
+maps a dict of key -> count to the next gap's; counts combine through
+``+`` only.  A single key steps through ``_step``, its successors at
+one event, which the emission uses.  ``is_ruling`` and
+``ruling_pairings`` follow one switch set through ``_walk_in_place``,
+by position, on a single partner ``bytearray`` edited in place: a
 crossing's follow is four item writes, a switch reads two partners for
 the normality test, and a cusp is one ``translate`` and one slice
 insert or delete.  ``ruling_pairings`` takes a tuple at every gap;
-``is_ruling`` takes none.  The crossing rule, follow by conjugation and
-the normality test, is written out three times, in ``_advance``,
-``_step`` and ``_walk_in_place``, since each loop inlines it; the tests
-hold the three equal.
+``is_ruling`` takes none.  The crossing rule is written out four
+times, since each loop inlines it: on slots in ``_advance`` and
+``_step``, on positions in ``_walk_in_place`` and ``is_normal_switch``.
+The tests hold the slot pass equal to a positional DP, frontier by
+frontier, and ``_walk_in_place`` and ``is_normal_switch`` to that DP's
+step.
 """
 
 from __future__ import annotations
 
-from functools import cache
-
 from .diagrams import CROSSING, LEFT_CUSP, RIGHT_CUSP, DiagramError
 
 MAX_STRANDS = 256
-_EMPTY = b""
-_DEAD = (None, False)
-_MIRROR = {LEFT_CUSP: RIGHT_CUSP, RIGHT_CUSP: LEFT_CUSP, CROSSING: CROSSING}
+_DEAD = (None, None)
+# Partner translations for the single-ruling walk's cusps: at level i
+# the table ``_IDENTITY[:i] + _UP[i:]`` moves partners at or above i up
+# two, and ``_IDENTITY[:i] + _DOWN[i:]`` moves partners above i + 1 down
+# two.  Entries no valid pairing reaches are zero.
+_IDENTITY = bytes(range(MAX_STRANDS))
+_UP = bytes(range(2, MAX_STRANDS)) + bytes(2)
+_DOWN = bytes(2) + bytes(range(MAX_STRANDS - 2))
 
 
 class RulingError(DiagramError):
@@ -79,86 +102,71 @@ class CrossingStrandsPaired(RulingError):
             f"strands {level}, {level + 1} are paired; no switch possible")
 
 
-@cache
-def _cusp_tables(i):
-    """Partner translations for a cusp at 0-based level i.
+def _step(key, kind, i, top, bottom, positions):
+    """Successors of ``key`` at one step of ``FrontDiagram.slot_walk``:
+    an event of ``kind`` at 0-based level i, on the strands of slots
+    ``top`` and ``bottom``, with the crossing's slot positions.
 
-    Returns (up, down, born): ``up`` moves partners at or above i up two
-    (a left cusp), ``down`` moves partners above i + 1 down two (a right
-    cusp), and ``born`` is the paired strands a left cusp inserts.
-    Entries no valid pairing reaches are zero.
-    """
-    up = bytes(range(i)) + bytes(range(i + 2, MAX_STRANDS)) + bytes(2)
-    down = bytes(range(i)) + bytes(2) + bytes(range(i, MAX_STRANDS - 2))
-    return up, down, bytes((i + 1, i))
-
-
-def _step(pairing, kind, i):
-    """Successors of ``pairing`` at an event of ``kind`` at 0-based level i.
-
-    Returns (follow, switch): ``follow`` is the pairing after the event
-    without a switch, or None when the ruling dies there; ``switch`` says
-    whether a normal switch is admitted, which keeps ``pairing``.
-    """
-    if kind == CROSSING:
-        a = pairing[i]
-        if a == i + 1:
-            return _DEAD
-        b = pairing[i + 1]
-        new = bytearray(pairing)
-        new[i] = b
-        new[i + 1] = a
-        new[a] = i + 1
-        new[b] = i
-        # Neither partner is i or i + 1.  Below i, b must nest around a
-        # or lie above i + 1; above i + 1, b must nest inside a.
-        if a < i:
-            return bytes(new), b < a or b > i
-        return bytes(new), i < b < a
-    if kind == LEFT_CUSP:
-        up, _down, born = _cusp_tables(i)
-        shifted = pairing.translate(up)
-        return shifted[:i] + born + shifted[i:], False
-    if pairing[i] != i + 1:
-        return _DEAD
-    return (pairing[:i] + pairing[i + 2:]).translate(_cusp_tables(i)[1]), False
-
-
-def _advance(front, kind, i):
-    """The frontier after an event of ``kind`` at 0-based level i.
-
-    ``front`` maps pairings to counts; each successor's count is the sum
-    of its predecessors' counts, as ``_step`` relates them.
+    Returns (follow, switch): ``follow`` is ``key`` itself unless the
+    ruling dies there, then None; ``switch`` is the key after an
+    admitted normal switch, or None.
     """
     if kind == LEFT_CUSP:
-        up, _down, born = _cusp_tables(i)
-        return {(s := p.translate(up))[:i] + born + s[i:]: n
-                for p, n in front.items()}
-    j = i + 1
+        return key, None
+    a = key[top]
     if kind == RIGHT_CUSP:
-        down = _cusp_tables(i)[1]
-        return {(p[:i] + p[i + 2:]).translate(down): n
-                for p, n in front.items() if p[i] == j}
-    # Conjugation is injective, so follows never collide; a kept
-    # pairing may meet one, and joins it after the loop.
+        return (key if a == bottom else None), None
+    if a == bottom:
+        return _DEAD
+    b = key[bottom]
+    pa = positions[a]
+    pb = positions[b]
+    # Neither partner's position is i or i + 1.  Below i, b's must nest
+    # around a's or lie above i + 1; above i + 1, inside a's.
+    if not ((pb < pa or pb > i + 1) if pa < i else i < pb < pa):
+        return key, None
+    new = bytearray(key)
+    new[top] = b
+    new[b] = top
+    new[bottom] = a
+    new[a] = bottom
+    return key, bytes(new)
+
+
+def _advance(front, kind, i, top, bottom, positions):
+    """The frontier after one step of ``FrontDiagram.slot_walk``.
+
+    ``front`` maps keys to counts; each successor's count is the sum of
+    its predecessors' counts, as ``_step`` relates them.  A left cusp
+    returns ``front`` itself.
+    """
+    if kind == LEFT_CUSP:
+        return front
+    if kind == RIGHT_CUSP:
+        return {p: n for p, n in front.items() if p[top] == bottom}
+    # Follows keep their keys, and a switch is an involution on keys,
+    # so neither collides with its own kind; a switched key may meet a
+    # follow, and joins it after the loop.
+    j = i + 1
     nxt = {}
-    kept = []
+    switched = []
     for p, n in front.items():
-        a = p[i]
-        if a == j:
+        a = p[top]
+        if a == bottom:
             continue
-        b = p[j]
-        new = bytearray(p)
-        new[i] = b
-        new[j] = a
-        new[a] = j
-        new[b] = i
-        nxt[bytes(new)] = n
-        if (b < a or b > j) if a < i else i < b < a:
-            kept.append(p)
+        nxt[p] = n
+        b = p[bottom]
+        pa = positions[a]
+        pb = positions[b]
+        if (pb < pa or pb > j) if pa < i else i < pb < pa:
+            new = bytearray(p)
+            new[top] = b
+            new[b] = top
+            new[bottom] = a
+            new[a] = bottom
+            switched.append((bytes(new), n))
     get = nxt.get
-    for p in kept:
-        n = front[p]
+    for p, n in switched:
         old = get(p)
         nxt[p] = n if old is None else old + n
     return nxt
@@ -177,32 +185,41 @@ def is_normal_switch(pairing, level):
     ``pairing`` is the 0-based partner array just before the crossing.
     The companion intervals of the two crossing strands must be disjoint
     or nested; interleaving rules the switch out.  Raises RulingError
-    on more than MAX_STRANDS strands, as the rest of the module does, and
-    unless 1 <= level <= len(pairing) - 1.
+    on more than MAX_STRANDS strands, as the rest of the module does;
+    when ``pairing`` is not a fixed-point-free involution of
+    ``range(len(pairing))``; and unless 1 <= level <= len(pairing) - 1.
     """
-    _check_width(len(pairing))
-    if not 1 <= level <= len(pairing) - 1:
+    n = len(pairing)
+    _check_width(n)
+    if not all(type(a) is int and 0 <= a < n and a != k and pairing[a] == k
+               for k, a in enumerate(pairing)):
+        raise RulingError(f"pairing {tuple(pairing)} is not a fixed-point-"
+                          f"free involution of range({n})")
+    if not 1 <= level <= n - 1:
         raise RulingError(f"switch level {level} is out of range "
-                          f"1..{len(pairing) - 1}")
-    if pairing[level - 1] == level:
+                          f"1..{n - 1}")
+    i, j = level - 1, level
+    a = pairing[i]
+    if a == j:
         raise CrossingStrandsPaired(level)
-    return _step(pairing, CROSSING, level - 1)[1]
+    b = pairing[j]
+    return (b < a or b > j) if a < i else i < b < a
 
 
 def _meet(diagram):
     """Yield (side, states) for the prefix side (0) and the suffix side
     (1), first each side's end and then every frontier the pass grows.
 
-    ``states`` maps each pairing at one gap to the number of ruling
+    ``states`` maps each key at one gap to the number of ruling
     prefixes reaching it (side 0, gaps 0, 1, ...) or of ruling suffixes
-    leaving it for the empty pairing after the last event (side 1, gaps
-    n, n - 1, ...).  Each step grows the side whose frontier holds fewer
+    leaving it for the key after the last event (side 1, gaps n,
+    n - 1, ...).  Each step grows the side whose frontier holds fewer
     states, the left one on a tie, until both sides reach one gap or a
     side's frontier is empty.
     """
     _check_width(max(diagram.strand_counts))
-    steps = diagram.kinds_and_levels
-    fronts = [{_EMPTY: 1}, {_EMPTY: 1}]
+    steps, mirror, first, last = diagram.slot_walk
+    fronts = [{first: 1}, {last: 1}]
     yield 0, fronts[0]
     yield 1, fronts[1]
     lo, hi = 0, len(steps)
@@ -210,12 +227,11 @@ def _meet(diagram):
         side = len(fronts[1]) < len(fronts[0])
         if side:
             hi -= 1
-            kind, level = steps[hi]
-            kind = _MIRROR[kind]
+            step = mirror[hi]
         else:
-            kind, level = steps[lo]
+            step = steps[lo]
             lo += 1
-        nxt = fronts[side] = _advance(fronts[side], kind, level - 1)
+        nxt = fronts[side] = _advance(fronts[side], *step)
         yield side, nxt
         if not nxt:
             return
@@ -223,12 +239,12 @@ def _meet(diagram):
 
 def count_rulings(diagram):
     """Number of normal rulings: at the gap where prefixes and suffixes
-    meet, the sum over pairings of prefixes times suffixes."""
+    meet, the sum over keys of prefixes times suffixes."""
     ends = [None, None]
     for side, states in _meet(diagram):
         ends[side] = states
     front, back = ends
-    return sum(n * back.get(pairing, 0) for pairing, n in front.items())
+    return sum(n * back.get(key, 0) for key, n in front.items())
 
 
 def enumerate_rulings(diagram):
@@ -242,7 +258,7 @@ def enumerate_rulings(diagram):
     live = {p: c for p, c in right[-1].items() if p in reached}
     if not live:
         return []
-    steps = diagram.kinds_and_levels
+    steps, mirror, first, last = diagram.slot_walk
     m = len(left) - 1
     # Each gap's live states: reached by a ruling prefix and left by a
     # ruling suffix.  Right of m every state some prefix reaches is
@@ -250,30 +266,32 @@ def enumerate_rulings(diagram):
     # suffix pass and keep the states a prefix reached.
     gaps = [None] * m + [live] + right[-2::-1]
     for k in range(m - 1, -1, -1):
-        kind, level = steps[k]
         reached = left[k]
-        live = _advance(live, _MIRROR[kind], level - 1)
+        live = _advance(live, *mirror[k])
         live = gaps[k] = {p: c for p, c in live.items() if p in reached}
-    # Forward from the empty pairing over live states only, each with
-    # the switch-set prefixes reaching it: a follow shares its
+    # Forward from the first key over live states only, each with the
+    # switch-set prefixes reaching it: a follow shares its
     # predecessor's list, a switch extends each prefix by k, and states
-    # that merge concatenate their lists.
-    front = {_EMPTY: [()]}
-    for k, (kind, level) in enumerate(steps):
+    # that merge concatenate their lists.  A cusp keeps every key, and
+    # a live state outlives it, so only crossings are stepped.
+    front = {first: [()]}
+    for k, step in enumerate(steps):
+        if step[0] != CROSSING:
+            continue
         after = gaps[k + 1]
         nxt = {}
         get = nxt.get
-        for pairing, prefixes in front.items():
-            follow, switch = _step(pairing, kind, level - 1)
+        for key, prefixes in front.items():
+            follow, switch = _step(key, *step)
             if follow in after:
                 old = get(follow)
                 nxt[follow] = prefixes if old is None else old + prefixes
-            if switch and pairing in after:
+            if switch in after:
                 grown = [t + (k,) for t in prefixes]
-                old = get(pairing)
-                nxt[pairing] = grown if old is None else old + grown
+                old = get(switch)
+                nxt[switch] = grown if old is None else old + grown
         front = nxt
-    return sorted(front[_EMPTY])
+    return sorted(front[last])
 
 
 def _walk_in_place(diagram, switches, gaps=None):
@@ -284,10 +302,14 @@ def _walk_in_place(diagram, switches, gaps=None):
     A crossing's follow is four item writes and a switch reads the two
     partners for the normality test; a cusp is one ``translate`` and one
     slice insert or delete.  The caller checks the width.  Raises
-    RulingError if a switch index is not an event of the word or the
-    switch set is not a normal ruling.
+    RulingError if a switch index is not an int, is not an event of the
+    word, or the switch set is not a normal ruling.
     """
     steps = diagram.kinds_and_levels
+    switches = list(switches)
+    for idx in switches:
+        if type(idx) is not int:
+            raise RulingError(f"switch index {idx!r} is not an int")
     switches = set(switches)
     for idx in sorted(switches):
         if not 0 <= idx < len(steps):
@@ -311,12 +333,11 @@ def _walk_in_place(diagram, switches, gaps=None):
         elif idx in switches:
             break
         elif kind == LEFT_CUSP:
-            up, _down, born = _cusp_tables(i)
-            pairing = pairing.translate(up)
-            pairing[i:i] = born
+            pairing = pairing.translate(_IDENTITY[:i] + _UP[i:])
+            pairing[i:i] = j, i
         elif pairing[i] == j:
             del pairing[i:j + 1]
-            pairing = pairing.translate(_cusp_tables(i)[1])
+            pairing = pairing.translate(_IDENTITY[:i] + _DOWN[i:])
         else:
             break
         if gaps is not None:

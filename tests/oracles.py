@@ -37,10 +37,24 @@ DP replaced: it follows every branch of the pairing tree, including those
 that die at a later right cusp, and tests normality by comparing
 intervals.
 
+The reference ruling DP is the positional kernel that slot keys
+replaced: a pairing is a ``bytes`` of 0-based partner positions, a
+cusp shifts the partners through a cached ``translate`` table and
+inserts or deletes the cusp's pair, and a crossing's follow conjugates
+the pairing by the transposition.  ``reference_step`` steps one
+pairing, ``reference_advance`` a whole frontier, and
+``reference_frontiers`` runs both sides of the word through it, every
+gap's prefix and suffix frontier with its counts.
+
 The reference single-ruling walk is the generator that the in-place
-walk replaced: it steps one pairing per event through the DP's
-``_step``, as a fresh ``bytes``, and yields it.  Its ``is_ruling``
-turns every RulingError into False, the width limit's included.
+walk replaced: it steps one pairing per event through
+``reference_step``, as a fresh ``bytes``, and yields it.  Its
+``is_ruling`` turns every RulingError into False, the width limit's
+included.
+
+``reference_slot_layout`` replays the slot rule of
+``FrontDiagram.slot_walk`` on its own: the slot at every position at
+every gap, from which a slot key reads as a positional pairing.
 
 The reference segment scan is the loop that ``diagrams._Scan`` ran
 before it took its segment ids from ``segment_steps``: it numbers,
@@ -729,10 +743,152 @@ def reference_enumerate_rulings(diagram):
     return sorted(results)
 
 
-# -- reference single-ruling walk --------------------------------------------
+# -- reference ruling DP and single-ruling walk ---------------------------
 
-from frontcalc.rulings import (_EMPTY, RulingError, _check_width,  # noqa: E402
-                               _step)
+from functools import cache  # noqa: E402
+
+from frontcalc.rulings import (MAX_STRANDS, RulingError,  # noqa: E402
+                               _check_width)
+
+_EMPTY = b""
+_REFERENCE_DEAD = (None, False)
+_MIRROR = {LEFT_CUSP: RIGHT_CUSP, RIGHT_CUSP: LEFT_CUSP, CROSSING: CROSSING}
+
+
+@cache
+def _cusp_tables(i):
+    """Partner translations for a cusp at 0-based level i.
+
+    Returns (up, down, born): ``up`` moves partners at or above i up two
+    (a left cusp), ``down`` moves partners above i + 1 down two (a right
+    cusp), and ``born`` is the paired strands a left cusp inserts.
+    Entries no valid pairing reaches are zero.
+    """
+    up = bytes(range(i)) + bytes(range(i + 2, MAX_STRANDS)) + bytes(2)
+    down = bytes(range(i)) + bytes(2) + bytes(range(i, MAX_STRANDS - 2))
+    return up, down, bytes((i + 1, i))
+
+
+def reference_step(pairing, kind, i):
+    """Successors of ``pairing`` at an event of ``kind`` at 0-based level i.
+
+    Returns (follow, switch): ``follow`` is the pairing after the event
+    without a switch, or None when the ruling dies there; ``switch`` says
+    whether a normal switch is admitted, which keeps ``pairing``.
+    """
+    if kind == CROSSING:
+        a = pairing[i]
+        if a == i + 1:
+            return _REFERENCE_DEAD
+        b = pairing[i + 1]
+        new = bytearray(pairing)
+        new[i] = b
+        new[i + 1] = a
+        new[a] = i + 1
+        new[b] = i
+        # Neither partner is i or i + 1.  Below i, b must nest around a
+        # or lie above i + 1; above i + 1, b must nest inside a.
+        if a < i:
+            return bytes(new), b < a or b > i
+        return bytes(new), i < b < a
+    if kind == LEFT_CUSP:
+        up, _down, born = _cusp_tables(i)
+        shifted = pairing.translate(up)
+        return shifted[:i] + born + shifted[i:], False
+    if pairing[i] != i + 1:
+        return _REFERENCE_DEAD
+    down = _cusp_tables(i)[1]
+    return (pairing[:i] + pairing[i + 2:]).translate(down), False
+
+
+def reference_advance(front, kind, i):
+    """The frontier after an event of ``kind`` at 0-based level i.
+
+    ``front`` maps pairings to counts; each successor's count is the sum
+    of its predecessors' counts, as ``reference_step`` relates them.
+    """
+    if kind == LEFT_CUSP:
+        up, _down, born = _cusp_tables(i)
+        return {(s := p.translate(up))[:i] + born + s[i:]: n
+                for p, n in front.items()}
+    j = i + 1
+    if kind == RIGHT_CUSP:
+        down = _cusp_tables(i)[1]
+        return {(p[:i] + p[i + 2:]).translate(down): n
+                for p, n in front.items() if p[i] == j}
+    # Conjugation is injective, so follows never collide; a kept
+    # pairing may meet one, and joins it after the loop.
+    nxt = {}
+    kept = []
+    for p, n in front.items():
+        a = p[i]
+        if a == j:
+            continue
+        b = p[j]
+        new = bytearray(p)
+        new[i] = b
+        new[j] = a
+        new[a] = j
+        new[b] = i
+        nxt[bytes(new)] = n
+        if (b < a or b > j) if a < i else i < b < a:
+            kept.append(p)
+    get = nxt.get
+    for p in kept:
+        n = front[p]
+        old = get(p)
+        nxt[p] = n if old is None else old + n
+    return nxt
+
+
+def reference_frontiers(diagram):
+    """(prefixes, suffixes): at every gap 0 .. n, the positional
+    pairings some ruling prefix reaches, with the number of prefixes
+    reaching each, and those some ruling suffix leaves, with the number
+    of suffixes leaving each; the suffix side runs the mirror word."""
+    _check_width(max(diagram.strand_counts))
+    steps = diagram.kinds_and_levels
+    prefixes = [{_EMPTY: 1}]
+    for kind, level in steps:
+        prefixes.append(reference_advance(prefixes[-1], kind, level - 1))
+    suffixes = [{_EMPTY: 1}]
+    for kind, level in reversed(steps):
+        suffixes.append(reference_advance(suffixes[-1], _MIRROR[kind],
+                                          level - 1))
+    return prefixes, suffixes[::-1]
+
+
+def reference_slot_layout(diagram):
+    """The slot at every position at every gap 0 .. n, by the rule of
+    ``FrontDiagram.slot_walk``: a left cusp reuses the pair the last
+    right cusp freed, in its order, or opens the next two slots."""
+    layout = [()]
+    stack = []
+    opened = 0
+    for ev in diagram.events:
+        slots = list(layout[-1])
+        i = ev.level - 1
+        if ev.kind == LEFT_CUSP:
+            if stack:
+                pair = stack.pop()
+            else:
+                pair = (opened, opened + 1)
+                opened += 2
+            slots[i:i] = pair
+        elif ev.kind == RIGHT_CUSP:
+            stack.append((slots[i], slots[i + 1]))
+            del slots[i:i + 2]
+        else:
+            slots[i], slots[i + 1] = slots[i + 1], slots[i]
+        layout.append(tuple(slots))
+    return layout
+
+
+def positional(key, slots):
+    """The slot key ``key`` at a gap whose positions hold ``slots``, as
+    a pairing of 0-based partner positions."""
+    where = {s: p for p, s in enumerate(slots)}
+    return bytes(where[key[s]] for s in slots)
 
 
 def reference_walk(diagram, switches):
@@ -752,7 +908,7 @@ def reference_walk(diagram, switches):
     pairing = _EMPTY
     yield pairing
     for idx, (kind, level) in enumerate(steps):
-        follow, switch = _step(pairing, kind, level - 1)
+        follow, switch = reference_step(pairing, kind, level - 1)
         if idx in switches:
             follow = pairing if switch else None
         if follow is None:

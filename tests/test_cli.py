@@ -498,6 +498,39 @@ def test_growing_filmstrip_is_one_error_line(tmp_path):
     assert not (tmp_path / "births.svg").exists()
 
 
+# sha256 of `rulings --list` on the m9_46 3-copy, the widest front the
+# package rules, written before the ruling DP keyed pairings by strand slot
+M9_46_3COPY_RULINGS_SHA256 = (
+    "d0b2ef81b17c141bda6241baab431ea31e30c4d089e8dd9412186b661447bf74")
+
+
+def test_widest_satellite_rulings_are_pinned(capsys, tmp_path):
+    # each command runs in a child with 1 GiB of address space and a
+    # minute of wall time
+    code, out, _ = run(capsys, "satellite", "--pattern", "identity:3",
+                       "catalog:m9_46")
+    assert code == 0
+    path = tmp_path / "m9_46_3copy.front"
+    path.write_text(out, encoding="utf-8")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def rulings(*flags):
+        proc = subprocess.run(
+            [sys.executable, "-m", "frontcalc.cli", "rulings", *flags,
+             str(path)], capture_output=True, env=env, timeout=60,
+            preexec_fn=_cap_address_space)
+        assert proc.returncode == 0 and proc.stderr == b""
+        return proc.stdout
+
+    assert rulings() == b"count: 170\n"
+    listed = rulings("--list")
+    lines = listed.decode().splitlines()
+    assert lines[-1] == "count: 170"
+    assert len(set(lines[:-1])) == len(lines) - 1 == 170
+    assert hashlib.sha256(listed).hexdigest() == M9_46_3COPY_RULINGS_SHA256
+
+
 def test_trace_without_header_is_parse_error(capsys, tmp_path):
     code, out, _ = run(capsys, "search-filling", "catalog:unknot")
     assert code == 0

@@ -5,8 +5,12 @@ two-sided pass that ``count_rulings`` runs.  ``oracles`` keeps the
 recursive walk it replaced, which follows every branch of the pairing
 tree; both must list the same rulings.  The pass reads the suffixes of
 a word as prefixes of its mirror, so a mirrored front must have the
-reflected rulings.  The pass steps whole frontiers through
-``_advance`` and single states through ``_step``; the two must agree.
+reflected rulings.  The pass steps whole frontiers of slot keys through
+``_advance`` and single keys through ``_step``; the two must agree.
+``oracles`` also keeps the positional DP that slot keys replaced: at
+every gap, each side's frontier, read as positional pairings, must be
+that DP's, with the same counts, and a pairing that both sides reach
+must have one key.
 """
 
 import random
@@ -16,15 +20,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from frontcalc import catalog, rulings
-from frontcalc.diagrams import (CROSSING, LEFT_CUSP, RIGHT_CUSP,
-                                FrontDiagram, L, R)
+from frontcalc.diagrams import CROSSING, RIGHT_CUSP, FrontDiagram, L, R
 from frontcalc.moves import random_shuffle
 from frontcalc.rulings import (MAX_STRANDS, RulingError, count_rulings,
                                enumerate_rulings, is_ruling, ruling_pairings)
 from frontcalc.satellites import builtin_pattern, satellite
 
 from helpers import mirror, random_word
-from oracles import reference_enumerate_rulings
+from oracles import (positional, reference_enumerate_rulings,
+                     reference_frontiers, reference_slot_layout)
 
 PROPERTY = settings(derandomize=True, max_examples=150, deadline=None)
 SEEDS = st.integers(min_value=0, max_value=2 ** 32 - 1)
@@ -90,14 +94,14 @@ def three_copy_of_trefoil():
 
 
 def count_work(monkeypatch):
-    """Count the pairings stepped: every state of a frontier passed to
+    """Count the keys stepped: every state of a frontier passed to
     ``_advance`` and every ``_step`` call."""
     work = {"_advance": 0, "_step": 0}
     advance, step = rulings._advance, rulings._step
 
-    def counting_advance(front, kind, i):
+    def counting_advance(front, *event):
         work["_advance"] += len(front)
-        return advance(front, kind, i)
+        return advance(front, *event)
 
     def counting_step(*args):
         work["_step"] += 1
@@ -109,8 +113,8 @@ def count_work(monkeypatch):
 
 
 def test_count_meets_in_the_middle(monkeypatch):
-    """Growing the thinner side keeps the pairings stepped well below
-    the 13,635 of a left-to-right pass over the 3-copy of the trefoil."""
+    """Growing the thinner side keeps the keys stepped well below the
+    13,635 of a left-to-right pass over the 3-copy of the trefoil."""
     d = three_copy_of_trefoil()
     work = count_work(monkeypatch)
     assert count_rulings(d) == 256
@@ -128,26 +132,97 @@ def test_enumeration_steps_each_live_state_once(monkeypatch):
     assert work["_advance"] + work["_step"] <= 4500
 
 
+def gap_events(slots):
+    """Every crossing and right cusp a gap whose positions hold
+    ``slots`` admits, as steps of ``slot_walk``: each level's two slots,
+    top first, with the gap's slot positions."""
+    positions = bytearray(max(slots, default=-1) + 1)
+    for p, s in enumerate(slots):
+        positions[s] = p
+    positions = bytes(positions)
+    return [(kind, i, slots[i], slots[i + 1], positions)
+            for kind in (CROSSING, RIGHT_CUSP)
+            for i in range(len(slots) - 1)]
+
+
+def assert_advance_merges_step(front, event):
+    merged = {}
+    for key, n in front.items():
+        follow, switch = rulings._step(key, *event)
+        if follow is not None:
+            merged[follow] = merged.get(follow, 0) + n
+        if switch is not None:
+            merged[switch] = merged.get(switch, 0) + n
+    assert rulings._advance(front, *event) == merged
+
+
 @PROPERTY
 @given(SEEDS)
 def test_advance_merges_step(seed):
-    """``_advance`` on a frontier is ``_step`` on each of its states,
-    follows and kept pairings merged with their counts summed, for
-    every kind at every level a frontier of the pass admits."""
+    """``_advance`` on a frontier is ``_step`` on each of its keys,
+    follows and switches merged with their counts summed: for every
+    event of the word on both sides, and for every crossing and right
+    cusp at every level a frontier of the pass admits."""
     d = FrontDiagram(random_word(random.Random(seed), max_width=6))
-    for _side, front in rulings._meet(d):
-        width = len(next(iter(front), b""))
-        for kind, levels in ((LEFT_CUSP, width + 1), (RIGHT_CUSP, width - 1),
-                             (CROSSING, width - 1)):
-            for i in range(levels):
-                merged = {}
-                for pairing, n in front.items():
-                    follow, switch = rulings._step(pairing, kind, i)
-                    if follow is not None:
-                        merged[follow] = merged.get(follow, 0) + n
-                    if switch:
-                        merged[pairing] = merged.get(pairing, 0) + n
-                assert rulings._advance(front, kind, i) == merged
+    steps, mirror_steps, _first, _last = d.slot_walk
+    layout = reference_slot_layout(d)
+    gap = [0, len(d.events)]
+    for side, front in rulings._meet(d):
+        for event in steps + mirror_steps:
+            assert_advance_merges_step(front, event)
+        for event in gap_events(layout[gap[side]]):
+            assert_advance_merges_step(front, event)
+        gap[side] += -1 if side else 1
+
+
+def slot_frontiers(d):
+    """Every gap's prefix and suffix frontier of slot keys: the slot
+    kernel run over the whole word from each end."""
+    steps, mirror_steps, first, last = d.slot_walk
+    prefixes = [{first: 1}]
+    for event in steps:
+        prefixes.append(rulings._advance(prefixes[-1], *event))
+    suffixes = [{last: 1}]
+    for event in reversed(mirror_steps):
+        suffixes.append(rulings._advance(suffixes[-1], *event))
+    return prefixes, suffixes[::-1]
+
+
+def assert_slot_keys_match_reference(d):
+    prefixes, suffixes = slot_frontiers(d)
+    want = reference_frontiers(d)
+    layout = reference_slot_layout(d)
+    assert len(prefixes) == len(suffixes) == len(layout) == len(d.events) + 1
+    for gap, slots in enumerate(layout):
+        keys = {}
+        for side, front in enumerate((prefixes[gap], suffixes[gap])):
+            read = {}
+            for key, n in front.items():
+                pairing = positional(key, slots)
+                assert pairing not in read
+                read[pairing] = n
+                # one key per pairing, whichever side reached it
+                assert keys.setdefault(pairing, key) == key
+            assert read == want[side][gap]
+
+
+@PROPERTY
+@given(SEEDS)
+def test_slot_keys_match_the_positional_dp(seed):
+    rng = random.Random(seed)
+    d = FrontDiagram(random_word(rng, max_width=6))
+    shuffled = random_shuffle(d, 40, seed=rng.randrange(1 << 16))
+    for front in (d, shuffled):
+        assert_slot_keys_match_reference(front)
+        assert enumerate_rulings(front) == reference_enumerate_rulings(front)
+
+
+@pytest.mark.parametrize("companion,family,param", SATELLITES)
+def test_satellite_slot_keys_match_the_positional_dp(companion, family,
+                                                     param):
+    pattern = builtin_pattern(family, param)
+    assert_slot_keys_match_reference(
+        satellite(catalog.get(companion).diagram, pattern).diagram)
 
 
 @pytest.fixture

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from frontcalc.diagrams import FrontDiagram, L, R, X
+from frontcalc.diagrams import CROSSING, FrontDiagram, L, R, X
 from frontcalc.moves import random_shuffle, stabilize
 from frontcalc.rulings import (
     CrossingStrandsPaired, RulingError, count_rulings, enumerate_rulings,
@@ -11,6 +11,7 @@ from frontcalc.rulings import (
 )
 
 from helpers import random_diagram
+from oracles import reference_step
 
 UNKNOT = FrontDiagram([L(1), R(1)])
 TREFOIL = FrontDiagram([L(1), L(3), X(2), X(2), X(2), R(1), R(1)])
@@ -81,6 +82,48 @@ def test_switch_on_paired_strands_raises():
 def test_switch_level_out_of_range_rejected(pairing, level):
     with pytest.raises(RulingError, match=f"switch level {level} is out of"):
         is_normal_switch(pairing, level)
+
+
+@pytest.mark.parametrize("pairing, level", [
+    ((1, 1, 3, 2), 2), ((5, 0), 1), ((-1, 0, 3, 2), 1), ((300, 0, 3, 2), 1)])
+def test_switch_on_a_non_pairing_rejected(pairing, level):
+    with pytest.raises(RulingError, match="not a fixed-point-free involution"):
+        is_normal_switch(pairing, level)
+
+
+def all_pairings(n):
+    """Every fixed-point-free involution of range(n), as tuples."""
+    if n == 0:
+        yield ()
+        return
+    for mate in range(1, n):
+        rest = [k for k in range(1, n) if k != mate]
+        for sub in all_pairings(n - 2):
+            pairing = [0] * n
+            pairing[0], pairing[mate] = mate, 0
+            for k, s in enumerate(sub):
+                pairing[rest[k]] = rest[s]
+            yield tuple(pairing)
+
+
+def test_normal_switch_matches_reference_step():
+    """The positional test agrees with the reference DP's crossing step
+    at every level of every pairing of up to 8 strands."""
+    for n in (2, 4, 6, 8):
+        for pairing in all_pairings(n):
+            for level in range(1, n):
+                if pairing[level - 1] == level:
+                    continue
+                _follow, switch = reference_step(bytes(pairing), CROSSING,
+                                                 level - 1)
+                assert is_normal_switch(pairing, level) == switch
+
+
+def test_switch_indices_must_be_ints():
+    assert not is_ruling(TREFOIL, ["2"])
+    assert not is_ruling(TREFOIL, [2, 3, True])
+    with pytest.raises(RulingError, match="switch index 2.0 is not an int"):
+        ruling_pairings(TREFOIL, [2.0])
 
 
 def test_switch_on_a_wide_pairing_is_a_width_error():
