@@ -7,7 +7,8 @@ domain error (invalid move, no filling, failed check) or standard output
 closed by its reader, 2 parse error.  Input too large to handle
 (``ScanTooLarge``) follows the same rule: exit 2 while input is parsed
 (a front or trace file, a pattern spec), exit 1 once it is (a satellite
-too large to build, a trace too large to replay).
+too large to build, a trace too large to replay, a shuffle whose word
+grows too large to scan).
 """
 
 from __future__ import annotations

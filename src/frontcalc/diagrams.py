@@ -23,14 +23,18 @@ orientation symbols are derived on first use; the symbol '+' directs the
 top strand of a component's first left cusp rightward, and a component's
 symbol is read off that cusp's entry.
 
-One iterative walk of the cusp graph, whose nodes are segments and whose
-edges are cusps, gives every segment its component, numbered by least
+One walk of the cusp graph, whose nodes are segments and whose edges
+are cusps, gives every segment its component, numbered by least
 segment, and a side: +1 at the component's least segment, flipping
-across every cusp.  A segment's direction has one formula: its side,
-negated on a '-' component.  It sets the entries from the symbols, and
-re-signing a diagram with other symbols reuses the walk.  The same walk
-counts a pattern's closed curves and tests whether a surgery
-presentation is a tree.
+across every cusp.  Every segment runs from a left cusp to a right
+cusp, so the graph is a union of cycles, and ``cusp_walk`` follows
+each cycle with no adjacency lists: a segment's mate at its left cusp
+is ``s ^ 1`` and its mate at its right cusp is read from one list.  A
+segment's direction has one formula: its side, negated on a '-'
+component.  It sets the entries from the symbols, and re-signing a
+diagram with other symbols reuses the walk.  ``connected_components``,
+the same labels and sides on any graph, counts a pattern's closed
+curves and tests whether a surgery presentation is a tree.
 
 ``FrontDiagram(events, orientations)`` is the validating constructor, for
 input from outside the package (text files, the catalog, the CLI): it takes
@@ -45,7 +49,10 @@ scan's check and ``segment_steps`` among them), in ``kinds_and_levels``,
 the decoded word the single-ruling walk reads, in ``slot_walk``, the
 strand slots the ruling DP keys its pairings by, and in
 ``levels_and_kinds``, which decodes a word lazily for the pinch search's
-pass for sites.
+pass for sites.  ``slot_walk`` moves the positions of the slots below a
+cusp with one ``bytearray.translate`` by that level's table in
+``_SHIFT_UP`` or ``_SHIFT_DOWN``, built on first use; the single-ruling
+walk moves its partners with the same tables.
 Events are interned: every event the package builds comes from
 ``event(kind, level)`` (or ``L``, ``R``, ``X``, ``Event.parse``), a
 bounded cache of at most ``_INTERNED_MAX`` validated events, so a rewrite
@@ -79,6 +86,7 @@ from __future__ import annotations
 from dataclasses import FrozenInstanceError
 from functools import cached_property, lru_cache
 from itertools import repeat
+from operator import attrgetter
 
 LEFT_CUSP = "L"
 RIGHT_CUSP = "R"
@@ -280,6 +288,40 @@ class _Scan:
                 if kind == _CROSS}
 
 
+class _Table(dict):
+    """A dict that fills a missing entry from ``fill(key)`` on first read.
+
+    It holds at most ``LIMIT`` entries: a miss that finds it full clears
+    it first, so a hit stays a plain dict lookup.  The rule tables'
+    steady state is a few thousand entries.
+    """
+
+    LIMIT = 1 << 16
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        if len(self) >= self.LIMIT:
+            self.clear()
+        value = self[key] = self.fill(key)
+        return value
+
+
+# Byte translations for position and partner arrays at a cusp at 0-based
+# level i: ``_SHIFT_UP[i]`` adds two to every byte at or above i, the
+# strands a left cusp there moves down, and ``_SHIFT_DOWN[i]`` takes two
+# from every byte at or above i, the strands below a right cusp there.
+# Bytes that no valid array reaches map to zero.  Each level's table is
+# sliced from these three on first use.
+_IDENTITY = bytes(range(256))
+_UP = bytes(range(2, 256)) + bytes(2)
+_DOWN = bytes(2) + bytes(range(254))
+_SHIFT_UP = _Table(lambda i: _IDENTITY[:i] + _UP[i:])
+_SHIFT_DOWN = _Table(lambda i: _IDENTITY[:i] + _DOWN[i:])
+
+
 def _too_wide(events, strands):
     """Refuse the scan of ``events`` once it reaches ``strands`` strands."""
     raise ScanTooLarge(f"a word of {len(events)} events at {strands} strands",
@@ -336,10 +378,9 @@ def connected_components(n, pairs):
 
     One iterative walk from each node not yet reached, in node order, so
     components are numbered by their least node.  The side is +1 at that
-    node and flips across every edge walked.  On the cusp graph of a
-    diagram, whose edges are the cusps, the two segments of a cusp run
-    opposite ways and every component has an even number of cusps, so a
-    segment's side is its direction when its component is oriented '+'.
+    node and flips across every edge walked.  It serves graphs that need
+    not be unions of cycles, a pattern's closure and a surgery
+    presentation; a diagram's cusp graph is walked by ``cusp_walk``.
     """
     adj = [[] for _ in range(n)]
     for a, b in pairs:
@@ -517,11 +558,14 @@ class FrontDiagram:
         ``(kind, 0-based level, top, bottom, positions)`` per event: the
         slots of the two strands it touches, top first before it, and
         at a crossing the position of every slot before it, as
-        ``bytes`` (None at a cusp).  ``mirror`` has the same event as the mirror word reads
-        it, right to left: a left cusp as a right cusp and back, and a
-        crossing's slots after the swap.  ``first`` holds each slot's
-        mate in its first pair, ``s ^ 1``, and ``last`` its mate at its
-        last right cusp.  At most 256 strands: the positions are bytes.
+        ``bytes`` (None at a cusp); the entries of dead slots are not
+        meaningful.  A cusp moves the positions below it with one
+        ``translate`` by its level's table.  ``mirror`` has the same
+        event as the mirror word reads it, right to left: a left cusp as
+        a right cusp and back, and a crossing's slots after the swap.
+        ``first`` holds each slot's mate in its first pair, ``s ^ 1``,
+        and ``last`` its mate at its last right cusp.  At most 256
+        strands: the positions are bytes.
         """
         width = max(self.strand_counts)
         slots = []                    # the slot at each position
@@ -546,16 +590,17 @@ class FrontDiagram:
                 top, bottom = freed.pop() if freed else (len(slots),
                                                          len(slots) + 1)
                 slots[i:i] = top, bottom
+                positions = positions.translate(_SHIFT_UP[i])
+                positions[top], positions[bottom] = i, i + 1
             else:
                 top, bottom = slots[i], slots[i + 1]
                 del slots[i:i + 2]
                 freed.append((top, bottom))
                 mates[top], mates[bottom] = bottom, top
+                positions = positions.translate(_SHIFT_DOWN[i])
             # the mirror swaps the cusp kinds, _LEFT 0 and _RIGHT 1
             steps.append((_KINDS[kind], i, top, bottom, None))
             mirror.append((_KINDS[1 - kind], i, top, bottom, None))
-            for p in range(i, len(slots)):
-                positions[slots[p]] = p
         return tuple(steps), tuple(mirror), first, bytes(mates)
 
     @cached_property
@@ -719,12 +764,43 @@ class FrontDiagram:
 
 
 def cusp_walk(touched):
-    """``connected_components`` of the cusp graph of a word entered with
-    no strands, from what its events touch: (component, side) of every
-    segment.  Its segments are those its cusps touch, two per cusp."""
-    cusps = [(top, bottom) for kind, _i, top, bottom in touched
-             if kind != _CROSS]
-    return connected_components(len(cusps), cusps)
+    """(component, side) of every segment of a word entered with no
+    strands, from what its events touch: ``connected_components`` of its
+    cusp graph, whose nodes are segments and whose edges are cusps, as
+    one walk along each cycle.
+
+    Every segment runs from a left cusp to a right cusp, so the graph is
+    a union of cycles that alternate the two.  ``segment_steps`` opens a
+    left cusp's segments as a pair 2k, 2k + 1, so a segment's mate at
+    its left cusp is ``s ^ 1``; its mate at its right cusp is read from
+    one list.  A cycle is walked from its least segment, which is even,
+    and its sides alternate along it.  The two segments of a cusp run
+    opposite ways, so a segment's side is its direction when its
+    component is oriented '+'.
+    """
+    rights = [(top, bottom) for kind, _i, top, bottom in touched
+              if kind == _RIGHT]
+    n = 2 * len(rights)
+    end = [0] * n         # each segment's mate at its right cusp
+    for top, bottom in rights:
+        end[top] = bottom
+        end[bottom] = top
+    label = [-1] * n
+    side = [1] * n        # each segment is reached once, as s or as s ^ 1
+    count = 0
+    for first in range(0, n, 2):
+        if label[first] >= 0:
+            continue
+        s = first
+        while True:
+            t = s ^ 1
+            label[s] = label[t] = count
+            side[t] = -1
+            s = end[t]
+            if s == first:
+                break
+        count += 1
+    return tuple(label), tuple(side)
 
 
 def per_component(touched, label, n, directions):
@@ -793,10 +869,12 @@ def components(diagram):
 # -- text format ----------------------------------------------------------
 
 FORMAT_HEADER = "frontdiagram v1"
+# An event's token, ``str(event)``, read without a Python call.
+_event_text = attrgetter("_text")
 
 
 def to_text(diagram):
-    word = " ".join(str(e) for e in diagram.events)
+    word = " ".join(map(_event_text, diagram.events))
     orient = " ".join(diagram.orientations)
     return f"{FORMAT_HEADER}\n{word}\norient:{' ' + orient if orient else ''}\n"
 

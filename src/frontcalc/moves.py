@@ -18,15 +18,20 @@ only appear and disappear next to cusps.
 One kernel, ``_rewritten(events, directions, counts, kind, index, level,
 variant)``, matches a rewrite's pattern at its site and returns the splice
 that applies it, ``(start, stop, new_events, new_directions)``, or None on
-a miss.  Patterns of two and three events are matched in two rule tables
-only: ``_SWAPS`` holds each event pair's commute and ``_TRIPLES`` each
-event triple's removal, pull or triple-point rewrite, with the inverse's
-level and variant.  ``_rewritten``, ``inverse``, ``applicable_rewrites``
-and the reduction in ``cobordism`` all read them.  The kernel reads a
-word, its direction entries and its strand counts, as tuples or lists,
-and costs time in the window only.  A splice is applied in one of two
-ways, which share the window's strand-count step
-(``diagrams.window_counts``):
+a miss.  It checks the site's range and the variant, then calls the
+kind's matcher in ``_MATCH``, a tuple with one matcher per kind in
+``KINDS`` order; ``random_shuffle``, whose draws are always in range,
+calls ``_MATCH`` with the kind index it drew.  Patterns of two and three
+events are matched in two rule tables only: ``_SWAPS`` holds each event
+pair's commute and ``_TRIPLES`` each event triple's removal, pull or
+triple-point rewrite, with the inverse's level and variant.  The
+matchers, ``inverse``, ``applicable_rewrites`` and the reduction in
+``cobordism`` all read them.  The events a fish or a push writes come
+from two more tables, ``_FISH`` by (level, variant) and ``_PUSH`` by
+(cusp, strand count, variant).  The kernel reads a word, its direction
+entries and its strand counts, as tuples or lists, and costs time in
+the window only.  A splice is applied in one of two ways, which share
+the window's strand-count step (``diagrams.window_counts``):
 
 * ``apply_rewrite`` builds the new diagram with ``FrontDiagram._edited``,
   which copies the parent's tuples, so each call costs time linear in the
@@ -35,6 +40,7 @@ ways, which share the window's strand-count step
 * ``random_shuffle`` splices each hit into three lists in place and builds
   one diagram when the walk ends, so a hit costs time in its window and a
   list shift.  A missed draw costs neither a ``Rewrite`` nor an exception.
+  A walk whose word outgrows the scan limit raises ScanTooLarge.
 
 The walk's draws cost one ``getrandbits`` call each (rarely more):
 ``_drawer(seed)`` returns ``below(n)``, a copy of CPython's
@@ -53,8 +59,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from . import diagrams
 from .diagrams import (CROSSING, LEFT_CUSP, RIGHT_CUSP, DiagramError, L, R, X,
-                       event, strand_direction, window_counts)
+                       _Table, _too_wide, event, strand_direction,
+                       window_counts)
 
 
 class InapplicableRewrite(DiagramError):
@@ -123,6 +131,13 @@ def _push_replacement(events, counts, j, variant):
     return None
 
 
+def _push_tuple(cusp, count, variant):
+    """``_push_replacement`` of a lone cusp entered with ``count`` strands,
+    as a tuple, or None."""
+    rep = _push_replacement((cusp,), (count,), 0, variant)
+    return None if rep is None else tuple(rep)
+
+
 def _commute_pair(a, b):
     """Swapped pair (b', a') for adjacent events a, b, or None.
 
@@ -165,27 +180,6 @@ def _commute_pair(a, b):
     return (event(b.kind, nb), event(a.kind, na))
 
 
-class _Table(dict):
-    """A dict that fills a missing entry from ``fill(key)`` on first read.
-
-    It holds at most ``LIMIT`` entries: a miss that finds it full clears
-    it first, so a hit stays a plain dict lookup.  The rule tables'
-    steady state is a few thousand entries.
-    """
-
-    LIMIT = 1 << 16
-
-    def __init__(self, fill):
-        super().__init__()
-        self.fill = fill
-
-    def __missing__(self, key):
-        if len(self) >= self.LIMIT:
-            self.clear()
-        value = self[key] = self.fill(key)
-        return value
-
-
 def _triple_rule(a, b, c):
     """The rewrite that removes or rearranges events a, b, c, or None.
 
@@ -222,6 +216,11 @@ _SWAPS = _Table(lambda pair: _commute_pair(*pair))
 # Event triple -> its ``_triple_rule`` or None: the table of every
 # three-event rewrite, read wherever one is matched.
 _TRIPLES = _Table(lambda triple: _triple_rule(*triple))
+# (level, variant) -> the fish ``_fish_word`` grows, as a tuple.
+_FISH = _Table(lambda key: tuple(_fish_word(*key)))
+# (cusp, strand count before it, variant) -> the ``_push_replacement``
+# of that cusp, as a tuple, or None.
+_PUSH = _Table(lambda key: _push_tuple(*key))
 
 
 # -- public operations -----------------------------------------------------
@@ -247,6 +246,57 @@ def _push_directions(events, directions, j, variant):
     return ((-t, s), (t, s), (t, -t))
 
 
+def _match_commute(events, directions, counts, j, level, variant):
+    if j >= len(events) - 1:
+        return None
+    pair = _SWAPS[events[j], events[j + 1]]
+    if pair is None:
+        return None
+    return j, j + 2, pair, (directions[j + 1], directions[j])
+
+
+def _match_insert(events, directions, counts, j, level, variant):
+    if not 1 <= level <= counts[j]:
+        return None
+    d = strand_direction(events, directions, j, level)
+    if variant == "below":
+        dirs = ((d, -d), (d, d), (d, -d))
+    else:
+        dirs = ((-d, d), (d, d), (-d, d))
+    return j, j, _FISH[level, variant], dirs
+
+
+def _match_push(events, directions, counts, j, level, variant):
+    if j >= len(events):
+        return None
+    rep = _PUSH[events[j], counts[j], variant]
+    if rep is None:
+        return None
+    return j, j + 1, rep, _push_directions(events, directions, j, variant)
+
+
+def _triple_matcher(kind):
+    """The matcher of ``kind``, one of the three-event rewrites: a hit
+    is a ``_TRIPLES`` rule of that kind."""
+    def match(events, directions, counts, j, level, variant):
+        if j + 3 > len(events):
+            return None
+        rule = _TRIPLES[events[j], events[j + 1], events[j + 2]]
+        if rule is None or rule[0] != kind:
+            return None
+        return j, j + 3, rule[1], [directions[j + k] for k in rule[2]]
+    return match
+
+
+# One matcher per kind, in ``KINDS`` order:
+# ``match(events, directions, counts, j, level, variant)`` is the splice
+# of ``_rewritten`` for a site 0 <= j <= len(events) and a variant the
+# kind takes.
+_MATCH = (_match_commute, _match_insert, _triple_matcher("r1_remove"),
+          _match_push, _triple_matcher("r2_pull"),
+          _triple_matcher("r3_triple"))
+
+
 def _rewritten(events, directions, counts, kind, j, level, variant):
     """The splice ``(start, stop, new_events, new_directions)`` that
     applies the rewrite (kind, j, level, variant) to a word, or None when
@@ -258,38 +308,10 @@ def _rewritten(events, directions, counts, kind, j, level, variant):
     entries, and preserves orientations.  A variant the kind does not
     take is a miss.
     """
-    n = len(events)
-    if not 0 <= j <= n or variant not in _VARIANTS.get(kind, ()):
+    if not 0 <= j <= len(events) or variant not in _VARIANTS.get(kind, ()):
         return None
-    if kind == "commute":
-        if j >= n - 1:
-            return None
-        pair = _SWAPS[events[j], events[j + 1]]
-        if pair is None:
-            return None
-        return j, j + 2, pair, (directions[j + 1], directions[j])
-    if kind == "r1_insert":
-        if not 1 <= level <= counts[j]:
-            return None
-        d = strand_direction(events, directions, j, level)
-        if variant == "below":
-            dirs = ((d, -d), (d, d), (d, -d))
-        else:
-            dirs = ((-d, d), (d, d), (-d, d))
-        return j, j, _fish_word(level, variant), dirs
-    if kind == "r2_push":
-        rep = _push_replacement(events, counts, j, variant)
-        if rep is None:
-            return None
-        return j, j + 1, rep, _push_directions(events, directions, j, variant)
-    # kind is r1_remove, r2_pull or r3_triple
-    if j + 3 > n:
-        return None
-    rule = _TRIPLES[events[j], events[j + 1], events[j + 2]]
-    if rule is None or rule[0] != kind:
-        return None
-    _kind, new_events, kept, _inverse = rule
-    return j, j + 3, new_events, [directions[j + k] for k in kept]
+    return _MATCH[KINDS.index(kind)](events, directions, counts, j, level,
+                                     variant)
 
 
 def _miss_reason(diagram, rw):
@@ -406,19 +428,29 @@ def random_shuffle(diagram, steps, seed):
 
     The walk splices each hit into lists of the word, its direction
     entries and its strand counts, and builds one diagram at the end; a
-    walk with no hit returns ``diagram`` itself.
+    walk with no hit returns ``diagram`` itself.  Each draw's kind index
+    picks its matcher in ``_MATCH``: the draws are always in range.
+
+    Raises ScanTooLarge once the word's scan, (events + 1) times its
+    widest strand count, would pass ``diagrams.MAX_SCAN_CELLS``, the
+    limit of every scan: a hit that grows the word is tested, and the
+    word the walk ends with.
     """
     below = _drawer(seed)
     n_kinds = len(KINDS)
+    insert, push = KINDS.index("r1_insert"), KINDS.index("r2_push")
+    limit = diagrams.MAX_SCAN_CELLS
     events = list(diagram.events)
     dirs = list(diagram.directions)
     counts = list(diagram.strand_counts)
+    # at least the widest count that a hit growing the word has written
+    widest = max(counts)
     hit = False
     for _ in range(steps):
         n = len(events)
-        kind = KINDS[below(n_kinds)]
+        k = below(n_kinds)
         level, variant = 0, ""
-        if kind == "r1_insert":
+        if k == insert:
             j = below(n + 1)
             m = counts[j]
             if m == 0:
@@ -429,17 +461,30 @@ def random_shuffle(diagram, steps, seed):
             continue
         else:
             j = below(n)
-            if kind == "r2_push":
+            if k == push:
                 variant = ("down", "up")[below(2)]
-        splice = _rewritten(events, dirs, counts, kind, j, level, variant)
-        if splice is not None:
-            start, stop, new_events, new_dirs = splice
-            counts[start:stop + 1] = window_counts(counts[start], new_events)
-            events[start:stop] = new_events
-            dirs[start:stop] = new_dirs
-            hit = True
+        splice = _MATCH[k](events, dirs, counts, j, level, variant)
+        if splice is None:
+            continue
+        start, stop, new_events, new_dirs = splice
+        m = counts[start]
+        counts[start:stop + 1] = window_counts(m, new_events)
+        events[start:stop] = new_events
+        dirs[start:stop] = new_dirs
+        hit = True
+        if len(new_events) > stop - start:
+            # a window's counts reach at most two above its first
+            if m + 2 > widest:
+                widest = m + 2
+            if (len(events) + 1) * widest > limit:
+                widest = max(counts)
+                if (len(events) + 1) * widest > limit:
+                    _too_wide(events, widest)
     if not hit:
         return diagram
+    # a hit that keeps the word's length can widen it too
+    if (len(events) + 1) * max(counts) > limit:
+        _too_wide(events, max(counts))
     # the whole word is the window
     return diagram._edited(0, len(diagram.events), events, dirs)
 

@@ -16,7 +16,7 @@ cusps, drawn as one polyline.  The frame takes its segments from one
 ``diagrams.segment_steps`` walk of the word, the package's one segment
 numbering, which says which segment sits at each strand position at
 each gap.  Each segment is colored by its component, numbered by least
-segment in one ``diagrams.connected_components`` walk of the cusps met.
+segment in one ``diagrams.cusp_walk`` of the steps met.
 
 A filmstrip draws one point per strand at every gap of every stage, so
 ``CobordismTrace.replay`` refuses it with ScanTooLarge once those points
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from itertools import zip_longest
 
-from .diagrams import _CROSS, _LEFT, connected_components, segment_steps
+from .diagrams import _CROSS, _LEFT, cusp_walk, segment_steps
 from .rulings import ruling_pairings
 
 X0 = 30.0
@@ -88,15 +88,18 @@ def _front_group(grid, diagram, ruling=None):
     the point lists of those segments.  A left cusp opens the lists of
     its two segments at its tip, top first; a right cusp puts its tip on
     the two it closes; a crossing records its upper segment.  Segments
-    are colored by their component in the walk of the cusp pairs met.
+    are colored by their component in ``diagrams.cusp_walk`` of the
+    steps met.
     """
     x, y, tips = grid.x, grid.y, grid.tips
     points = []             # point lists, by segment
-    cusps = []              # (top, bottom) segment of every cusp
+    touched = []            # the walk's steps, for ``cusp_walk``
     crossings = []          # (event index, 0-based level, upper segment)
     walk, segments = segment_steps(diagram.events)
     steps = zip(walk, grid.gaps)
-    for idx, ((kind, i, top, bottom), col) in enumerate(steps):
+    for idx, (step, col) in enumerate(steps):
+        touched.append(step)
+        kind, i, top, bottom = step
         for s, pt in zip(segments, col):
             points[s].append(pt)
         if kind == _CROSS:
@@ -110,8 +113,7 @@ def _front_group(grid, diagram, ruling=None):
         else:
             points[top].append(tip)
             points[bottom].append(tip)
-        cusps.append((top, bottom))
-    comp = connected_components(len(points), cusps)[0]
+    comp = cusp_walk(touched)[0]
     out = []
     if ruling is not None:
         for g, pairing in enumerate(ruling_pairings(diagram, ruling)):

@@ -62,14 +62,16 @@ The mirror reads each event as ``slot_walk`` mirrors it.
 
 The pass steps a whole frontier at a time through ``_advance``, which
 maps a dict of key -> count to the next gap's; counts combine through
-``+`` only.  A single key steps through ``_step``, its successors at
-one event, which the emission uses.  ``is_ruling`` and
-``ruling_pairings`` follow one switch set through ``_walk_in_place``,
-by position, on a single partner ``bytearray`` edited in place: a
-crossing's follow is four item writes, a switch reads two partners for
-the normality test, and a cusp is one ``translate`` and one slice
-insert or delete.  ``ruling_pairings`` takes a tuple at every gap;
-``is_ruling`` takes none.  The crossing rule is written out four
+``+`` only.  ``_meet`` does not step a left cusp at all, on either
+side: it yields the frontier it has again.  A single key steps through
+``_step``, its successors at one event, which the emission uses.
+``is_ruling`` and ``ruling_pairings`` follow one switch set through
+``_walk_in_place``, by position, on a single partner ``bytearray``
+edited in place: a crossing's follow is four item writes, a switch
+reads two partners for the normality test, and a cusp is one
+``translate``, by the level's table that ``slot_walk`` also reads, and
+one slice insert or delete.  ``ruling_pairings`` takes a tuple at every
+gap; ``is_ruling`` takes none.  The crossing rule is written out four
 times, since each loop inlines it: on slots in ``_advance`` and
 ``_step``, on positions in ``_walk_in_place`` and ``is_normal_switch``.
 The tests hold the slot pass equal to a positional DP, frontier by
@@ -79,17 +81,11 @@ step.
 
 from __future__ import annotations
 
-from .diagrams import CROSSING, LEFT_CUSP, RIGHT_CUSP, DiagramError
+from .diagrams import (CROSSING, LEFT_CUSP, RIGHT_CUSP, DiagramError,
+                       _SHIFT_DOWN, _SHIFT_UP)
 
 MAX_STRANDS = 256
 _DEAD = (None, None)
-# Partner translations for the single-ruling walk's cusps: at level i
-# the table ``_IDENTITY[:i] + _UP[i:]`` moves partners at or above i up
-# two, and ``_IDENTITY[:i] + _DOWN[i:]`` moves partners above i + 1 down
-# two.  Entries no valid pairing reaches are zero.
-_IDENTITY = bytes(range(MAX_STRANDS))
-_UP = bytes(range(2, MAX_STRANDS)) + bytes(2)
-_DOWN = bytes(2) + bytes(range(MAX_STRANDS - 2))
 
 
 class RulingError(DiagramError):
@@ -231,6 +227,10 @@ def _meet(diagram):
         else:
             step = steps[lo]
             lo += 1
+        if step[0] == LEFT_CUSP:
+            # its slots already hold the born pair: every key stays
+            yield side, fronts[side]
+            continue
         nxt = fronts[side] = _advance(fronts[side], *step)
         yield side, nxt
         if not nxt:
@@ -333,11 +333,11 @@ def _walk_in_place(diagram, switches, gaps=None):
         elif idx in switches:
             break
         elif kind == LEFT_CUSP:
-            pairing = pairing.translate(_IDENTITY[:i] + _UP[i:])
+            pairing = pairing.translate(_SHIFT_UP[i])
             pairing[i:i] = j, i
         elif pairing[i] == j:
             del pairing[i:j + 1]
-            pairing = pairing.translate(_IDENTITY[:i] + _DOWN[i:])
+            pairing = pairing.translate(_SHIFT_DOWN[i])
         else:
             break
         if gaps is not None:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from frontcalc import catalog, cli
+from frontcalc import catalog, cli, diagrams
 from frontcalc.cobordism import check_trace, trace_from_text, _pinch_sites
 from frontcalc.diagrams import from_text, to_text
 from frontcalc.moves import random_shuffle
@@ -120,6 +120,18 @@ def test_shuffle_is_seed_deterministic(capsys):
                         "catalog:trefoil")
     assert code == 0
     assert out1 != out3
+
+
+def test_shuffle_too_large_to_scan_is_one_error_line(capsys, monkeypatch):
+    # the walk is refused once its word passes the scan limit, rather
+    # than written out for ``invariants`` to refuse
+    monkeypatch.setattr(diagrams, "MAX_SCAN_CELLS", 1000)
+    code, out, err = run(capsys, "shuffle", "--steps", "2000", "--seed",
+                         "1", "catalog:unknot")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: a word of ")
+    assert err.endswith("over the limit of 1000\n")
+    assert err.count("\n") == 1
 
 
 def test_shuffle_env_seed(capsys, monkeypatch):

@@ -13,13 +13,16 @@ from hypothesis import given, settings, strategies as st
 
 from frontcalc.cobordism import (SurgeryPresentation, is_tree, pinch,
                                  surgery)
-from frontcalc.diagrams import FrontDiagram, L, R, X
+from frontcalc.diagrams import (_CROSS, FrontDiagram, L, R, X,
+                                connected_components, cusp_walk,
+                                segment_steps)
 from frontcalc.moves import random_shuffle
 from frontcalc.satellites import (PatternFront, _k_copy_events,
                                   builtin_pattern, k_copy, satellite)
 
 from helpers import random_tree_presentation, random_word
-from oracles import (reference_closure_cycles, reference_directions,
+from oracles import (reference_closure_cycles,
+                     reference_connected_components, reference_directions,
                      reference_inherit_orientations, reference_is_tree,
                      reference_labels, reference_orientations,
                      reference_segment_direction)
@@ -76,6 +79,40 @@ def assert_walk_matches_reference(d):
             assert side[seg] == 1
         sign = 1 if d.orientations[c] == "+" else -1
         assert d.segment_direction[seg] == sign * side[seg]
+
+
+def assert_cycles_match_reference(events):
+    """``cusp_walk``, which follows the cusp graph's cycles, labels the
+    segments as the union-find does and gives the sides of the search
+    that walks any graph."""
+    touched = list(segment_steps(events)[0])
+    cusps = [(top, bottom) for kind, _i, top, bottom in touched
+             if kind != _CROSS]
+    label, side = cusp_walk(touched)
+    assert label == reference_connected_components(len(cusps), cusps)
+    assert (label, side) == connected_components(len(cusps), cusps)
+
+
+def test_cycles_of_the_empty_word_and_an_eye():
+    assert cusp_walk([]) == ((), ())
+    # a lone eye's cycle has two edges, both between segments 0 and 1
+    assert cusp_walk(list(segment_steps([L(1), R(1)])[0])) == ((0, 0),
+                                                               (1, -1))
+    for events in ([], [L(1), R(1)], [L(1), L(1), R(3), R(1)],
+                   [L(1), L(3), X(2), X(2), X(2), R(1), R(1)]):
+        assert_cycles_match_reference(events)
+
+
+@PROPERTY
+@given(SEEDS)
+def test_cycles_match_reference(seed):
+    rng = random.Random(seed)
+    d = oriented_diagram(rng)
+    assert_cycles_match_reference(d.events)
+    assert_cycles_match_reference(random_shuffle(d, 200, seed).events)
+    if d.n_components == 1:
+        pattern = rng.choice(PATTERNS + [random_pattern(rng, 2, 6)])
+        assert_cycles_match_reference(satellite(d, pattern).diagram.events)
 
 
 @PROPERTY

@@ -1,22 +1,25 @@
 import hashlib
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from frontcalc import catalog
-from frontcalc.diagrams import FrontDiagram, L, R, X, event, to_text
+from frontcalc import catalog, diagrams, moves
+from frontcalc.diagrams import (FrontDiagram, L, R, ScanTooLarge, X, event,
+                                from_text, to_text)
 from frontcalc.moves import (
-    _SWAPS, _TRIPLES, _VARIANTS, KINDS, InapplicableRewrite, Rewrite,
-    _commute_pair, _drawer, _Table, applicable_rewrites, apply_rewrite,
-    inverse, random_shuffle, stabilize,
+    _FISH, _MATCH, _PUSH, _SWAPS, _TRIPLES, _VARIANTS, KINDS,
+    InapplicableRewrite, Rewrite, _commute_pair, _drawer, _fish_word,
+    _push_replacement, _rewritten, _Table, applicable_rewrites,
+    apply_rewrite, inverse, random_shuffle, stabilize,
 )
 from frontcalc.rulings import count_rulings
 
 from helpers import random_diagram, random_word
 from oracles import (reference_match_fish, reference_match_pull,
-                     reference_match_r3, reference_rewrite)
+                     reference_match_r3, reference_rewrite, reference_shuffle)
 
 EMPTY = FrontDiagram([])
 UNKNOT = FrontDiagram([L(1), R(1)])
@@ -236,6 +239,122 @@ def test_inverse_raises_iff_apply_rewrite_raises(seed):
         assert back == d, str(rw)
         assert back.strand_counts == d.strand_counts
         assert back.orientations == d.orientations
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_matchers_are_the_kernel_and_the_reference(seed):
+    """Every site, level and variant of every kind, hits and misses
+    alike: ``_MATCH[k]``, which the walk calls with its kind index, gives
+    the splice that ``_rewritten`` gives, a hit splices in what
+    ``reference_rewrite`` writes, and a miss is what it refuses."""
+    rng = random.Random(seed)
+    events = random_word(rng, max_width=6, max_events=10)
+    n = FrontDiagram(events).n_components
+    d = FrontDiagram(events, [rng.choice("+-") for _ in range(n)])
+    word, dirs, counts = d.events, d.directions, d.strand_counts
+    for k, kind in enumerate(KINDS):
+        levels = range(max(counts) + 2) if kind == "r1_insert" else (0,)
+        for j in range(len(word) + 1):
+            for level in levels:
+                for variant in _VARIANTS[kind]:
+                    splice = _MATCH[k](word, dirs, counts, j, level, variant)
+                    assert splice == _rewritten(word, dirs, counts, kind, j,
+                                                level, variant)
+                    rw = Rewrite(kind, j, level, variant)
+                    if splice is None:
+                        with pytest.raises(InapplicableRewrite):
+                            reference_rewrite(d, rw)
+                        continue
+                    got = d._edited(*splice)
+                    want = reference_rewrite(d, rw)
+                    assert got.events == want.events, str(rw)
+                    assert got.directions == want.directions, str(rw)
+
+
+def test_fish_and_push_tables_are_their_builders():
+    for level in range(1, 8):
+        for variant in _VARIANTS["r1_insert"]:
+            assert _FISH[level, variant] == tuple(_fish_word(level, variant))
+    rng = random.Random(16)
+    for _ in range(40):
+        d = random_diagram(rng)
+        word, counts = d.events, d.strand_counts
+        for j, ev in enumerate(word):
+            for variant in _VARIANTS["r2_push"]:
+                rep = _push_replacement(word, counts, j, variant)
+                assert _PUSH[ev, counts[j], variant] == (
+                    None if rep is None else tuple(rep))
+
+
+@pytest.mark.parametrize("limit", [300, 1000, 3000])
+def test_shuffle_stays_within_the_scan_limit(monkeypatch, limit):
+    """A walk whose word would take a scan over the limit raises
+    ScanTooLarge; every other walk returns a word that reads back."""
+    fronts = [catalog.get(name).diagram for name in catalog.names()]
+    monkeypatch.setattr(diagrams, "MAX_SCAN_CELLS", limit)
+    outcomes = set()
+    for d in fronts:
+        if (len(d.events) + 1) * max(d.strand_counts) > limit:
+            continue
+        for steps, seed in itertools.product((100, 400), range(3)):
+            try:
+                out = random_shuffle(d, steps, seed)
+            except ScanTooLarge as exc:
+                assert str(exc).endswith(f"over the limit of {limit}")
+                outcomes.add("raised")
+                continue
+            assert from_text(to_text(out)) == out
+            outcomes.add("returned")
+    assert outcomes == {"raised", "returned"}
+
+
+def test_shuffle_raises_iff_its_word_passes_the_limit(monkeypatch):
+    # two eyes side by side: 5 gaps at 2 strands, 10 cells; commuting
+    # the first R1 past the second L1 nests them, 20 cells, and a fish
+    # takes at least 32
+    d = FrontDiagram([L(1), R(1), L(1), R(1)])
+    walks = {seed: reference_shuffle(d, 1, seed) for seed in range(80)}
+    monkeypatch.setattr(diagrams, "MAX_SCAN_CELLS", 15)
+    refused = set()
+    for seed, want in walks.items():
+        cells = (len(want.events) + 1) * max(want.strand_counts)
+        if cells <= 15:
+            assert random_shuffle(d, 1, seed) == want
+            continue
+        with pytest.raises(ScanTooLarge):
+            random_shuffle(d, 1, seed)
+        refused.add(len(want.events))
+    # a commute that widens the word is refused as a fish is
+    assert refused == {4, 7}
+
+
+def test_shuffle_stops_at_the_hit_that_passes_the_limit(monkeypatch):
+    """A walk is refused at the hit that takes its word past the limit,
+    not when it ends: long before its last draw, with a word less than
+    half again over the limit."""
+    draws = []
+
+    def counting_drawer(seed):
+        below = _drawer(seed)
+
+        def counted(n):
+            draws.append(n)
+            return below(n)
+        return counted
+
+    fronts = [catalog.get(name).diagram
+              for name in ("unknot", "trefoil", "m9_46")]
+    monkeypatch.setattr(moves, "_drawer", counting_drawer)
+    monkeypatch.setattr(diagrams, "MAX_SCAN_CELLS", 1000)
+    for d in fronts:
+        for seed in range(5):
+            draws.clear()
+            with pytest.raises(ScanTooLarge) as exc:
+                random_shuffle(d, 200_000, seed)
+            assert 0 < len(draws) < 20_000
+            cells = re.search(r"a scan of (\d+) cells", str(exc.value))
+            assert 1000 < int(cells.group(1)) < 1500
 
 
 def test_draws_match_choice_and_randint():

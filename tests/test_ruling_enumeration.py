@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from frontcalc import catalog, rulings
-from frontcalc.diagrams import CROSSING, RIGHT_CUSP, FrontDiagram, L, R
+from frontcalc.diagrams import CROSSING, RIGHT_CUSP, FrontDiagram, L, R, X
 from frontcalc.moves import random_shuffle
 from frontcalc.rulings import (MAX_STRANDS, RulingError, count_rulings,
                                enumerate_rulings, is_ruling, ruling_pairings)
@@ -223,6 +223,52 @@ def test_satellite_slot_keys_match_the_positional_dp(companion, family,
     pattern = builtin_pattern(family, param)
     assert_slot_keys_match_reference(
         satellite(catalog.get(companion).diagram, pattern).diagram)
+
+
+def assert_slot_positions_match_layout(d):
+    """At every crossing of ``slot_walk``, the positions map each live
+    slot to its position in the reference layout; a dead slot's entry
+    is not read.  A cusp has no positions."""
+    steps, mirror_steps, _first, _last = d.slot_walk
+    layout = reference_slot_layout(d)
+    for k, (kind, i, top, bottom, positions) in enumerate(steps):
+        assert mirror_steps[k][4] is positions
+        if kind != CROSSING:
+            assert positions is None
+            continue
+        slots = layout[k]
+        assert (top, bottom) == slots[i:i + 2]
+        assert [positions[s] for s in slots] == list(range(len(slots)))
+
+
+@PROPERTY
+@given(SEEDS)
+def test_slot_positions_match_the_layout(seed):
+    rng = random.Random(seed)
+    d = FrontDiagram(random_word(rng, max_width=6))
+    assert_slot_positions_match_layout(d)
+    assert_slot_positions_match_layout(
+        random_shuffle(d, 40, seed=rng.randrange(1 << 16)))
+
+
+@pytest.mark.parametrize("companion,family,param", SATELLITES)
+def test_satellite_slot_positions_match_the_layout(companion, family,
+                                                   param):
+    pattern = builtin_pattern(family, param)
+    assert_slot_positions_match_layout(
+        satellite(catalog.get(companion).diagram, pattern).diagram)
+
+
+def test_slot_positions_at_the_width_limit():
+    # crossings among 256 strands, before and after a right cusp at the
+    # bottom frees a pair of slots and a left cusp takes it again
+    n = MAX_STRANDS // 2
+    word = ([L(1)] * (n - 1) + [L(2 * n - 1), X(2 * n - 2), X(2 * n - 1),
+                                R(2 * n - 1), L(2 * n - 1), X(2 * n - 2),
+                                X(1)] + [R(1)] * n)
+    d = FrontDiagram(word)
+    assert max(d.strand_counts) == MAX_STRANDS
+    assert_slot_positions_match_layout(d)
 
 
 @pytest.fixture
