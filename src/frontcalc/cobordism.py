@@ -76,7 +76,8 @@ from .diagrams import (_KINDS, _LEFT, _RIGHT, CROSSING, LEFT_CUSP,
                        L, R, ScanTooLarge, ascii_decimal,
                        check_component_index, connected_components,
                        cusp_walk, event, from_lines, levels_and_kinds,
-                       per_component, segment_steps, split_components)
+                       per_component, segment_steps, split_components,
+                       word_text)
 from .moves import (_SWAPS, _TRIPLES, Rewrite, _Table, apply_rewrite,
                     inverse)
 from .rulings import count_rulings, ruling_pairings
@@ -346,7 +347,7 @@ def check_trace_report(trace):
         try:
             d = apply_move(d, m)
         except DiagramError as e:
-            word = " ".join(str(ev) for ev in d.events) or "the empty word"
+            word = word_text(d.events) or "the empty word"
             return False, f"move {n} ({m}) failed on {word}: {e}"
     if d != trace.top:
         return False, "replayed top differs from recorded top"
@@ -358,11 +359,11 @@ TRACE_HEADER = "trace v1"
 
 def trace_to_text(trace):
     lines = [TRACE_HEADER]
-    lines.append("bottom: " + " ".join(str(e) for e in trace.bottom.events))
+    lines.append("bottom: " + word_text(trace.bottom.events))
     lines.append("orient: " + " ".join(trace.bottom.orientations))
     for m in trace.moves:
         lines.append(str(m))
-    lines.append("top: " + " ".join(str(e) for e in trace.top.events))
+    lines.append("top: " + word_text(trace.top.events))
     lines.append("orient: " + " ".join(trace.top.orientations))
     return "\n".join(lines) + "\n"
 

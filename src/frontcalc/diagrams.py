@@ -46,13 +46,13 @@ attributes: a word is a tuple of small ints, and events order by level,
 then kind.  Only this module does arithmetic on codes: in its loops over
 whole words, where decoding costs less than reading the attributes (the
 scan's check and ``segment_steps`` among them), in ``kinds_and_levels``,
-the decoded word the single-ruling walk reads, in ``slot_walk``, the
-strand slots the ruling DP keys its pairings by, and in
+the decoded word that ``ruling_pairings`` walks, in ``slot_walk``, the
+strand slots the ruling DP and ``is_ruling`` key pairings by, and in
 ``levels_and_kinds``, which decodes a word lazily for the pinch search's
 pass for sites.  ``slot_walk`` moves the positions of the slots below a
 cusp with one ``bytearray.translate`` by that level's table in
-``_SHIFT_UP`` or ``_SHIFT_DOWN``, built on first use; the single-ruling
-walk moves its partners with the same tables.
+``_SHIFT_UP`` or ``_SHIFT_DOWN``, built on first use; ``ruling_pairings``
+moves its partners with the same tables.
 Events are interned: every event the package builds comes from
 ``event(kind, level)`` (or ``L``, ``R``, ``X``, ``Event.parse``), a
 bounded cache of at most ``_INTERNED_MAX`` validated events, so a rewrite
@@ -76,7 +76,7 @@ and a pattern's seam glues the walk's last gap to its first.  What
 ``_Scan`` holds beyond that list, the segment ids at every gap, is
 built on first use, for ``segments_at_gap``, ``component_at`` and the
 test oracles.  Readers that follow strand positions without segment
-ids, such as ``_walk_in_place`` in ``rulings``, ``strand_direction``
+ids, such as ``rulings.ruling_pairings``, ``strand_direction``
 here and the pinch search's sites, carry what they need on the word
 itself.
 """
@@ -540,10 +540,14 @@ class FrontDiagram:
 
     @cached_property
     def kinds_and_levels(self):
-        """(kind, level) of every event, decoded once for the single-ruling
-        walk behind ``rulings.is_ruling`` and ``rulings.ruling_pairings``,
-        and for the tests' positional ruling DP."""
+        """(kind, level) of every event, decoded once for the walk of
+        ``rulings.ruling_pairings`` and the tests' positional ruling DP."""
         return tuple((_KINDS[ev % 3], ev // 3) for ev in self.events)
+
+    @cached_property
+    def width(self):
+        """The most strands at any gap."""
+        return max(self.strand_counts)
 
     @cached_property
     def slot_walk(self):
@@ -567,7 +571,7 @@ class FrontDiagram:
         and ``last`` its mate at its last right cusp.  At most 256
         strands: the positions are bytes.
         """
-        width = max(self.strand_counts)
+        width = self.width
         slots = []                    # the slot at each position
         positions = bytearray(width)  # the position of each live slot
         mates = bytearray(s ^ 1 for s in range(width))
@@ -637,8 +641,8 @@ class FrontDiagram:
         return hash((self.events, self.directions))
 
     def __repr__(self):
-        word = " ".join(str(e) for e in self.events)
-        return f"FrontDiagram([{word}], orient={''.join(self.orientations)})"
+        return (f"FrontDiagram([{word_text(self.events)}], "
+                f"orient={''.join(self.orientations)})")
 
     def segments_at_gap(self, gap):
         """Segment ids top-to-bottom at the gap before event ``gap``."""
@@ -873,8 +877,14 @@ FORMAT_HEADER = "frontdiagram v1"
 _event_text = attrgetter("_text")
 
 
+def word_text(events):
+    """The events' tokens joined by blanks: the word line of every text
+    format."""
+    return " ".join(map(_event_text, events))
+
+
 def to_text(diagram):
-    word = " ".join(map(_event_text, diagram.events))
+    word = word_text(diagram.events)
     orient = " ".join(diagram.orientations)
     return f"{FORMAT_HEADER}\n{word}\norient:{' ' + orient if orient else ''}\n"
 

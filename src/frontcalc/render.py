@@ -56,6 +56,16 @@ def _fmt(v):
     return f"{v:.1f}".removesuffix(".0")
 
 
+def _lines(origin, step, n):
+    """The first n grid lines ``origin + h * step / 2``, formatted.
+
+    The origins and half steps are whole numbers, so each line is the
+    ``str`` of an int, which ``_fmt`` would write the same.
+    """
+    start, half = int(origin), int(step) // 2
+    return list(map(str, range(start, start + n * half, half)))
+
+
 class _Grid:
     """Formatted coordinates shared by the fronts of one render call.
 
@@ -70,9 +80,8 @@ class _Grid:
         counts = [max(col) for col in
                   zip_longest(*(d.strand_counts for d in diagrams),
                               fillvalue=0)]
-        x = [_fmt(X0 + h * DX / 2) for h in range(2 * len(counts) + 1)]
-        y = [_fmt(Y0 + h * DY / 2)
-             for h in range(2 * max(1, *counts) + 1)]
+        x = _lines(X0, DX, 2 * len(counts) + 1)
+        y = _lines(Y0, DY, 2 * max(1, *counts) + 1)
         self.x, self.y = x, y
         gap_y = [" " + v for v in y[::2]]
         self.gaps = [list(map(x[2 * g].__add__, gap_y[:m]))

@@ -26,7 +26,8 @@ from .diagrams import (CROSSING, LEFT_CUSP, MAX_SCAN_CELLS, RIGHT_CUSP,
                        DiagramError, Event, FrontDiagram, L, LevelOutOfBounds,
                        NonzeroFinalStrands, R, ScanTooLarge, X, _CROSS,
                        _Scan, ascii_decimal, connected_components,
-                       cusp_walk, event, segment_steps, window_counts)
+                       cusp_walk, event, segment_steps, window_counts,
+                       word_text)
 
 
 class PatternError(DiagramError):
@@ -260,7 +261,7 @@ PATTERN_HEADER = "pattern v1"
 
 
 def pattern_to_text(p):
-    word = " ".join(str(e) for e in p.events)
+    word = word_text(p.events)
     return f"{PATTERN_HEADER}\nstrands: {p.strands}\n{word}\n"
 
 

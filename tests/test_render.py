@@ -22,7 +22,8 @@ from frontcalc.cobordism import (CobordismError, CobordismTrace, Move,
                                  trace_to_text)
 from frontcalc.diagrams import FrontDiagram, L, R, X
 from frontcalc.moves import random_shuffle
-from frontcalc.render import PALETTE, render_svg, render_trace_svg
+from frontcalc.render import (DX, DY, PALETTE, X0, Y0, _fmt, _Grid,
+                              render_svg, render_trace_svg)
 from frontcalc.rulings import enumerate_rulings
 from frontcalc.satellites import builtin_pattern, satellite
 
@@ -190,6 +191,25 @@ def test_satellite_svg_bytes_are_pinned():
         got[key] = _sha256(render_svg(d, ruling=rulings[0] if rulings
                                       else None))
     assert got == SATELLITE_SVG_SHA256
+
+
+def test_grid_strings_are_fmt_of_their_formulas():
+    """Every grid line and gap point is ``_fmt`` of its float formula,
+    on a grid of fronts of different lengths and widths."""
+    fronts = [satellite(catalog.get("m9_46").diagram,
+                        builtin_pattern("whitehead", None)).diagram,
+              TREFOIL, FrontDiagram([])]
+    grid = _Grid(fronts)
+    columns = max(len(d.strand_counts) for d in fronts)
+    widest = max(max(d.strand_counts) for d in fronts)
+    assert grid.x == [_fmt(X0 + h * DX / 2) for h in range(2 * columns + 1)]
+    assert grid.y == [_fmt(Y0 + h * DY / 2) for h in range(2 * widest + 1)]
+    assert len(grid.gaps) == columns
+    for g, col in enumerate(grid.gaps):
+        assert col == [f"{_fmt(X0 + g * DX)} {_fmt(Y0 + p * DY)}"
+                       for p in range(len(col))]
+    assert _Grid([FrontDiagram([])]).y == [_fmt(Y0 + h * DY / 2)
+                                           for h in range(3)]
 
 
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)

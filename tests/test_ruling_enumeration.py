@@ -10,7 +10,8 @@ reflected rulings.  The pass steps whole frontiers of slot keys through
 ``oracles`` also keeps the positional DP that slot keys replaced: at
 every gap, each side's frontier, read as positional pairings, must be
 that DP's, with the same counts, and a pairing that both sides reach
-must have one key.
+must have one key.  The emission after the meet steps only live
+states, each once, and those at the meeting gap once per side.
 """
 
 import random
@@ -28,7 +29,8 @@ from frontcalc.satellites import builtin_pattern, satellite
 
 from helpers import mirror, random_word
 from oracles import (positional, reference_enumerate_rulings,
-                     reference_frontiers, reference_slot_layout)
+                     reference_frontiers, reference_is_ruling,
+                     reference_slot_layout)
 
 PROPERTY = settings(derandomize=True, max_examples=150, deadline=None)
 SEEDS = st.integers(min_value=0, max_value=2 ** 32 - 1)
@@ -130,6 +132,46 @@ def test_enumeration_steps_each_live_state_once(monkeypatch):
     work = count_work(monkeypatch)
     assert len(enumerate_rulings(d)) == 256
     assert work["_advance"] + work["_step"] <= 4500
+
+
+def live_keys(d):
+    """At every gap, the keys that a ruling prefix reaches and a ruling
+    suffix leaves."""
+    prefixes, suffixes = slot_frontiers(d)
+    return [front.keys() & back.keys()
+            for front, back in zip(prefixes, suffixes)]
+
+
+@pytest.mark.parametrize("build", [
+    three_copy_of_trefoil,
+    lambda: random_shuffle(catalog.get("m9_46").diagram, 2000, seed=2)],
+    ids=["trefoil 3-copy", "m9_46 shuffle"])
+def test_emission_steps_only_live_states(monkeypatch, build):
+    """From the meeting gap m, the left half steps each crossing k < m
+    on the live keys after it and the right half each crossing k >= m
+    on the live keys before it: so each live key is stepped once, but
+    those at m once by each half.  Every listed set is a ruling, and
+    there are as many as the count."""
+    d = build()
+    m = sum(side == 0 for side, _states in rulings._meet(d)) - 1
+    stepped = []
+    carry = rulings._carry
+
+    def recording_carry(front, *event):
+        stepped.append(set(front))
+        return carry(front, *event)
+
+    monkeypatch.setattr(rulings, "_carry", recording_carry)
+    listed = enumerate_rulings(d)
+    monkeypatch.undo()
+    live = live_keys(d)
+    crossings = d.crossing_indices()
+    want = [live[k + 1] for k in reversed(crossings) if k < m]
+    want += [live[k] for k in crossings if k >= m]
+    assert stepped == want
+    assert sum(map(len, stepped)) <= sum(map(len, live)) + len(live[m])
+    assert len(set(listed)) == len(listed) == count_rulings(d)
+    assert all(reference_is_ruling(d, switches) for switches in listed)
 
 
 def gap_events(slots):
@@ -314,3 +356,17 @@ def test_is_ruling_width_limit():
     assert is_ruling(nested_unknots(MAX_STRANDS // 2), ())
     with pytest.raises(RulingError, match="at most 256 strands"):
         is_ruling(nested_unknots(MAX_STRANDS // 2 + 1), ())
+
+
+def test_width_is_refused_before_the_slot_walk():
+    """A front too wide for byte keys is refused from its width, read
+    once, before its slot walk is built."""
+    too_wide = nested_unknots(MAX_STRANDS // 2 + 1)
+    for fn in (count_rulings, enumerate_rulings):
+        with pytest.raises(RulingError, match="at most 256 strands"):
+            fn(too_wide)
+    for fn in (is_ruling, ruling_pairings):
+        with pytest.raises(RulingError, match="at most 256 strands"):
+            fn(too_wide, ())
+    assert too_wide.width == MAX_STRANDS + 2
+    assert "slot_walk" not in vars(too_wide)
