@@ -8,7 +8,9 @@ closed by its reader, 2 parse error.  Input too large to handle
 (``ScanTooLarge``) follows the same rule: exit 2 while input is parsed
 (a front or trace file, a pattern spec), exit 1 once it is (a satellite
 too large to build, a trace too large to replay, a shuffle whose word
-grows too large to scan).
+grows too large to scan).  A ruling count or list whose pass steps more
+than ``diagrams.MAX_RULING_STATES`` pairing states (``TooManyRulingStates``)
+exits 1.
 """
 
 from __future__ import annotations

@@ -35,12 +35,13 @@ The same hunt fills a table of short windows, which answers every word
 it would find nothing on, so the whole-word hunt runs only where it
 hits.  Its commutes and contractions come from the two rule tables of
 the moves module, ``_SWAPS`` and ``_TRIPLES``, where a contraction is any
-three-event rule but a triple point; those tables and the window table
-fill themselves on first lookup.  Eyes are found on the word: a left
-cusp that bubbles through the commute table up to a right cusp at its
-own level heads an eye, which dies where it stands, with those commutes
-recorded; one filling search memoizes the cleanup of every diagram it
-meets, so each distinct diagram is cleaned once.
+three-event rule but a triple point, read through ``moves._contraction``
+as the ruling count's contraction pass reads it; those tables and the
+window table fill themselves on first lookup.  Eyes are found on the
+word: a left cusp that bubbles through the commute table up to a right
+cusp at its own level heads an eye, which dies where it stands, with
+those commutes recorded; one filling search memoizes the cleanup of
+every diagram it meets, so each distinct diagram is cleaned once.
 
 Each search call also decides a fact that reads the event word only once
 per word, in a dict that lives as long as the call.  The filling search
@@ -78,9 +79,9 @@ from .diagrams import (_KINDS, _LEFT, _RIGHT, CROSSING, LEFT_CUSP,
                        cusp_walk, event, from_lines, levels_and_kinds,
                        per_component, segment_steps, split_components,
                        word_text)
-from .moves import (_SWAPS, _TRIPLES, Rewrite, _Table, apply_rewrite,
+from .moves import (_SWAPS, Rewrite, _Table, _contraction, apply_rewrite,
                     inverse)
-from .rulings import count_rulings, ruling_pairings
+from .rulings import TooManyRulingStates, count_rulings, ruling_pairings
 
 
 class CobordismError(DiagramError):
@@ -388,18 +389,15 @@ def _contraction_at(events, j):
     """A length-reducing rewrite at index j, if any."""
     if not 0 <= j <= len(events) - 3:
         return None
-    rule = _TRIPLES[events[j], events[j + 1], events[j + 2]]
-    if rule is None or rule[0] == "r3_triple":
-        return None
-    return Rewrite(rule[0], j)
+    rule = _contraction(events[j], events[j + 1], events[j + 2])
+    return None if rule is None else Rewrite(rule[0], j)
 
 
 def _first_contraction(word):
     """The leftmost length-reducing rewrite on an event word, or None."""
-    triples = _TRIPLES
     for j in range(len(word) - 2):
-        rule = triples[word[j:j + 3]]
-        if rule is not None and rule[0] != "r3_triple":
+        rule = _contraction(word[j], word[j + 1], word[j + 2])
+        if rule is not None:
             return Rewrite(rule[0], j)
     return None
 
@@ -424,7 +422,7 @@ def _commute_hit(start):
     None.  Only such a contraction can be new: one elsewhere is already
     in the word it was commuted from, so by induction in ``start``.
     """
-    swaps, triples = _SWAPS, _TRIPLES
+    swaps = _SWAPS
     n = len(start)
     frontier = [(start, ())]
     seen = {start}
@@ -441,8 +439,8 @@ def _commute_hit(start):
                 seen.add(new)
                 path_j = path + (j,)
                 for k in range(max(0, j - 2), min(n - 2, j + 3)):
-                    rule = triples[new[k:k + 3]]
-                    if rule is not None and rule[0] != "r3_triple":
+                    rule = _contraction(*new[k:k + 3])
+                    if rule is not None:
                         return path_j, rule[0], k
                 nxt.append((new, path_j))
         frontier = nxt
@@ -740,10 +738,15 @@ def search_decomposable_filling(diagram, max_pinches=3, isotopy_budget=0):
             c, record = _downward_cleanup(d)
             # a filling gives the link, not each component, a normal
             # ruling (Ekholm-Honda-Kalman 2016; Fuchs 2003; Sabloff 2005)
-            if c.events not in obstructed:
-                obstructed[c.events] = count_rulings(c) == 0
-            cleaned[state] = (None if obstructed[c.events]
-                              else (c, tuple(record)))
+            unruled = obstructed.get(c.events)
+            if unruled is None:
+                try:
+                    unruled = obstructed[c.events] = count_rulings(c) == 0
+                except TooManyRulingStates:
+                    # a count left unfinished proves nothing: the state
+                    # is searched, and the word is not marked
+                    unruled = False
+            cleaned[state] = None if unruled else (c, tuple(record))
         return cleaned[state]
 
     def children(d, budget, left):

@@ -124,6 +124,10 @@ class OrientationMissing(DiagramError):
 # may take (about 8 bytes each).  Every word that the tests, CI and bench
 # build takes at most 21,714.
 MAX_SCAN_CELLS = 1 << 22
+# The most pairing states, summed over the frontiers it builds, that one
+# pass of the ruling DP may step.  The widest front that the tests, CI
+# and bench rule, the 3-copy of m9_46, steps 2,090,691.
+MAX_RULING_STATES = 1 << 22
 
 
 class ScanTooLarge(DiagramError):

@@ -26,12 +26,15 @@ events are matched in two rule tables only: ``_SWAPS`` holds each event
 pair's commute and ``_TRIPLES`` each event triple's removal, pull or
 triple-point rewrite, with the inverse's level and variant.  The
 matchers, ``inverse``, ``applicable_rewrites`` and the reduction in
-``cobordism`` all read them.  The events a fish or a push writes come
-from two more tables, ``_FISH`` by (level, variant) and ``_PUSH`` by
-(cusp, strand count, variant).  The kernel reads a word, its direction
-entries and its strand counts, as tuples or lists, and costs time in
-the window only.  A splice is applied in one of two ways, which share
-the window's strand-count step (``diagrams.window_counts``):
+``cobordism`` all read them; the reduction and ``_contracted``, the
+stack pass that contracts a word before its rulings are counted, find
+fishes and pulled cusps through one lookup, ``_contraction``.  The
+events a fish or a push writes come from two more tables, ``_FISH`` by
+(level, variant) and ``_PUSH`` by (cusp, strand count, variant).  The
+kernel reads a word, its direction entries and its strand counts, as
+tuples or lists, and costs time in the window only.  A splice is
+applied in one of two ways, which share the window's strand-count step
+(``diagrams.window_counts``):
 
 * ``apply_rewrite`` builds the new diagram with ``FrontDiagram._edited``,
   which copies the parent's tuples, so each call costs time linear in the
@@ -61,7 +64,7 @@ from dataclasses import dataclass
 
 from . import diagrams
 from .diagrams import (CROSSING, LEFT_CUSP, RIGHT_CUSP, DiagramError, L, R, X,
-                       _Table, _too_wide, event, strand_direction,
+                       _CROSS, _Table, _too_wide, event, strand_direction,
                        window_counts)
 
 
@@ -221,6 +224,53 @@ _FISH = _Table(lambda key: tuple(_fish_word(*key)))
 # (cusp, strand count before it, variant) -> the ``_push_replacement``
 # of that cusp, as a tuple, or None.
 _PUSH = _Table(lambda key: _push_tuple(*key))
+
+
+def _contraction(a, b, c):
+    """The ``_TRIPLES`` rule of events a, b, c if it removes a fish or
+    pulls a cusp, else None.
+
+    Every such rule is a crossing between two events at one level, so
+    the table is read for those triples only: a triple that fails the
+    test would only add an entry holding None.
+    """
+    if b % 3 != _CROSS or a // 3 != c // 3:
+        return None
+    rule = _TRIPLES[a, b, c]
+    if rule is None or rule[0] == "r3_triple":
+        return None
+    return rule
+
+
+def _contracted(diagram):
+    """``diagram`` with its fishes and pulled cusps contracted away, by
+    one left-to-right stack pass; ``diagram`` itself if none is there.
+
+    Each event is pushed, and then, while the top three events are a
+    ``_contraction``, they are replaced by the rule's events: a fish
+    leaves none, a pull its cusp, which may complete a contraction with
+    the two events below it.  The direction entries go along as
+    ``apply_rewrite`` carries them, so the result is a whole diagram,
+    built by one ``_edited`` call, and isotopic to ``diagram``.  The
+    stack never holds a contraction, so the pass applies the leftmost
+    contraction of the word until none is left.
+    """
+    events = diagram.events
+    word, entries = [], []
+    for ev, entry in zip(events, diagram.directions):
+        word.append(ev)
+        entries.append(entry)
+        while len(word) >= 3:
+            rule = _contraction(word[-3], word[-2], word[-1])
+            if rule is None:
+                break
+            top = entries[-3:]
+            del word[-3:], entries[-3:]
+            word += rule[1]
+            entries += [top[k] for k in rule[2]]
+    if len(word) == len(events):
+        return diagram
+    return diagram._edited(0, len(events), word, entries)
 
 
 # -- public operations -----------------------------------------------------

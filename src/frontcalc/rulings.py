@@ -25,7 +25,14 @@ reflecting a front in a vertical line keeps every ruling, since a
 switch keeps the pairing and normality reads only that pairing, so the
 suffixes of a ruling of the word are the prefixes of a ruling of its
 mirror.  ``count_rulings`` sums prefixes times suffixes over the
-pairings at the meeting gap.  ``enumerate_rulings`` keeps every
+pairings at the meeting gap.  It runs the pass on
+``moves._contracted(diagram)``, the word with its fishes and pulled
+cusps removed by one stack pass, which is isotopic and so has as many
+rulings, and which a shuffled word shrinks to a third or a half of its
+events; a word with nothing to contract is counted as it is, on its
+own ``slot_walk``.  ``enumerate_rulings`` does not contract, since its
+switch indices name the crossings of the word as given, and
+contraction removes crossings.  ``enumerate_rulings`` keeps every
 frontier of the pass and then steps, from the live states at the
 meeting gap, each half of the word once: leftward over the mirror
 steps, carrying switch-set suffixes and keeping at each gap the states
@@ -43,10 +50,12 @@ still free, whole and in its (top, bottom) order, or opens the next two
 slots s, s + 1.  A key is a ``bytes`` whose entry at each slot is its
 partner's slot (its hash is cached), so at most 256 strands are
 supported; every public function raises RulingError on a wider front
-or pairing.  A dead slot, one whose strand has died or is not yet
-born, holds its mate at its last right cusp before the gap, or
-``s ^ 1`` if it has none; that is also its mate at the next left cusp
-after the gap, which takes the pair whole.  So the dead slots depend
+or pairing.  One pass steps at most ``diagrams.MAX_RULING_STATES``
+states, summed over the frontiers it builds, and raises
+TooManyRulingStates past them.  A dead slot, one whose strand has died
+or is not yet born, holds its mate at its last right cusp before the
+gap, or ``s ^ 1`` if it has none; that is also its mate at the next
+left cusp after the gap, which takes the pair whole.  So the dead slots depend
 on the gap alone, and a pairing has one key at every gap, whichever
 side reached it: the prefix side starts from ``s ^ 1``, the suffix
 side from every slot's mate at its last right cusp.
@@ -81,8 +90,10 @@ walk to that DP's step.
 
 from __future__ import annotations
 
+from . import diagrams
 from .diagrams import (CROSSING, LEFT_CUSP, RIGHT_CUSP, DiagramError,
                        _SHIFT_DOWN, _SHIFT_UP)
+from .moves import _contracted
 
 MAX_STRANDS = 256
 _DEAD = (None, None)
@@ -90,6 +101,15 @@ _DEAD = (None, None)
 
 class RulingError(DiagramError):
     pass
+
+
+class TooManyRulingStates(RulingError):
+    """A pass of the ruling DP past ``diagrams.MAX_RULING_STATES``
+    states stepped."""
+
+    def __init__(self, states, limit):
+        super().__init__(f"the ruling DP stepped {states} pairing states, "
+                         f"over the limit of {limit}")
 
 
 class CrossingStrandsPaired(RulingError):
@@ -211,10 +231,13 @@ def _meet(diagram):
     leaving it for the key after the last event (side 1, gaps n,
     n - 1, ...).  Each step grows the side whose frontier holds fewer
     states, the left one on a tie, until both sides reach one gap or a
-    side's frontier is empty.
+    side's frontier is empty.  Raises TooManyRulingStates once the
+    frontiers it has built hold more than ``diagrams.MAX_RULING_STATES``
+    states together.  The caller checks the width.
     """
-    _check_width(diagram.width)
     steps, mirror, first, last = diagram.slot_walk
+    limit = diagrams.MAX_RULING_STATES
+    stepped = 0
     fronts = [{first: 1}, {last: 1}]
     yield 0, fronts[0]
     yield 1, fronts[1]
@@ -232,6 +255,9 @@ def _meet(diagram):
             yield side, fronts[side]
             continue
         nxt = fronts[side] = _advance(fronts[side], *step)
+        stepped += len(nxt)
+        if stepped > limit:
+            raise TooManyRulingStates(stepped, limit)
         yield side, nxt
         if not nxt:
             return
@@ -239,9 +265,15 @@ def _meet(diagram):
 
 def count_rulings(diagram):
     """Number of normal rulings: at the gap where prefixes and suffixes
-    meet, the sum over keys of prefixes times suffixes."""
+    meet, the sum over keys of prefixes times suffixes.
+
+    The pass runs on ``moves._contracted(diagram)``, the word with its
+    fishes and pulled cusps removed, an isotopic front with as many
+    rulings; a front too wide is refused before it is contracted.
+    """
+    _check_width(diagram.width)
     ends = [None, None]
-    for side, states in _meet(diagram):
+    for side, states in _meet(_contracted(diagram)):
         ends[side] = states
     front, back = ends
     return sum(n * back.get(key, 0) for key, n in front.items())
@@ -299,6 +331,7 @@ def _unlink(node):
 def enumerate_rulings(diagram):
     """All normal rulings, each as a sorted tuple of switched crossing
     event indices; the list is sorted."""
+    _check_width(diagram.width)
     fronts = [], []
     for side, states in _meet(diagram):
         fronts[side].append(states)

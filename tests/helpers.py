@@ -1,10 +1,12 @@
 """Shared generators for the test suite."""
 
+import random
 from pathlib import Path
 
 from frontcalc import diagrams
 from frontcalc.diagrams import (Event, FrontDiagram, L, R, X, DiagramError,
                                 from_text)
+from frontcalc.moves import random_shuffle
 
 FRONTS = Path(__file__).parent / "fronts"
 
@@ -53,6 +55,14 @@ def random_word(rng, max_width=6, max_events=24):
 
 def random_diagram(rng, **kw):
     return FrontDiagram(random_word(rng, **kw))
+
+
+def shuffled_random_diagrams(seed, n):
+    """``n`` random words, each shuffled 0-60 steps: inputs that hold
+    fishes and pulled cusps about as often as not."""
+    rng = random.Random(seed)
+    return [random_shuffle(random_diagram(rng), rng.randint(0, 60),
+                           rng.getrandbits(32)) for _ in range(n)]
 
 
 def mirror(diagram):

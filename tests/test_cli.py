@@ -543,6 +543,31 @@ def test_widest_satellite_rulings_are_pinned(capsys, tmp_path):
     assert hashlib.sha256(listed).hexdigest() == M9_46_3COPY_RULINGS_SHA256
 
 
+@pytest.mark.parametrize("flags", [(), ("--list",)])
+def test_ruling_dp_over_its_limit_is_one_error_line(capsys, tmp_path, flags):
+    # the m9_46 4-copy's pairings outgrow the DP's state limit, which
+    # stops the pass in seconds, well within the child's 1 GiB of address
+    # space; unbounded, the pass ran out of 1.5 GB
+    code, out, _ = run(capsys, "satellite", "--pattern", "identity:4",
+                       "catalog:m9_46")
+    assert code == 0
+    path = tmp_path / "m9_46_4copy.front"
+    path.write_text(out, encoding="utf-8")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "frontcalc.cli", "rulings", *flags,
+         str(path)], capture_output=True, env=env, timeout=60,
+        preexec_fn=_cap_address_space)
+    assert proc.returncode == 1 and proc.stdout == b""
+    assert b"Traceback" not in proc.stderr
+    assert proc.stderr.startswith(b"error: the ruling DP stepped ")
+    assert proc.stderr.endswith(
+        b" pairing states, over the limit of %d\n"
+        % diagrams.MAX_RULING_STATES)
+    assert proc.stderr.count(b"\n") == 1
+
+
 def test_trace_without_header_is_parse_error(capsys, tmp_path):
     code, out, _ = run(capsys, "search-filling", "catalog:unknot")
     assert code == 0

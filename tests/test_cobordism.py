@@ -414,6 +414,32 @@ def test_filling_search_prunes_on_the_links_rulings():
     assert trace.chi == -d.tb == -4
 
 
+def test_ruling_count_over_its_limit_prunes_nothing(monkeypatch):
+    # A count stopped by the DP's state limit proves nothing, so the
+    # search goes on from that state: with every count stopped, the
+    # fillable knots still fill, and budget_demo still misses at budget
+    # 0, where its states that have no ruling are searched to the end.
+    from frontcalc import catalog, cobordism, diagrams
+    from frontcalc.rulings import TooManyRulingStates
+    count, stopped = cobordism.count_rulings, []
+
+    def stopped_count(diagram):
+        try:
+            return count(diagram)
+        except TooManyRulingStates:
+            stopped.append(diagram.events)
+            raise
+
+    monkeypatch.setattr(cobordism, "count_rulings", stopped_count)
+    monkeypatch.setattr(diagrams, "MAX_RULING_STATES", 0)
+    for name in ("trefoil", "m9_46"):
+        trace = search_decomposable_filling(catalog.get(name).diagram)
+        assert trace is not None and check_trace(trace)
+    assert stopped
+    demo = catalog.get("budget_demo").diagram
+    assert search_decomposable_filling(demo, isotopy_budget=0) is None
+
+
 def test_long_shuffle_search_ends_after_few_cleanups(monkeypatch):
     # A 200-step trefoil shuffle (110 events) whose cleaned word has 106
     # orientable pinch sites in 35 runs; pinching each site of a run

@@ -7,17 +7,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from frontcalc import catalog, diagrams, moves
+from frontcalc.cobordism import _first_contraction
 from frontcalc.diagrams import (FrontDiagram, L, R, ScanTooLarge, X, event,
                                 from_text, to_text)
 from frontcalc.moves import (
     _FISH, _MATCH, _PUSH, _SWAPS, _TRIPLES, _VARIANTS, KINDS,
-    InapplicableRewrite, Rewrite, _commute_pair, _drawer, _fish_word,
+    InapplicableRewrite, Rewrite, _commute_pair, _contracted, _drawer,
+    _fish_word,
     _push_replacement, _rewritten, _Table, applicable_rewrites,
     apply_rewrite, inverse, random_shuffle, stabilize,
 )
 from frontcalc.rulings import count_rulings
 
-from helpers import random_diagram, random_word
+from helpers import random_diagram, random_word, shuffled_random_diagrams
 from oracles import (reference_match_fish, reference_match_pull,
                      reference_match_r3, reference_rewrite, reference_shuffle)
 
@@ -467,3 +469,64 @@ def test_stabilize_laws_random():
             assert s.tb == d.tb - 1
             assert s.rot == d.rot + sign
             assert s.n_components == d.n_components
+
+
+def leftmost_contracted(d):
+    """``d`` with its leftmost contraction applied, as ``reduce_diagram``
+    finds and applies it, until none is left."""
+    while (rw := _first_contraction(d.events)) is not None:
+        d = apply_rewrite(d, rw)
+    return d
+
+
+def test_contraction_pass_is_leftmost_contraction():
+    """The stack pass gives the word and direction entries that
+    applying the leftmost contraction until none is left gives, and
+    returns a word it cannot contract as it is."""
+    long_words = [random_shuffle(catalog.get(name).diagram, 2000, seed)
+                  for name in ("unknot", "trefoil", "m9_46")
+                  for seed in (2, 3)]
+    contracted = 0
+    for d in shuffled_random_diagrams(3101, 300) + long_words:
+        want = leftmost_contracted(d)
+        got = _contracted(d)
+        assert got.events == want.events and got == want
+        assert got.strand_counts == want.strand_counts
+        # no fish or pulled cusp is left, by the rule itself rather than
+        # the lookup that both sides above share
+        assert not any(
+            (rule := moves._triple_rule(*t)) and rule[0] != "r3_triple"
+            for t in zip(got.events, got.events[1:], got.events[2:]))
+        if got is d:
+            assert len(want.events) == len(d.events)
+        else:
+            contracted += 1
+            assert _first_contraction(d.events) is not None
+            assert profile(got) == profile(d)
+    # the pass fires on most inputs, and on every long shuffle
+    assert contracted >= 200
+    assert all(_contracted(d) is not d for d in long_words)
+
+
+def test_contractions_read_the_triple_table_only_where_one_can_match(
+        monkeypatch):
+    """A fish or a pulled cusp is a crossing between two events at one
+    level, so the pass and the reduction look no other triple up, and
+    the table gains no entry for it."""
+    looked_up = []
+
+    class Recording(dict):
+        def __missing__(self, triple):
+            looked_up.append(triple)
+            rule = self[triple] = moves._triple_rule(*triple)
+            return rule
+
+    words = shuffled_random_diagrams(3102, 100)
+    words.append(random_shuffle(catalog.get("m9_46").diagram, 2000, 2))
+    monkeypatch.setattr(moves, "_TRIPLES", Recording())
+    for d in words:
+        _contracted(d)
+        _first_contraction(d.events)
+    assert looked_up
+    assert all(b.kind == "X" and a.level == c.level
+               for a, b, c in looked_up)

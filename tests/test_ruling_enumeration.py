@@ -20,14 +20,15 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from frontcalc import catalog, rulings
+from frontcalc import catalog, diagrams, rulings
 from frontcalc.diagrams import CROSSING, RIGHT_CUSP, FrontDiagram, L, R, X
-from frontcalc.moves import random_shuffle
-from frontcalc.rulings import (MAX_STRANDS, RulingError, count_rulings,
-                               enumerate_rulings, is_ruling, ruling_pairings)
+from frontcalc.moves import _contracted, random_shuffle
+from frontcalc.rulings import (MAX_STRANDS, RulingError, TooManyRulingStates,
+                               count_rulings, enumerate_rulings, is_ruling,
+                               ruling_pairings)
 from frontcalc.satellites import builtin_pattern, satellite
 
-from helpers import mirror, random_word
+from helpers import mirror, random_word, shuffled_random_diagrams
 from oracles import (positional, reference_enumerate_rulings,
                      reference_frontiers, reference_is_ruling,
                      reference_slot_layout)
@@ -122,6 +123,50 @@ def test_count_meets_in_the_middle(monkeypatch):
     assert count_rulings(d) == 256
     assert work["_step"] == 0
     assert work["_advance"] <= 4000
+
+
+def test_count_of_the_contracted_word_is_the_words():
+    """The count runs on the word with its fishes and pulled cusps
+    contracted away; it must be the number of rulings of the word as
+    given, which the reference walks event by event."""
+    contracted = 0
+    for d in shuffled_random_diagrams(3103, 300):
+        assert count_rulings(d) == len(reference_enumerate_rulings(d))
+        contracted += _contracted(d) is not d
+    assert contracted >= 200
+    # the long shuffles, too deep for the recursive reference, against
+    # the uncontracted pass and the catalog's pins
+    for name in ("unknot", "trefoil", "m9_46"):
+        entry = catalog.get(name)
+        for seed in (2, 3):
+            d = random_shuffle(entry.diagram, 2000, seed)
+            assert len(_contracted(d).events) * 2 < len(d.events)
+            assert (count_rulings(d) == len(enumerate_rulings(d))
+                    == entry.expected[2])
+
+
+def test_a_word_that_does_not_contract_is_counted_as_it_is():
+    """A satellite has no fish or pulled cusp: its count reads the slot
+    walk of the diagram itself, cached for the list."""
+    d = three_copy_of_trefoil()
+    assert _contracted(d) is d
+    assert count_rulings(d) == 256
+    assert "slot_walk" in vars(d)
+
+
+def test_ruling_dp_over_its_limit_raises(monkeypatch):
+    """Once the frontiers a pass builds hold more states than
+    ``MAX_RULING_STATES``, counting and listing stop with an error that
+    names the amount and the limit."""
+    d = three_copy_of_trefoil()
+    monkeypatch.setattr(diagrams, "MAX_RULING_STATES", 1000)
+    for fn in (count_rulings, enumerate_rulings):
+        with pytest.raises(TooManyRulingStates,
+                           match=r"stepped 1\d{3} pairing states, over the "
+                                 r"limit of 1000$"):
+            fn(d)
+    monkeypatch.setattr(diagrams, "MAX_RULING_STATES", 4000)
+    assert count_rulings(d) == len(enumerate_rulings(d)) == 256
 
 
 def test_enumeration_steps_each_live_state_once(monkeypatch):
