@@ -385,14 +385,6 @@ def trace_from_text(text):
 
 # -- deterministic reduction ----------------------------------------------
 
-def _contraction_at(events, j):
-    """A length-reducing rewrite at index j, if any."""
-    if not 0 <= j <= len(events) - 3:
-        return None
-    rule = _contraction(events[j], events[j + 1], events[j + 2])
-    return None if rule is None else Rewrite(rule[0], j)
-
-
 def _first_contraction(word):
     """The leftmost length-reducing rewrite on an event word, or None."""
     for j in range(len(word) - 2):

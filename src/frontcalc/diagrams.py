@@ -45,14 +45,14 @@ index of its kind in ``_KINDS``, with ``kind`` and ``level`` as
 attributes: a word is a tuple of small ints, and events order by level,
 then kind.  Only this module does arithmetic on codes: in its loops over
 whole words, where decoding costs less than reading the attributes (the
-scan's check and ``segment_steps`` among them), in ``kinds_and_levels``,
-the decoded word that ``ruling_pairings`` walks, in ``slot_walk``, the
+scan's check and ``segment_steps`` among them), in ``slot_walk``, the
 strand slots the ruling DP and ``is_ruling`` key pairings by, and in
-``levels_and_kinds``, which decodes a word lazily for the pinch search's
-pass for sites.  ``slot_walk`` moves the positions of the slots below a
-cusp with one ``bytearray.translate`` by that level's table in
-``_SHIFT_UP`` or ``_SHIFT_DOWN``, built on first use; ``ruling_pairings``
-moves its partners with the same tables.
+``levels_and_kinds``, which decodes a word lazily for the pinch
+search's pass for sites and the walk of ``ruling_pairings``.
+``slot_walk`` moves the positions of the slots below a cusp with one
+``bytearray.translate`` by that level's table in ``_SHIFT_UP`` or
+``_SHIFT_DOWN``, built on first use; ``ruling_pairings`` moves its
+partners with the same tables.
 Events are interned: every event the package builds comes from
 ``event(kind, level)`` (or ``L``, ``R``, ``X``, ``Event.parse``), a
 bounded cache of at most ``_INTERNED_MAX`` validated events, so a rewrite
@@ -72,13 +72,11 @@ use.  The cusp walk, the orientation symbols, the direction entries,
 ruling certificate's goal in ``cobordism`` calls them on a walk of its
 own.  The renderer appends each gap's points to the point lists of the
 segments the walk puts there, ``death`` finds an eye's position on it,
-and a pattern's seam glues the walk's last gap to its first.  What
-``_Scan`` holds beyond that list, the segment ids at every gap, is
-built on first use, for ``segments_at_gap``, ``component_at`` and the
-test oracles.  Readers that follow strand positions without segment
-ids, such as ``rulings.ruling_pairings``, ``strand_direction``
-here and the pinch search's sites, carry what they need on the word
-itself.
+and a pattern's seam glues the walk's last gap to its first.  No
+diagram keeps the segment ids at every gap.  Readers that follow
+strand positions without segment ids, such as
+``rulings.ruling_pairings``, ``strand_direction`` here and the pinch
+search's sites, carry what they need on the word itself.
 """
 
 from __future__ import annotations
@@ -237,28 +235,22 @@ class _Scan:
     MAX_SCAN_CELLS (gaps times its widest strand count), then
     NonzeroFinalStrands.  ``counts`` is the strand count at every gap,
     ``touched`` the ``(kind index, 0-based level, top, bottom)`` of every
-    event, read off one ``segment_steps`` walk.  The segment ids at each
-    gap, ``gaps``, and the dicts ``cusp_pair`` (event index -> (top,
-    bottom) segment) and ``crossing_pair`` (event index -> (upper, lower)
-    segment before it) are built on first use: only ``segments_at_gap``,
-    ``component_at`` and the test oracles read them.
+    event, read off one ``segment_steps`` walk.
     """
 
     def __init__(self, events, strands=0):
         self.events = events = tuple(events)
-        self.strands = strands
         widest = MAX_SCAN_CELLS // (len(events) + 1)
         if strands > widest:
             _too_wide(events, strands)
         self.counts = counts = [strands]
-        m = opened = strands
+        m = strands
         for idx, ev in enumerate(events):
             level, kind = ev // 3, ev % 3
             if kind == _LEFT:
                 if not 1 <= level <= m + 1:
                     raise LevelOutOfBounds(idx, level, m)
                 m += 2
-                opened += 2
                 if m > widest:
                     _too_wide(events, m)
             else:
@@ -270,26 +262,6 @@ class _Scan:
         if m != strands:
             raise NonzeroFinalStrands(m)
         self.touched = list(segment_steps(events, strands)[0])
-        self.n_segments = opened
-
-    @cached_property
-    def gaps(self):
-        steps, segments = segment_steps(self.events, self.strands)
-        gaps = [tuple(segments) for _step in steps]
-        gaps.append(tuple(segments))   # the gap after the last event
-        return gaps
-
-    @cached_property
-    def cusp_pair(self):
-        return {idx: (top, bottom)
-                for idx, (kind, _i, top, bottom) in enumerate(self.touched)
-                if kind != _CROSS}
-
-    @cached_property
-    def crossing_pair(self):
-        return {idx: (top, bottom)
-                for idx, (kind, _i, top, bottom) in enumerate(self.touched)
-                if kind == _CROSS}
 
 
 class _Table(dict):
@@ -334,8 +306,9 @@ def _too_wide(events, strands):
 
 def levels_and_kinds(events):
     """(level, kind index) of every event, decoded lazily from its code:
-    for a single pass outside this module that follows strand
-    directions, not segment ids, such as the pinch search's sites."""
+    for a single pass outside this module that follows strand positions,
+    not segment ids, such as the pinch search's sites and
+    ``rulings.ruling_pairings``."""
     return map(divmod, events, repeat(3))
 
 
@@ -468,7 +441,6 @@ class FrontDiagram:
             orientations = ("+",) * n_components
         if len(orientations) != n_components:
             raise OrientationMissing(n_components, len(orientations))
-        self._scan = scan
         self._orient(events, scan.counts, scan.touched, walk, orientations)
 
     def _orient(self, events, counts, touched, walk, orientations):
@@ -519,11 +491,6 @@ class FrontDiagram:
     # -- derived data, computed on first use ------------------------------
 
     @cached_property
-    def _scan(self):
-        """The word's scan, for its per-gap segment ids."""
-        return _Scan(self.events)
-
-    @cached_property
     def _touched(self):
         """(kind index, 0-based level, top, bottom) of every event: the
         constructor's scan keeps it, a spliced diagram walks its word."""
@@ -541,12 +508,6 @@ class FrontDiagram:
     @cached_property
     def n_components(self):
         return max(self.component_of_segment, default=-1) + 1
-
-    @cached_property
-    def kinds_and_levels(self):
-        """(kind, level) of every event, decoded once for the walk of
-        ``rulings.ruling_pairings`` and the tests' positional ruling DP."""
-        return tuple((_KINDS[ev % 3], ev // 3) for ev in self.events)
 
     @cached_property
     def width(self):
@@ -647,14 +608,6 @@ class FrontDiagram:
     def __repr__(self):
         return (f"FrontDiagram([{word_text(self.events)}], "
                 f"orient={''.join(self.orientations)})")
-
-    def segments_at_gap(self, gap):
-        """Segment ids top-to-bottom at the gap before event ``gap``."""
-        return self._scan.gaps[gap]
-
-    def component_at(self, gap, level):
-        """Component index of the strand at 1-based ``level`` at ``gap``."""
-        return self.component_of_segment[self._scan.gaps[gap][level - 1]]
 
     def direction_at(self, gap, level):
         """+1 if the strand at ``level`` runs rightward, -1 leftward.

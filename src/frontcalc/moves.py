@@ -26,15 +26,17 @@ events are matched in two rule tables only: ``_SWAPS`` holds each event
 pair's commute and ``_TRIPLES`` each event triple's removal, pull or
 triple-point rewrite, with the inverse's level and variant.  The
 matchers, ``inverse``, ``applicable_rewrites`` and the reduction in
-``cobordism`` all read them; the reduction and ``_contracted``, the
-stack pass that contracts a word before its rulings are counted, find
-fishes and pulled cusps through one lookup, ``_contraction``.  The
-events a fish or a push writes come from two more tables, ``_FISH`` by
-(level, variant) and ``_PUSH`` by (cusp, strand count, variant).  The
-kernel reads a word, its direction entries and its strand counts, as
-tuples or lists, and costs time in the window only.  A splice is
-applied in one of two ways, which share the window's strand-count step
-(``diagrams.window_counts``):
+``cobordism`` all read them, ``_TRIPLES`` through one guarded lookup,
+``_triple``, which reads it only for a crossing between two events at
+one level; the reduction and ``_contracted``, the stack pass that
+contracts a word before its rulings are counted, find fishes and
+pulled cusps through ``_contraction``, the rules of ``_triple`` that
+shorten a word.  The events a fish or a push writes come from two more
+tables, ``_FISH`` by (level, variant) and ``_PUSH`` by (cusp, strand
+count, variant).  The kernel reads a word, its direction entries and
+its strand counts, as tuples or lists, and costs time in the window
+only.  A splice is applied in one of two ways, which share the window's
+strand-count step (``diagrams.window_counts``):
 
 * ``apply_rewrite`` builds the new diagram with ``FrontDiagram._edited``,
   which copies the parent's tuples, so each call costs time linear in the
@@ -226,17 +228,22 @@ _FISH = _Table(lambda key: tuple(_fish_word(*key)))
 _PUSH = _Table(lambda key: _push_tuple(*key))
 
 
-def _contraction(a, b, c):
-    """The ``_TRIPLES`` rule of events a, b, c if it removes a fish or
-    pulls a cusp, else None.
+def _triple(a, b, c):
+    """The ``_TRIPLES`` rule of events a, b, c, or None.
 
-    Every such rule is a crossing between two events at one level, so
-    the table is read for those triples only: a triple that fails the
-    test would only add an entry holding None.
+    Every three-event rule is a crossing between two events at one
+    level, so the table is read for those triples only: a triple that
+    fails the test would only add an entry holding None.
     """
     if b % 3 != _CROSS or a // 3 != c // 3:
         return None
-    rule = _TRIPLES[a, b, c]
+    return _TRIPLES[a, b, c]
+
+
+def _contraction(a, b, c):
+    """The ``_triple`` rule of events a, b, c if it removes a fish or
+    pulls a cusp, else None."""
+    rule = _triple(a, b, c)
     if rule is None or rule[0] == "r3_triple":
         return None
     return rule
@@ -327,11 +334,11 @@ def _match_push(events, directions, counts, j, level, variant):
 
 def _triple_matcher(kind):
     """The matcher of ``kind``, one of the three-event rewrites: a hit
-    is a ``_TRIPLES`` rule of that kind."""
+    is a ``_triple`` rule of that kind."""
     def match(events, directions, counts, j, level, variant):
         if j + 3 > len(events):
             return None
-        rule = _TRIPLES[events[j], events[j + 1], events[j + 2]]
+        rule = _triple(events[j], events[j + 1], events[j + 2])
         if rule is None or rule[0] != kind:
             return None
         return j, j + 3, rule[1], [directions[j + k] for k in rule[2]]
@@ -409,7 +416,7 @@ def inverse(diagram, rw):
     if kind == "r2_push":
         return Rewrite("r2_pull", j)
     # kind is r1_remove or r2_pull
-    rule = _TRIPLES[events[j], events[j + 1], events[j + 2]]
+    rule = _triple(events[j], events[j + 1], events[j + 2])
     undone = "r1_insert" if kind == "r1_remove" else "r2_push"
     return Rewrite(undone, j, *rule[3])
 
@@ -426,7 +433,7 @@ def applicable_rewrites(diagram):
         for level in range(1, counts[j] + 1):
             out.append(Rewrite("r1_insert", j, level, "below"))
             out.append(Rewrite("r1_insert", j, level, "above"))
-    triples = [_TRIPLES[events[j:j + 3]] for j in range(len(events) - 2)]
+    triples = [_triple(*events[j:j + 3]) for j in range(len(events) - 2)]
     for j, rule in enumerate(triples):
         if rule is not None and rule[0] == "r1_remove":
             out.append(Rewrite("r1_remove", j))

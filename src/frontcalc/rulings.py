@@ -72,31 +72,34 @@ outlives a cusp, so the enumeration's halves step crossings only.
 The pass steps a whole frontier at a time through ``_advance``, which
 maps a dict of key -> count to the next gap's; counts combine through
 ``+`` only.  ``_meet`` does not step a left cusp at all, on either
-side: it yields the frontier it has again.  ``_step`` gives one key's
-successors, the relation the tests hold ``_advance`` to.  ``is_ruling``
-follows one slot key along ``slot_walk``, switching it in place in a
+side: it yields the frontier it has again.  ``is_ruling`` follows one
+slot key along ``slot_walk``, switching it in place in a
 ``bytearray``.  ``ruling_pairings`` follows the switch set by position
-on a partner ``bytearray``: a cusp is one ``translate``, by the level's
-table that ``slot_walk`` also reads, and one slice insert or delete,
-and every gap's pairing is taken as a tuple.
-The crossing rule is written out on slots in ``_advance``, ``_step``,
-``_carry`` (the enumeration's halves) and ``is_ruling``, and on
-positions in ``ruling_pairings`` and ``is_normal_switch``, since each
-loop inlines it: through ``_step``, ``is_ruling`` takes 1.4-1.6 times
-as long and ``enumerate_rulings`` up to 7% longer.  The tests hold the
-slot pass equal to a positional DP, frontier by frontier, and every
-walk to that DP's step.
+on a partner ``bytearray``, decoding the word lazily through
+``diagrams.levels_and_kinds``: a cusp is one ``translate``, by the
+level's table that ``slot_walk`` also reads, and one slice insert or
+delete, and every gap's pairing is taken as a tuple.  The two walks
+stay apart: each way of merging them that was measured was slower.
+The crossing rule is written out on slots in ``_advance``, ``_carry``
+(the enumeration's halves) and ``is_ruling``, and on positions in
+``ruling_pairings``.  The normality test is ``_admits``, which
+``is_normal_switch`` calls, and ``ruling_pairings`` at a listed
+switch.  ``_advance``, ``_carry`` and ``is_ruling`` inline it, since a
+call per stepped key makes ``enumerate_rulings`` 6-7% slower, and a
+call per switch makes ``is_ruling`` 4-5% slower.  The tests hold the
+slot pass equal to a positional DP, frontier by frontier, and
+``_advance`` to a one-key step.
 """
 
 from __future__ import annotations
 
 from . import diagrams
 from .diagrams import (CROSSING, LEFT_CUSP, RIGHT_CUSP, DiagramError,
-                       _SHIFT_DOWN, _SHIFT_UP)
+                       _CROSS, _LEFT, _SHIFT_DOWN, _SHIFT_UP,
+                       levels_and_kinds)
 from .moves import _contracted
 
 MAX_STRANDS = 256
-_DEAD = (None, None)
 
 
 class RulingError(DiagramError):
@@ -118,43 +121,13 @@ class CrossingStrandsPaired(RulingError):
             f"strands {level}, {level + 1} are paired; no switch possible")
 
 
-def _step(key, kind, i, top, bottom, positions):
-    """Successors of ``key`` at one step of ``FrontDiagram.slot_walk``:
-    an event of ``kind`` at 0-based level i, on the strands of slots
-    ``top`` and ``bottom``, with the crossing's slot positions.
-
-    Returns (follow, switch): ``follow`` is ``key`` itself unless the
-    ruling dies there, then None; ``switch`` is the key after an
-    admitted normal switch, or None.
-    """
-    if kind == LEFT_CUSP:
-        return key, None
-    a = key[top]
-    if kind == RIGHT_CUSP:
-        return (key if a == bottom else None), None
-    if a == bottom:
-        return _DEAD
-    b = key[bottom]
-    pa = positions[a]
-    pb = positions[b]
-    # Neither partner's position is i or i + 1.  Below i, b's must nest
-    # around a's or lie above i + 1; above i + 1, inside a's.
-    if not ((pb < pa or pb > i + 1) if pa < i else i < pb < pa):
-        return key, None
-    new = bytearray(key)
-    new[top] = b
-    new[b] = top
-    new[bottom] = a
-    new[a] = bottom
-    return key, bytes(new)
-
-
 def _advance(front, kind, i, top, bottom, positions):
     """The frontier after one step of ``FrontDiagram.slot_walk``.
 
     ``front`` maps keys to counts; each successor's count is the sum of
-    its predecessors' counts, as ``_step`` relates them.  A left cusp
-    returns ``front`` itself.
+    its predecessors' counts: a follow keeps its key, unless the two
+    strands are paired and the ruling dies, and a switch that
+    ``_admits`` builds one more.  A left cusp returns ``front`` itself.
     """
     if kind == LEFT_CUSP:
         return front
@@ -174,7 +147,7 @@ def _advance(front, kind, i, top, bottom, positions):
         b = p[bottom]
         pa = positions[a]
         pb = positions[b]
-        if (pb < pa or pb > j) if pa < i else i < pb < pa:
+        if (pb < pa or pb > j) if pa < i else i < pb < pa:   # _admits
             new = bytearray(p)
             new[top] = b
             new[b] = top
@@ -193,6 +166,14 @@ def _check_width(strands):
     if strands > MAX_STRANDS:
         raise RulingError(
             f"normal rulings are computed on at most {MAX_STRANDS} strands")
+
+
+def _admits(i, a, b):
+    """Whether a switch of the strands at 0-based positions i, i + 1 is
+    normal, their partners being at positions a and b, neither of them
+    i or i + 1.  Below i, b must nest around a or lie above i + 1;
+    above i + 1, inside a."""
+    return (b < a or b > i + 1) if a < i else i < b < a
 
 
 def is_normal_switch(pairing, level):
@@ -214,12 +195,10 @@ def is_normal_switch(pairing, level):
     if not 1 <= level <= n - 1:
         raise RulingError(f"switch level {level} is out of range "
                           f"1..{n - 1}")
-    i, j = level - 1, level
-    a = pairing[i]
-    if a == j:
+    a = pairing[level - 1]
+    if a == level:
         raise CrossingStrandsPaired(level)
-    b = pairing[j]
-    return (b < a or b > j) if a < i else i < b < a
+    return _admits(level - 1, a, pairing[level])
 
 
 def _meet(diagram):
@@ -301,7 +280,7 @@ def _carry(front, i, top, bottom, positions, k, keep):
         b = p[bottom]
         pa = positions[a]
         pb = positions[b]
-        if (pb < pa or pb > j) if pa < i else i < pb < pa:
+        if (pb < pa or pb > j) if pa < i else i < pb < pa:   # _admits
             new = bytearray(p)
             new[top] = b
             new[b] = top
@@ -385,21 +364,22 @@ def ruling_pairings(diagram, switches):
     the switch set is not a normal ruling.
     """
     _check_width(diagram.width)
-    steps = diagram.kinds_and_levels
+    events = diagram.events
+    n = len(events)
     switches = list(switches)
     for idx in switches:
         if type(idx) is not int:
             raise RulingError(f"switch index {idx!r} is not an int")
     switches = set(switches)
     for idx in sorted(switches):
-        if not 0 <= idx < len(steps):
+        if not 0 <= idx < n:
             raise RulingError(
-                f"switch index {idx} is out of range 0..{len(steps) - 1}")
+                f"switch index {idx} is out of range 0..{n - 1}")
     pairing = bytearray()
     gaps = [()]
-    for idx, (kind, j) in enumerate(steps):
+    for idx, (j, kind) in enumerate(levels_and_kinds(events)):
         i = j - 1
-        if kind == CROSSING:
+        if kind == _CROSS:
             a = pairing[i]
             if a == j:
                 break
@@ -409,11 +389,11 @@ def ruling_pairings(diagram, switches):
                 pairing[j] = a
                 pairing[a] = j
                 pairing[b] = i
-            elif not ((b < a or b > j) if a < i else i < b < a):
+            elif not _admits(i, a, b):
                 break
         elif idx in switches:
             break
-        elif kind == LEFT_CUSP:
+        elif kind == _LEFT:
             pairing = pairing.translate(_SHIFT_UP[i])
             pairing[i:i] = j, i
         elif pairing[i] == j:
@@ -459,6 +439,7 @@ def is_ruling(diagram, switches):
                 b = key[bottom]
                 pa = positions[a]
                 pb = positions[b]
+                # _admits, inline: a call per switch costs 4-5% here
                 if not ((pb < pa or pb > i + 1) if pa < i else i < pb < pa):
                     return False
                 key[top] = b

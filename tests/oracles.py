@@ -78,8 +78,14 @@ pairs, which tries each pinch and skips the ones that raise.
 
 The reference renderer is the layout that the shared grid replaced:
 every front formats its own grid lines and points, keeps its strands'
-points in a dict by segment id, and reads each gap through
-``segments_at_gap``.
+points in a dict by segment id, and reads each gap off the reference
+scan.
+
+Some names live here because only the tests read them: the one-key
+step of the slot DP (``slot_step``), the decoded word
+(``kinds_and_levels``), the scan's per-gap segment ids
+(``reference_gaps``) and pairs (``scan_facts``), and the contraction
+lookup at one index (``contraction_at``).
 """
 
 import sympy
@@ -340,14 +346,15 @@ from frontcalc.cobordism import (NotAdjacent, NotCuspPair,  # noqa: E402
 
 def scan_direction(diagram, gap, level):
     """Direction of the strand at ``level`` at ``gap``, from the full scan."""
-    return diagram.segment_direction[diagram.segments_at_gap(gap)[level - 1]]
+    gaps = reference_gaps(diagram.events)
+    return diagram.segment_direction[gaps[gap][level - 1]]
 
 
 def _event_ref_components(diagram, idx):
     """(segment, component) of each strand the event at idx touches."""
     ev = diagram.events[idx]
     if ev.kind == CROSSING:
-        gap = diagram.segments_at_gap(idx)
+        gap = reference_gaps(diagram.events)[idx]
         segs = (gap[ev.level - 1], gap[ev.level])
     else:
         segs = diagram.cusp_segments(idx)
@@ -537,7 +544,7 @@ def reference_birth(diagram, index, level, orient="+"):
     events = list(diagram.events)
     new = events[:index] + [L(level), R(level)] + events[index:]
     d = rewritten(diagram, new, index, 0, 2)
-    c = d.component_at(index + 1, level)
+    c = d.component_of_segment[reference_gaps(d.events)[index + 1][level - 1]]
     if d.orientations[c] != orient:
         symbols = list(d.orientations)
         symbols[c] = orient
@@ -747,12 +754,53 @@ def reference_enumerate_rulings(diagram):
 
 from functools import cache  # noqa: E402
 
+from frontcalc.diagrams import _KINDS  # noqa: E402
 from frontcalc.rulings import (MAX_STRANDS, RulingError,  # noqa: E402
                                _check_width)
 
 _EMPTY = b""
 _REFERENCE_DEAD = (None, False)
 _MIRROR = {LEFT_CUSP: RIGHT_CUSP, RIGHT_CUSP: LEFT_CUSP, CROSSING: CROSSING}
+
+
+def kinds_and_levels(diagram):
+    """(kind, level) of every event, decoded once for the positional
+    ruling DP and walk."""
+    return tuple((_KINDS[ev % 3], ev // 3) for ev in diagram.events)
+
+
+_DEAD = (None, None)
+
+
+def slot_step(key, kind, i, top, bottom, positions):
+    """Successors of ``key`` at one step of ``FrontDiagram.slot_walk``:
+    an event of ``kind`` at 0-based level i, on the strands of slots
+    ``top`` and ``bottom``, with the crossing's slot positions.
+
+    Returns (follow, switch): ``follow`` is ``key`` itself unless the
+    ruling dies there, then None; ``switch`` is the key after an
+    admitted normal switch, or None.
+    """
+    if kind == LEFT_CUSP:
+        return key, None
+    a = key[top]
+    if kind == RIGHT_CUSP:
+        return (key if a == bottom else None), None
+    if a == bottom:
+        return _DEAD
+    b = key[bottom]
+    pa = positions[a]
+    pb = positions[b]
+    # Neither partner's position is i or i + 1.  Below i, b's must nest
+    # around a's or lie above i + 1; above i + 1, inside a's.
+    if not ((pb < pa or pb > i + 1) if pa < i else i < pb < pa):
+        return key, None
+    new = bytearray(key)
+    new[top] = b
+    new[b] = top
+    new[bottom] = a
+    new[a] = bottom
+    return key, bytes(new)
 
 
 @cache
@@ -847,7 +895,7 @@ def reference_frontiers(diagram):
     reaching each, and those some ruling suffix leaves, with the number
     of suffixes leaving each; the suffix side runs the mirror word."""
     _check_width(max(diagram.strand_counts))
-    steps = diagram.kinds_and_levels
+    steps = kinds_and_levels(diagram)
     prefixes = [{_EMPTY: 1}]
     for kind, level in steps:
         prefixes.append(reference_advance(prefixes[-1], kind, level - 1))
@@ -899,7 +947,7 @@ def reference_walk(diagram, switches):
     the switch set is not a normal ruling.
     """
     _check_width(max(diagram.strand_counts))
-    steps = diagram.kinds_and_levels
+    steps = kinds_and_levels(diagram)
     switches = set(switches)
     for idx in sorted(switches):
         if not 0 <= idx < len(steps):
@@ -928,8 +976,16 @@ def reference_is_ruling(diagram, switches):
 
 # -- reference reduction -------------------------------------------------------
 
-from frontcalc.cobordism import _COMMUTE_DEPTH, _contraction_at  # noqa: E402
-from frontcalc.moves import apply_rewrite, inverse  # noqa: E402
+from frontcalc.cobordism import _COMMUTE_DEPTH  # noqa: E402
+from frontcalc.moves import _contraction, apply_rewrite, inverse  # noqa: E402
+
+
+def contraction_at(events, j):
+    """A length-reducing rewrite at index j, if any."""
+    if not 0 <= j <= len(events) - 3:
+        return None
+    rule = _contraction(events[j], events[j + 1], events[j + 2])
+    return None if rule is None else Rewrite(rule[0], j)
 
 
 def reference_find_reducing_commutes(events):
@@ -958,7 +1014,7 @@ def reference_find_reducing_commutes(events):
                 seen.add(key)
                 npath = path + [Rewrite("commute", j)]
                 for k in range(max(0, j - 2), min(len(new) - 2, j + 3)):
-                    c = _contraction_at(new, k)
+                    c = contraction_at(new, k)
                     if c is not None:
                         return npath, c
                 nxt.append((key, npath))
@@ -975,7 +1031,7 @@ def reference_reduce_diagram(diagram):
     while True:
         events = list(d.events)
         rw = next((c for j in range(len(events))
-                   if (c := _contraction_at(events, j)) is not None), None)
+                   if (c := contraction_at(events, j)) is not None), None)
         if rw is not None:
             steps = [rw]
         else:
@@ -993,6 +1049,7 @@ def reference_reduce_diagram(diagram):
 # -- reference cusp-graph labelling ------------------------------------------
 
 from bisect import bisect_right  # noqa: E402
+from functools import lru_cache  # noqa: E402
 
 from types import SimpleNamespace  # noqa: E402
 
@@ -1047,6 +1104,36 @@ def reference_scan(events, strands=0):
         raise NonzeroFinalStrands(len(current))
     self.n_segments = next_id
     return self
+
+
+@lru_cache(maxsize=16)
+def reference_gaps(events):
+    """The segment ids at every gap of a valid word, top to bottom:
+    ``reference_scan(events).gaps``, kept for the last words asked."""
+    return reference_scan(events).gaps
+
+
+def scan_facts(events, strands=0):
+    """What ``reference_scan`` keeps, read off the package's scan: the
+    gaps off one ``segment_steps`` walk, the cusp and crossing pairs
+    and the segment count off ``_Scan.touched``.  Raises as ``_Scan``
+    does."""
+    scan = _diagrams._Scan(events, strands)
+    steps, segments = _diagrams.segment_steps(scan.events, strands)
+    gaps = [tuple(segments) for _step in steps]
+    gaps.append(tuple(segments))   # the gap after the last event
+    touched = list(enumerate(scan.touched))
+    cross = _diagrams._CROSS
+    return SimpleNamespace(
+        events=scan.events, gaps=gaps,
+        cusp_pair={idx: (top, bottom)
+                   for idx, (kind, _i, top, bottom) in touched
+                   if kind != cross},
+        crossing_pair={idx: (top, bottom)
+                       for idx, (kind, _i, top, bottom) in touched
+                       if kind == cross},
+        n_segments=strands + 2 * sum(kind == _diagrams._LEFT
+                                     for _idx, (kind, *_rest) in touched))
 
 
 def reference_connected_components(n, pairs):
@@ -1247,8 +1334,9 @@ def reference_run_predecessor(diagram, j, i):
     i')`` past event j - 1 into the word of ``pinch(diagram, j, i)``."""
     if j == 0:
         return None
-    top = diagram.segments_at_gap(j)[i - 1]
-    before = diagram.segments_at_gap(j - 1)
+    gaps = reference_gaps(diagram.events)
+    top = gaps[j][i - 1]
+    before = gaps[j - 1]
     if top not in before:
         return None
     level = before.index(top) + 1
@@ -1262,8 +1350,7 @@ def reference_pinch_sites(diagram):
     strands, read off the scan's segment directions."""
     seg_dir = diagram.segment_direction
     sites = {}
-    for j in range(len(diagram.events) + 1):
-        gap = diagram.segments_at_gap(j)
+    for j, gap in enumerate(reference_gaps(diagram.events)):
         for i in range(1, len(gap)):
             up, down = seg_dir[gap[i - 1]], seg_dir[gap[i]]
             if up != down and reference_run_predecessor(diagram, j, i) is None:
@@ -1393,18 +1480,19 @@ class _ReferenceLayout:
         self.y = [_reference_fmt(Y0 + h * DY / 2)
                   for h in range(2 * maxlev + 1)]
         comp = diagram.component_of_segment
+        gaps = reference_gaps(diagram.events)
         self.points = {}        # segment id -> [point, ...]
         self.crossings = []     # (event index, level, over component)
         for idx, ev in enumerate(diagram.events):
             if ev.kind == CROSSING:
-                over = comp[diagram.segments_at_gap(idx)[ev.level - 1]]
+                over = comp[gaps[idx][ev.level - 1]]
                 self.crossings.append((idx, ev.level, over))
             else:
                 tip = self.point(2 * idx + 1, 2 * ev.level - 1)
                 for s in diagram.cusp_segments(idx):
                     self.points.setdefault(s, []).append(tip)
             x = self.x[2 * idx + 2]
-            for pos, s in enumerate(diagram.segments_at_gap(idx + 1)):
+            for pos, s in enumerate(gaps[idx + 1]):
                 self.points[s].append(f"{x} {self.y[2 * pos]}")
         self.width = X0 + (n + 1) * DX
         self.height = Y0 + maxlev * DY

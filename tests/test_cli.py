@@ -248,6 +248,21 @@ def test_out_of_range_switch_index_is_domain_error(capsys, tmp_path,
     assert "out of range 0..6" in err
 
 
+@pytest.mark.parametrize("command", ["ruling-fillable", "render"])
+@pytest.mark.parametrize("ruling,event", [("0", 0), ("1,2", 1)])
+def test_switch_set_that_is_no_ruling_is_domain_error(capsys, tmp_path,
+                                                       command, ruling,
+                                                       event):
+    # on the trefoil L1 L3 X2 X2 X2 R1 R1, events 0 and 1 are cusps
+    argv = [command, "--ruling", ruling, "catalog:trefoil"]
+    if command == "render":
+        argv[1:1] = ["--svg", str(tmp_path / "out.svg")]
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: switch set fails at event {event}\n"
+
+
 def test_satellite_builtin(capsys):
     code, out, _ = run(capsys, "satellite", "--pattern", "identity:2",
                        "catalog:unknot")

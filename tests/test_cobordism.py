@@ -15,6 +15,7 @@ from frontcalc.moves import random_shuffle, stabilize
 from frontcalc.rulings import enumerate_rulings
 
 from helpers import random_diagram, random_tree_presentation, tree_presentation
+from oracles import reference_scan
 
 UNKNOT = FrontDiagram([L(1), R(1)])
 TREFOIL = FrontDiagram([L(1), L(3), X(2), X(2), X(2), R(1), R(1)])
@@ -74,7 +75,7 @@ def test_birth_death_roundtrip():
     d = birth(TREFOIL, 3, 5, orient="-")
     assert d.n_components == 2
     assert d.per_component.count((-1, 0)) >= 1
-    c = d.component_at(4, 5)
+    c = d.component_of_segment[reference_scan(d.events).gaps[4][4]]
     assert d.orientations[c] == "-"
     assert death(d, c) == TREFOIL
 
@@ -82,7 +83,7 @@ def test_birth_death_roundtrip():
 def test_death_requires_isolation():
     # the inner eye of a nested pair is isolated, the outer one is not
     d = FrontDiagram([L(1), L(2), R(2), R(1)])
-    inner = d.component_at(2, 2)
+    inner = d.component_of_segment[reference_scan(d.events).gaps[2][1]]
     outer = 1 - inner
     assert death(d, inner).events == (L(1), R(1))
     with pytest.raises(NotIsolatedUnknot):

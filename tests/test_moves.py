@@ -510,8 +510,9 @@ def test_contraction_pass_is_leftmost_contraction():
 
 def test_contractions_read_the_triple_table_only_where_one_can_match(
         monkeypatch):
-    """A fish or a pulled cusp is a crossing between two events at one
-    level, so the pass and the reduction look no other triple up, and
+    """Every three-event rule is a crossing between two events at one
+    level, so the pass, the reduction, the shuffle's matchers,
+    ``applicable_rewrites`` and ``inverse`` look no other triple up, and
     the table gains no entry for it."""
     looked_up = []
 
@@ -524,9 +525,13 @@ def test_contractions_read_the_triple_table_only_where_one_can_match(
     words = shuffled_random_diagrams(3102, 100)
     words.append(random_shuffle(catalog.get("m9_46").diagram, 2000, 2))
     monkeypatch.setattr(moves, "_TRIPLES", Recording())
-    for d in words:
+    for seed, d in enumerate(words):
         _contracted(d)
         _first_contraction(d.events)
+        random_shuffle(d, 50, seed)
+        for rw in applicable_rewrites(d):
+            if rw.kind in ("r1_remove", "r2_pull"):
+                inverse(d, rw)
     assert looked_up
     assert all(b.kind == "X" and a.level == c.level
                for a, b, c in looked_up)

@@ -6,7 +6,7 @@ recursive walk it replaced, which follows every branch of the pairing
 tree; both must list the same rulings.  The pass reads the suffixes of
 a word as prefixes of its mirror, so a mirrored front must have the
 reflected rulings.  The pass steps whole frontiers of slot keys through
-``_advance`` and single keys through ``_step``; the two must agree.
+``_advance``, which must agree with ``oracles.slot_step`` on each key.
 ``oracles`` also keeps the positional DP that slot keys replaced: at
 every gap, each side's frontier, read as positional pairings, must be
 that DP's, with the same counts, and a pairing that both sides reach
@@ -31,7 +31,7 @@ from frontcalc.satellites import builtin_pattern, satellite
 from helpers import mirror, random_word, shuffled_random_diagrams
 from oracles import (positional, reference_enumerate_rulings,
                      reference_frontiers, reference_is_ruling,
-                     reference_slot_layout)
+                     reference_slot_layout, slot_step)
 
 PROPERTY = settings(derandomize=True, max_examples=150, deadline=None)
 SEEDS = st.integers(min_value=0, max_value=2 ** 32 - 1)
@@ -98,9 +98,10 @@ def three_copy_of_trefoil():
 
 def count_work(monkeypatch):
     """Count the keys stepped: every state of a frontier passed to
-    ``_advance`` and every ``_step`` call."""
+    ``_advance`` and every call of a one-key ``_step``, which the module
+    no longer has."""
     work = {"_advance": 0, "_step": 0}
-    advance, step = rulings._advance, rulings._step
+    advance, step = rulings._advance, slot_step
 
     def counting_advance(front, *event):
         work["_advance"] += len(front)
@@ -111,7 +112,7 @@ def count_work(monkeypatch):
         return step(*args)
 
     monkeypatch.setattr(rulings, "_advance", counting_advance)
-    monkeypatch.setattr(rulings, "_step", counting_step)
+    monkeypatch.setattr(rulings, "_step", counting_step, raising=False)
     return work
 
 
@@ -235,7 +236,7 @@ def gap_events(slots):
 def assert_advance_merges_step(front, event):
     merged = {}
     for key, n in front.items():
-        follow, switch = rulings._step(key, *event)
+        follow, switch = slot_step(key, *event)
         if follow is not None:
             merged[follow] = merged.get(follow, 0) + n
         if switch is not None:
@@ -246,7 +247,7 @@ def assert_advance_merges_step(front, event):
 @PROPERTY
 @given(SEEDS)
 def test_advance_merges_step(seed):
-    """``_advance`` on a frontier is ``_step`` on each of its keys,
+    """``_advance`` on a frontier is ``slot_step`` on each of its keys,
     follows and switches merged with their counts summed: for every
     event of the word on both sides, and for every crossing and right
     cusp at every level a frontier of the pass admits."""

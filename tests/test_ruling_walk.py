@@ -3,10 +3,11 @@
 ``ruling_pairings`` follows one switch set through the word on a
 partner array edited in place, and ``is_ruling`` follows one slot key
 along ``FrontDiagram.slot_walk``.  ``oracles`` keeps the generator they
-replaced, which steps a fresh pairing per event through the DP's
-``_step``.  On every switch set they must agree with it: the same
-pairing at every gap, a RulingError, with the same message, exactly
-when the reference raises one, and the same answer from ``is_ruling``.
+replaced, which steps a fresh pairing per event through the positional
+DP's ``reference_step`` and reads the word off ``kinds_and_levels``.
+On every switch set they must agree with it: the same pairing at every
+gap, a RulingError, with the same message, exactly when the reference
+raises one, and the same answer from ``is_ruling``.
 The switch sets are every ruling of the word, each with one crossing
 flipped between switch and follow (and, where that fails at a
 crossing, that crossing flipped too), each with a cusp or an
@@ -28,7 +29,7 @@ from frontcalc.rulings import (RulingError, enumerate_rulings, is_ruling,
 from frontcalc.satellites import builtin_pattern, satellite
 
 from helpers import random_word
-from oracles import reference_is_ruling, reference_walk
+from oracles import kinds_and_levels, reference_is_ruling, reference_walk
 from test_ruling_enumeration import SATELLITES
 
 PROPERTY = settings(derandomize=True, max_examples=150, deadline=None)
@@ -49,7 +50,7 @@ def rejection(diagram, switches):
             assert "out of range" in str(exc)
             return "range", None
         event = len(gaps) - 1
-        kind, level = diagram.kinds_and_levels[event]
+        kind, level = kinds_and_levels(diagram)[event]
         paired = kind == CROSSING and gaps[-1][level - 1] == level
         if event in switches:
             if kind != CROSSING:

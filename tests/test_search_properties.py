@@ -28,8 +28,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from frontcalc import catalog, cobordism
 from frontcalc.cobordism import (_COMMUTE_DEPTH, _WINDOW, _WINDOWS,
-                                 CobordismTrace, _contraction_at,
-                                 _downward_cleanup,
+                                 CobordismTrace, _downward_cleanup,
                                  _find_reducing_commutes, _is_max_tb_unlink,
                                  _kill_eye, _pinch_sites, _pinched,
                                  _repeats, _slid_level,
@@ -44,13 +43,13 @@ from frontcalc.rulings import enumerate_rulings
 from frontcalc.satellites import builtin_pattern, satellite
 
 from helpers import front_fixture, random_word
-from oracles import (reference_enumerate_rulings,
+from oracles import (contraction_at, reference_enumerate_rulings,
                      reference_find_reducing_commutes,
                      reference_is_max_tb_unlink, reference_kill_eye,
                      reference_pinch, reference_pinch_sites,
                      reference_reduce_diagram,
                      reference_ruling_fillability,
-                     reference_run_predecessor,
+                     reference_run_predecessor, reference_scan,
                      reference_search_decomposable_filling)
 
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
@@ -105,7 +104,7 @@ def exposes_by_brute_force(events):
                     for w in frontier for j in range(len(w) - 1)
                     if (pair := _commute_pair(w[j], w[j + 1])) is not None}
         words |= frontier
-    return any(_contraction_at(w, k) is not None
+    return any(contraction_at(w, k) is not None
                for w in words for k in range(len(w) - 2))
 
 
@@ -156,10 +155,10 @@ def test_search_loop_finds_the_reference_traces(name, steps, seed):
 
 def orientable_sites(d):
     seg_dir = d.segment_direction
+    gaps = reference_scan(d.events).gaps
     return [(j, i) for j in range(len(d.events) + 1)
             for i in range(1, d.strand_counts[j])
-            if seg_dir[d.segments_at_gap(j)[i - 1]]
-            != seg_dir[d.segments_at_gap(j)[i]]]
+            if seg_dir[gaps[j][i - 1]] != seg_dir[gaps[j][i]]]
 
 
 @settings(PROPERTY, max_examples=200)
@@ -167,14 +166,15 @@ def orientable_sites(d):
 def test_a_skipped_pinch_site_is_a_slide_of_the_one_before(seed):
     d = oriented_diagram(random.Random(seed), max_width=8)
     heads = []
+    gaps = reference_scan(d.events).gaps
     for j, i in orientable_sites(d):
         before = reference_run_predecessor(d, j, i)
         if before is None:
             heads.append((j, i))
             continue
         # the same two segments, one gap earlier
-        assert (d.segments_at_gap(j - 1)[before - 1:before + 1]
-                == d.segments_at_gap(j)[i - 1:i + 1])
+        assert (gaps[j - 1][before - 1:before + 1]
+                == gaps[j][i - 1:i + 1])
         slid = pinch(d, j - 1, before)
         for k in (j, j - 1):
             slid = apply_rewrite(slid, Rewrite("commute", k))

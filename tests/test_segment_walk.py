@@ -2,10 +2,11 @@
 
 ``diagrams._Scan`` checks a word with one pass over its strand counts and
 takes its segment ids from ``diagrams.segment_steps``.  ``oracles`` keeps
-the scan as it was, one loop that numbered, checked and kept every gap.
-On valid words both must give the same gaps, cusp and crossing pairs,
-segment count and strand counts; on broken ones, the same exception
-with the same message.
+the scan as it was, one loop that numbered, checked and kept every gap,
+and ``oracles.scan_facts`` reads the same facts off the package's scan
+and walk.  On valid words both must give the same gaps, cusp and
+crossing pairs, segment count and strand counts; on broken ones, the
+same exception with the same message.
 """
 
 import random
@@ -17,7 +18,7 @@ from frontcalc import diagrams
 from frontcalc.diagrams import DiagramError, FrontDiagram, _Scan, event
 
 from helpers import random_word
-from oracles import reference_scan
+from oracles import reference_scan, scan_facts
 from test_satellites import pattern_words
 
 PROPERTY = settings(derandomize=True, max_examples=80, deadline=None)
@@ -36,16 +37,17 @@ def outcome(build, events, strands):
 
 
 def assert_scan_matches_reference(events, strands=0):
-    got = outcome(_Scan, events, strands)
+    got = outcome(scan_facts, events, strands)
     assert got == outcome(reference_scan, events, strands)
     if len(got) == 2:   # both raised
         return
     scan = _Scan(events, strands)
     assert scan.counts == got[-1]
     # what each event touches, as the reference's pairs give it
+    ref = reference_scan(events, strands)
     assert scan.touched == [
         (ev % 3, ev // 3 - 1,
-         *(scan.cusp_pair.get(idx) or scan.crossing_pair[idx]))
+         *(ref.cusp_pair.get(idx) or ref.crossing_pair[idx]))
         for idx, ev in enumerate(scan.events)]
 
 
